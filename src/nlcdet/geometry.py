@@ -174,18 +174,17 @@ def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
         inp = output
         output = []
         prev = inp[-1]
-        prev_in = edge[0] * (prev[1] - a[1]) - edge[1] * (prev[0] - a[0]) >= 0
+        # signed side of the clip edge; >= 0 is inside
+        s_prev = edge[0] * (prev[1] - a[1]) - edge[1] * (prev[0] - a[0])
         for cur in inp:
-            cur_in = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0]) >= 0
-            if cur_in != prev_in:
-                # intersection of segment prev->cur with the clip edge line
-                d = cur - prev
-                denom = edge[0] * d[1] - edge[1] * d[0]
-                t = (edge[0] * (a[1] - prev[1]) - edge[1] * (a[0] - prev[0])) / denom
-                output.append(prev + t * d)
-            if cur_in:
+            s_cur = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0])
+            if (s_cur >= 0) != (s_prev >= 0):
+                # the side value is linear along prev->cur and changes sign,
+                # so the denominator is never zero
+                output.append(prev + s_prev / (s_prev - s_cur) * (cur - prev))
+            if s_cur >= 0:
                 output.append(cur)
-            prev, prev_in = cur, cur_in
+            prev, s_prev = cur, s_cur
         output = np.asarray(output).reshape(-1, 2)
     return np.asarray(output).reshape(-1, 2)
 

@@ -12,14 +12,12 @@ from .losses import center_loss, cross_entropy, nlc_loss
 from .pipeline import SceneParams, ToyModel, TrainConfig, backward, compute_losses, forward, generate_scene
 from .propagation import (
     DenseLayer,
+    FusionCache,
+    ProjectionPlan,
     fuse_i2p,
     fuse_i2p_backward,
     fuse_p2i,
     fuse_p2i_backward,
-    pixel_to_point,
-    pixel_to_point_backward,
-    point_to_pixel,
-    point_to_pixel_backward,
 )
 
 __all__ = [
@@ -43,64 +41,57 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _random_instance(rng, n=7, c=3, h=5, w=6):
+    """Point features and the plan over their coordinates, some outside the grid."""
     feats = rng.normal(size=(n, c))
-    # spread coords over the grid, include some out-of-image points
     coords = np.column_stack(
         [rng.uniform(-1.5, w + 1.5, size=n), rng.uniform(-1.5, h + 1.5, size=n)]
     )
-    return feats, coords, h, w
+    return feats, ProjectionPlan(coords, h, w)
+
+
+def _fd_grad(f, x: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
+    """Central differences of <f(x), cotangent> w.r.t. every entry of x."""
+    fd = np.zeros_like(x)
+    for i in range(x.size):
+        for sign in (1.0, -1.0):
+            pert = x.copy()
+            pert.flat[i] += sign * _EPS
+            fd.flat[i] += sign * float(np.sum(f(pert) * cotangent))
+    return fd / (2 * _EPS)
 
 
 def check_point_to_pixel(rng: np.random.Generator) -> float:
     """FD check of the scatter-average backward w.r.t. point features."""
-    feats, coords, h, w = _random_instance(rng)
-    cotangent = rng.normal(size=(feats.shape[1], h, w))
-    analytic = point_to_pixel_backward(cotangent, coords, len(feats))
-
-    fd = np.zeros_like(feats)
-    for i in range(feats.size):
-        for sign in (1.0, -1.0):
-            pert = feats.copy()
-            pert.flat[i] += sign * _EPS
-            out = point_to_pixel(pert, coords, h, w)
-            fd.flat[i] += sign * float(np.sum(out * cotangent))
-    fd /= 2 * _EPS
-    return _rel_err(analytic, fd)
+    feats, plan = _random_instance(rng)
+    cotangent = rng.normal(size=(feats.shape[1], plan.height, plan.width))
+    analytic = plan.scatter_grad(cotangent)
+    return _rel_err(analytic, _fd_grad(plan.scatter, feats, cotangent))
 
 
 def check_pixel_to_point(rng: np.random.Generator) -> float:
     """FD check of the bilinear-gather backward w.r.t. grid features."""
-    feats, coords, h, w = _random_instance(rng)
-    grid = rng.normal(size=(feats.shape[1], h, w))
-    cotangent = rng.normal(size=(len(coords), grid.shape[0]))
-    analytic = pixel_to_point_backward(cotangent, coords, h, w)
-
-    fd = np.zeros_like(grid)
-    for i in range(grid.size):
-        for sign in (1.0, -1.0):
-            pert = grid.copy()
-            pert.flat[i] += sign * _EPS
-            out = pixel_to_point(pert, coords)
-            fd.flat[i] += sign * float(np.sum(out * cotangent))
-    fd /= 2 * _EPS
-    return _rel_err(analytic, fd)
+    feats, plan = _random_instance(rng)
+    grid = rng.normal(size=(feats.shape[1], plan.height, plan.width))
+    cotangent = rng.normal(size=(plan.count, grid.shape[0]))
+    analytic = plan.gather_grad(cotangent)
+    return _rel_err(analytic, _fd_grad(plan.gather, grid, cotangent))
 
 
 def check_adjoint_point_to_pixel(rng: np.random.Generator) -> float:
     """<scatter(g), t> must equal <g, scatter_backward(t)> (transpose identity)."""
-    feats, coords, h, w = _random_instance(rng)
-    t = rng.normal(size=(feats.shape[1], h, w))
-    lhs = float(np.sum(point_to_pixel(feats, coords, h, w) * t))
-    rhs = float(np.sum(feats * point_to_pixel_backward(t, coords, len(feats))))
+    feats, plan = _random_instance(rng)
+    t = rng.normal(size=(feats.shape[1], plan.height, plan.width))
+    lhs = float(np.sum(plan.scatter(feats) * t))
+    rhs = float(np.sum(feats * plan.scatter_grad(t)))
     return abs(lhs - rhs)
 
 
 def check_adjoint_pixel_to_point(rng: np.random.Generator) -> float:
-    feats, coords, h, w = _random_instance(rng)
-    grid = rng.normal(size=(feats.shape[1], h, w))
-    t = rng.normal(size=(len(coords), grid.shape[0]))
-    lhs = float(np.sum(pixel_to_point(grid, coords) * t))
-    rhs = float(np.sum(grid * pixel_to_point_backward(t, coords, h, w)))
+    feats, plan = _random_instance(rng)
+    grid = rng.normal(size=(feats.shape[1], plan.height, plan.width))
+    t = rng.normal(size=(plan.count, grid.shape[0]))
+    lhs = float(np.sum(plan.gather(grid) * t))
+    rhs = float(np.sum(grid * plan.gather_grad(t)))
     return abs(lhs - rhs)
 
 
@@ -114,10 +105,8 @@ def _random_fuse_layers(rng, c_aux, c_mid, c_main, c_out):
     return l1, l2
 
 
-def _kink_safe(cache, threshold=1e-4):
-    inner = cache[0] if len(cache) == 3 else cache
-    _, pre1, _, _, pre2, _ = inner
-    return min(np.abs(pre1).min(), np.abs(pre2).min()) > threshold
+def _kink_safe(cache: FusionCache, threshold=1e-4):
+    return min(np.abs(cache.pre1).min(), np.abs(cache.pre2).min()) > threshold
 
 
 def _check_fuse(rng, grid_mode: bool) -> float:
@@ -222,18 +211,12 @@ def check_losses(rng: np.random.Generator) -> float:
 
 def _min_preactivation(cache) -> float:
     vals = []
-    for key in ("pre_g0", "pre_f0", "pre_g1", "pre_f1"):
-        if key in cache:
-            vals.append(np.abs(cache[key]).min())
-    for key in ("c_i2p1", "c_i2p2"):
-        if key in cache:
-            _, pre1, _, _, pre2, _ = cache[key]
-            vals.extend([np.abs(pre1).min(), np.abs(pre2).min()])
-    for key in ("c_p2i1", "c_p2i2"):
-        if key in cache:
-            inner = cache[key][0]
-            _, pre1, _, _, pre2, _ = inner
-            vals.extend([np.abs(pre1).min(), np.abs(pre2).min()])
+    for st in cache["stages"]:
+        pres = [st.pre_points, st.pre_image]
+        for fusion in (st.i2p, st.p2i):
+            if fusion is not None:
+                pres += [fusion.pre1, fusion.pre2]
+        vals += [np.abs(p).min() for p in pres if p is not None]
     return min(vals) if vals else np.inf
 
 

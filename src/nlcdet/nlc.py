@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .geometry import Box3D, Calibration, project_points, points_in_box, rot_z
+from .geometry import Box3D, Calibration, _to_box_frame, project_points, points_in_box, rot_z
 
 __all__ = [
     "NlcMap",
@@ -58,11 +58,8 @@ def lidar_to_nlc(points: np.ndarray, box: Box3D) -> np.ndarray:
     Values outside [0, 1]^3 are legal and mean "outside the box".
     """
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = pts.reshape(-1, 3)
-    local = (pts - box.center) @ rot_z(box.yaw)
-    n = local / box.dims + 0.5
-    return n[0] if single else n
+    n = _to_box_frame(pts, box)
+    return n[0] if pts.ndim == 1 else n
 
 
 def nlc_to_lidar(nlc: np.ndarray, box: Box3D) -> np.ndarray:

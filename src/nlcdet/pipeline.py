@@ -10,17 +10,24 @@ backward passes so the whole model is finite-difference checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyForeground
 from .geometry import Box3D, Calibration, project_points, rot_z
 from .losses import LossWeights, center_loss, cross_entropy, nlc_loss
 from .nlc import NlcMap, build_gt_nlc_map, lidar_to_nlc, mmae, nlc_to_lidar, object_pixel_sets
 from .propagation import (
     DenseLayer,
+    FusionCache,
     ProjectionPlan,
+    _bin_points,
+    _grid,
+    _linear,
+    _linear_backward,
+    _relu,
+    _rows,
     fuse_i2p,
     fuse_i2p_backward,
     fuse_p2i,
@@ -87,6 +94,11 @@ class SyntheticScene:
         return np.column_stack(
             [p[:, 0] / 70.0, p[:, 1] / 40.0, (p[:, 2] + 1.0) / 2.0, p[:, 3]]
         )
+
+    @cached_property
+    def plan(self) -> ProjectionPlan:
+        """Scatter/gather operators over ``coords`` and the image grid."""
+        return ProjectionPlan(self.coords, *self.image.shape[1:])
 
 
 def _sample_boxes(rng: np.random.Generator, params: SceneParams) -> list[Box3D]:
@@ -179,9 +191,8 @@ def generate_scene(seed: int, params: SceneParams = SceneParams()) -> SyntheticS
     gt_map, obj_ids = build_gt_nlc_map(points, boxes, calib, h, w, return_object_ids=True)
 
     depth_plane = np.full(h * w, np.inf)
-    cols = np.floor(u).astype(int)
-    rows = np.floor(v).astype(int)
-    valid = (d > 0) & (cols >= 0) & (cols < w) & (rows >= 0) & (rows < h)
+    rows, cols, valid = _bin_points(coords, h, w)
+    valid &= d > 0
     np.minimum.at(depth_plane, rows[valid] * w + cols[valid], d[valid])
     depth_plane = np.where(np.isfinite(depth_plane), depth_plane / _DEPTH_NORM, 0.0)
     image = np.stack(
@@ -222,23 +233,10 @@ class TrainConfig:
     point_only: bool = False
 
 
+# each TrainConfig field by the type of its default, and the loss weights
 _CONFIG_KEYS = {
-    "seed": int,
-    "epochs": int,
-    "learning_rate": float,
-    "huber_delta": float,
-    "lambda_nlc": float,
-    "lambda_sem2d": float,
-    "lambda_sem3d": float,
-    "lambda_ctr": float,
-    "enable_p2i": bool,
-    "enable_i2p": bool,
-    "train_scenes": int,
-    "val_scenes": int,
-    "data_seed": int,
-    "point_channels": int,
-    "image_channels": int,
-    "point_only": bool,
+    **{f.name: type(f.default) for f in fields(TrainConfig) if f.name != "weights"},
+    **{f"lambda_{f.name}": float for f in fields(LossWeights)},
 }
 
 
@@ -262,33 +260,35 @@ def parse_train_config(text: str) -> TrainConfig:
             values[key] = val.lower() == "true"
         else:
             values[key] = kind(val)
-    weights = LossWeights(
-        nlc=values.pop("lambda_nlc", 1.0),
-        sem2d=values.pop("lambda_sem2d", 1.0),
-        sem3d=values.pop("lambda_sem3d", 1.0),
-        ctr=values.pop("lambda_ctr", 1.0),
-    )
+    weights = LossWeights(**{
+        key[len("lambda_"):]: values.pop(key) for key in list(values) if key.startswith("lambda_")
+    })
     return TrainConfig(weights=weights, **values)
 
 
-_LAYER_NAMES = [
-    "point1",
-    "point2",
-    "image1",
-    "image2",
-    "i2p1a",
-    "i2p1b",
-    "i2p2a",
-    "i2p2b",
-    "p2i1a",
-    "p2i1b",
-    "p2i2a",
-    "p2i2b",
-    "head_nlc",
-    "head_sem2d",
-    "head_sem3d",
-    "head_ctr",
-]
+def _layer_shapes(cp: int, ci: int) -> dict[str, tuple[int, int]]:
+    """(in, out) channels of every layer, in packing order."""
+    return {
+        "point1": (4, cp),
+        "point2": (cp, cp),
+        "image1": (2, ci),
+        "image2": (ci, ci),
+        "i2p1a": (ci, cp),
+        "i2p1b": (2 * cp, cp),
+        "i2p2a": (ci, cp),
+        "i2p2b": (2 * cp, cp),
+        "p2i1a": (cp, ci),
+        "p2i1b": (2 * ci, ci),
+        "p2i2a": (cp, ci),
+        "p2i2b": (2 * ci, ci),
+        "head_nlc": (ci, 3),
+        "head_sem2d": (ci, 2),
+        "head_sem3d": (cp, 2),
+        "head_ctr": (cp, 3),
+    }
+
+
+_LAYER_NAMES = tuple(_layer_shapes(1, 1))  # the names do not depend on the widths
 
 POINT_BRANCH_LAYERS = (
     "point1",
@@ -321,27 +321,9 @@ class ToyModel:
     @staticmethod
     def init(seed: int, c_point: int = 16, c_image: int = 16) -> "ToyModel":
         rng = np.random.default_rng(seed)
-        cp, ci = c_point, c_image
-        spec = {
-            "point1": (4, cp),
-            "point2": (cp, cp),
-            "image1": (2, ci),
-            "image2": (ci, ci),
-            "i2p1a": (ci, cp),
-            "i2p1b": (2 * cp, cp),
-            "i2p2a": (ci, cp),
-            "i2p2b": (2 * cp, cp),
-            "p2i1a": (cp, ci),
-            "p2i1b": (2 * ci, ci),
-            "p2i2a": (cp, ci),
-            "p2i2b": (2 * ci, ci),
-            "head_nlc": (ci, 3),
-            "head_sem2d": (ci, 2),
-            "head_sem3d": (cp, 2),
-            "head_ctr": (cp, 3),
-        }
         layers = {
-            name: DenseLayer.init(i, o, rng) for name, (i, o) in spec.items()
+            name: DenseLayer.init(i, o, rng)
+            for name, (i, o) in _layer_shapes(c_point, c_image).items()
         }
         return ToyModel(layers=layers)
 
@@ -351,23 +333,20 @@ class ToyModel:
         )
 
     def pack(self) -> np.ndarray:
-        parts = []
-        for name in _LAYER_NAMES:
-            l = self.layers[name]
-            parts.append(l.weights.ravel())
-            parts.append(l.bias)
-        return np.concatenate(parts)
+        return np.concatenate([
+            part.ravel()
+            for name in _LAYER_NAMES
+            for part in (self.layers[name].weights, self.layers[name].bias)
+        ])
 
     def unpack(self, vec: np.ndarray) -> None:
         off = 0
         for name in _LAYER_NAMES:
-            l = self.layers[name]
-            n = l.weights.size
-            l.weights = vec[off : off + n].reshape(l.weights.shape).copy()
-            off += n
-            n = l.bias.size
-            l.bias = vec[off : off + n].copy()
-            off += n
+            layer = self.layers[name]
+            for attr in ("weights", "bias"):
+                part = getattr(layer, attr)
+                setattr(layer, attr, vec[off : off + part.size].reshape(part.shape).copy())
+                off += part.size
 
 
 def _zero_grads(model: ToyModel) -> dict[str, DenseLayer]:
@@ -379,105 +358,72 @@ def _zero_grads(model: ToyModel) -> dict[str, DenseLayer]:
     }
 
 
-def _lin_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    return x @ layer.weights.T + layer.bias
+# per stage: point layer, image layer, i2p fusion layers, p2i fusion layers
+_STAGES = (
+    ("point1", "image1", ("i2p1a", "i2p1b"), ("p2i1a", "p2i1b")),
+    ("point2", "image2", ("i2p2a", "i2p2b"), ("p2i2a", "p2i2b")),
+)
+# per head: loss component, layer, and the branch whose final features it reads
+_HEADS = (
+    ("ctr", "head_ctr", "points"),
+    ("sem3d", "head_sem3d", "points"),
+    ("nlc", "head_nlc", "image"),
+    ("sem2d", "head_sem2d", "image"),
+)
 
 
-def _lin_backward(layer: DenseLayer, x: np.ndarray, d_out: np.ndarray, grad: DenseLayer):
-    grad.weights += d_out.T @ x
-    grad.bias += d_out.sum(axis=0)
-    return d_out @ layer.weights
+@dataclass
+class StageCache:
+    """What one stage's backward needs from its forward; image entries are
+    (H*W, C) rows and stay None when the image branch is off."""
 
-
-def _rows(grid: np.ndarray) -> np.ndarray:
-    return grid.reshape(grid.shape[0], -1).T
-
-
-def _grid(rows: np.ndarray, h: int, w: int) -> np.ndarray:
-    return rows.T.reshape(-1, h, w)
-
-
-def _scene_plan(scene: SyntheticScene) -> ProjectionPlan:
-    plan = getattr(scene, "_plan", None)
-    if plan is None:
-        plan = ProjectionPlan(scene.coords, *scene.image.shape[1:])
-        scene._plan = plan
-    return plan
+    points_in: np.ndarray
+    pre_points: np.ndarray
+    image_in: np.ndarray | None = None
+    pre_image: np.ndarray | None = None
+    i2p: FusionCache | None = None
+    p2i: FusionCache | None = None
 
 
 def forward(model: ToyModel, scene: SyntheticScene, config: TrainConfig):
-    """Run the toy network; returns (head outputs dict, cache for backward)."""
+    """Run the toy network; returns (head outputs dict, cache for backward).
+
+    Each stage applies the point and image dense layers, then fuses
+    image-to-point (gather) and point-to-image (scatter) where enabled.
+    """
     L = model.layers
     h, w = scene.image.shape[1:]
-    coords = scene.coords
-    x_pts = scene.point_inputs
-    x_img = _rows(scene.image)
-    plan = _scene_plan(scene)
-    cache: dict = {
-        "h": h, "w": w, "coords": coords, "x_pts": x_pts, "x_img": x_img,
-        "plan": plan,
+    plan = scene.plan
+    image_on = not config.point_only
+    g = scene.point_inputs
+    f = _rows(scene.image) if image_on else None
+    stages = []
+    for point, image, i2p, p2i in _STAGES:
+        st = StageCache(points_in=g, pre_points=_linear(L[point], g))
+        g = _relu(st.pre_points)
+        if image_on:
+            st.image_in, st.pre_image = f, _linear(L[image], f)
+            f = _relu(st.pre_image)
+        g_out = g
+        if config.enable_i2p and image_on:
+            gathered = plan.gather(_grid(f, h, w))
+            g_out, st.i2p = fuse_i2p(gathered, g, (L[i2p[0]], L[i2p[1]]))
+        if config.enable_p2i and image_on:
+            scattered = plan.scatter(g)
+            f_grid, st.p2i = fuse_p2i(scattered, _grid(f, h, w), (L[p2i[0]], L[p2i[1]]))
+            f = _rows(f_grid)
+        g = g_out
+        stages.append(st)
+
+    outputs = {
+        "sem3d_logits": _linear(L["head_sem3d"], g),
+        "ctr_pred": _linear(L["head_ctr"], g),
     }
-
-    pre_g0 = _lin_forward(L["point1"], x_pts)
-    g0 = np.maximum(pre_g0, 0.0)
-    cache["pre_g0"], cache["g0"] = pre_g0, g0
-
-    if not config.point_only:
-        pre_f0 = _lin_forward(L["image1"], x_img)
-        f0 = np.maximum(pre_f0, 0.0)
-        f0_grid = _grid(f0, h, w)
-        cache["pre_f0"], cache["f0"] = pre_f0, f0
-    else:
-        f0_grid = None
-
-    g1_in = g0
-    if config.enable_i2p and not config.point_only:
-        gath0 = plan.gather(f0_grid)
-        g1_in, cache["c_i2p1"] = fuse_i2p(gath0, g0, (L["i2p1a"], L["i2p1b"]))
-    f1_in_grid = f0_grid
-    if config.enable_p2i and not config.point_only:
-        scat0 = plan.scatter(g0)
-        f1_in_grid, cache["c_p2i1"] = fuse_p2i(
-            scat0, f0_grid, (L["p2i1a"], L["p2i1b"])
-        )
-    cache["g1_in"] = g1_in
-
-    pre_g1 = _lin_forward(L["point2"], g1_in)
-    g1 = np.maximum(pre_g1, 0.0)
-    cache["pre_g1"], cache["g1"] = pre_g1, g1
-
-    if not config.point_only:
-        f1_in = _rows(f1_in_grid)
-        pre_f1 = _lin_forward(L["image2"], f1_in)
-        f1 = np.maximum(pre_f1, 0.0)
-        f1_grid = _grid(f1, h, w)
-        cache["f1_in"], cache["pre_f1"], cache["f1"] = f1_in, pre_f1, f1
-    else:
-        f1_grid = None
-
-    g_final = g1
-    if config.enable_i2p and not config.point_only:
-        gath1 = plan.gather(f1_grid)
-        g_final, cache["c_i2p2"] = fuse_i2p(gath1, g1, (L["i2p2a"], L["i2p2b"]))
-    f_final_grid = f1_grid
-    if config.enable_p2i and not config.point_only:
-        scat1 = plan.scatter(g1)
-        f_final_grid, cache["c_p2i2"] = fuse_p2i(
-            scat1, f1_grid, (L["p2i2a"], L["p2i2b"])
-        )
-    cache["g_final"] = g_final
-
-    outputs = {}
-    outputs["sem3d_logits"] = _lin_forward(L["head_sem3d"], g_final)
-    outputs["ctr_pred"] = _lin_forward(L["head_ctr"], g_final)
-    if not config.point_only:
-        f_final = _rows(f_final_grid)
-        cache["f_final"] = f_final
-        nlc_rows = _lin_forward(L["head_nlc"], f_final)
-        outputs["nlc_map"] = _grid(nlc_rows, h, w)
-        outputs["sem2d_logits"] = _lin_forward(L["head_sem2d"], f_final)
+    if image_on:
+        outputs["nlc_map"] = _grid(_linear(L["head_nlc"], f), h, w)
+        outputs["sem2d_logits"] = _linear(L["head_sem2d"], f)
         outputs["nlc_at_points"] = plan.gather(outputs["nlc_map"])
-    return outputs, cache
+    return outputs, {"stages": stages, "points": g, "image": f}
 
 
 def compute_losses(outputs: dict, scene: SyntheticScene, config: TrainConfig):
@@ -525,111 +471,48 @@ def backward(
     """
     L = model.layers
     grads = _zero_grads(model)
-    h, w, coords = cache["h"], cache["w"], cache["coords"]
-    plan = cache["plan"]
-    n_pts = len(coords)
-    wts = config.weights
-    weight_of = {"nlc": wts.nlc, "sem2d": wts.sem2d, "sem3d": wts.sem3d, "ctr": wts.ctr}
+    h, w = scene.image.shape[1:]
+    plan = scene.plan
+    image_on = not config.point_only
 
-    d_g_final = np.zeros_like(cache["g_final"])
-    if "ctr" in components and weight_of["ctr"] != 0.0:
-        d = weight_of["ctr"] * head_grads["ctr"]
-        d_g_final += _lin_backward(L["head_ctr"], cache["g_final"], d, grads["head_ctr"])
-    if "sem3d" in components and weight_of["sem3d"] != 0.0:
-        d = weight_of["sem3d"] * head_grads["sem3d"]
-        d_g_final += _lin_backward(
-            L["head_sem3d"], cache["g_final"], d, grads["head_sem3d"]
-        )
+    # heads: gradients w.r.t. the last stage's point and image outputs
+    d = {k: np.zeros_like(cache[k]) for k in ("points", "image") if cache[k] is not None}
+    for comp, head, branch in _HEADS:
+        weight = getattr(config.weights, comp)
+        if comp not in components or weight == 0.0 or comp not in head_grads:
+            continue
+        d_out = weight * head_grads[comp]
+        if comp == "nlc":
+            d_out = _rows(plan.gather_grad(d_out))
+        d_in, grads[head] = _linear_backward(L[head], cache[branch], d_out)
+        d[branch] += d_in
+    d_g, d_f = d["points"], d.get("image")
 
-    image_active = not config.point_only
-    if image_active:
-        d_f_final = np.zeros_like(cache["f_final"])
-        if "nlc" in components and weight_of["nlc"] != 0.0 and "nlc" in head_grads:
-            d_map = plan.gather_grad(weight_of["nlc"] * head_grads["nlc"])
-            d_f_final += _lin_backward(
-                L["head_nlc"], cache["f_final"], _rows(d_map), grads["head_nlc"]
-            )
-        if "sem2d" in components and weight_of["sem2d"] != 0.0 and "sem2d" in head_grads:
-            d = weight_of["sem2d"] * head_grads["sem2d"]
-            d_f_final += _lin_backward(
-                L["head_sem2d"], cache["f_final"], d, grads["head_sem2d"]
-            )
-        d_f_final_grid = _grid(d_f_final, h, w)
-    else:
-        d_f_final_grid = None
+    for (point, image, i2p, p2i), st in zip(reversed(_STAGES), reversed(cache["stages"])):
+        # fusion, back to the outputs of the stage's dense layers
+        d_g_layer = np.zeros_like(st.pre_points)
+        if image_on:
+            d_f_out = _grid(d_f, h, w)
+            d_f_layer = np.zeros((st.pre_image.shape[1], h, w))
+        if st.i2p is not None:
+            d_gathered, d_part, (grads[i2p[0]], grads[i2p[1]]) = fuse_i2p_backward(d_g, st.i2p)
+            d_g_layer += d_part
+            d_f_layer += plan.gather_grad(d_gathered)
+        else:
+            d_g_layer += d_g
+        if st.p2i is not None:
+            d_scattered, d_part, (grads[p2i[0]], grads[p2i[1]]) = fuse_p2i_backward(d_f_out, st.p2i)
+            d_f_layer += d_part
+            d_g_layer += plan.scatter_grad(d_scattered)
+        elif image_on:
+            d_f_layer += d_f_out
 
-    # stage-2 fusion
-    d_g1 = np.zeros_like(cache["g1"])
-    d_f1_grid = None
-    if image_active:
-        d_f1_grid = np.zeros((cache["f1"].shape[1], h, w))
-    if config.enable_i2p and image_active:
-        d_gath1, d_g1_part, (g_a, g_b) = fuse_i2p_backward(d_g_final, cache["c_i2p2"])
-        grads["i2p2a"].weights += g_a.weights
-        grads["i2p2a"].bias += g_a.bias
-        grads["i2p2b"].weights += g_b.weights
-        grads["i2p2b"].bias += g_b.bias
-        d_g1 += d_g1_part
-        d_f1_grid += plan.gather_grad(d_gath1)
-    else:
-        d_g1 += d_g_final
-    if config.enable_p2i and image_active:
-        d_scat1, d_f1_part, (g_a, g_b) = fuse_p2i_backward(
-            d_f_final_grid, cache["c_p2i2"]
-        )
-        grads["p2i2a"].weights += g_a.weights
-        grads["p2i2a"].bias += g_a.bias
-        grads["p2i2b"].weights += g_b.weights
-        grads["p2i2b"].bias += g_b.bias
-        d_f1_grid += d_f1_part
-        d_g1 += plan.scatter_grad(d_scat1)
-    elif image_active:
-        d_f1_grid += d_f_final_grid
-
-    # stage-2 layers
-    d_pre_g1 = d_g1 * (cache["pre_g1"] > 0)
-    d_g1_in = _lin_backward(L["point2"], cache["g1_in"], d_pre_g1, grads["point2"])
-    if image_active:
-        d_f1 = _rows(d_f1_grid)
-        d_pre_f1 = d_f1 * (cache["pre_f1"] > 0)
-        d_f1_in = _lin_backward(L["image2"], cache["f1_in"], d_pre_f1, grads["image2"])
-        d_f1_in_grid = _grid(d_f1_in, h, w)
-
-    # stage-1 fusion
-    d_g0 = np.zeros_like(cache["g0"])
-    if image_active:
-        d_f0_grid = np.zeros((cache["f0"].shape[1], h, w))
-    if config.enable_i2p and image_active:
-        d_gath0, d_g0_part, (g_a, g_b) = fuse_i2p_backward(d_g1_in, cache["c_i2p1"])
-        grads["i2p1a"].weights += g_a.weights
-        grads["i2p1a"].bias += g_a.bias
-        grads["i2p1b"].weights += g_b.weights
-        grads["i2p1b"].bias += g_b.bias
-        d_g0 += d_g0_part
-        d_f0_grid += plan.gather_grad(d_gath0)
-    else:
-        d_g0 += d_g1_in
-    if config.enable_p2i and image_active:
-        d_scat0, d_f0_part, (g_a, g_b) = fuse_p2i_backward(
-            d_f1_in_grid, cache["c_p2i1"]
-        )
-        grads["p2i1a"].weights += g_a.weights
-        grads["p2i1a"].bias += g_a.bias
-        grads["p2i1b"].weights += g_b.weights
-        grads["p2i1b"].bias += g_b.bias
-        d_f0_grid += d_f0_part
-        d_g0 += plan.scatter_grad(d_scat0)
-    elif image_active:
-        d_f0_grid += d_f1_in_grid
-
-    # stage-1 layers
-    d_pre_g0 = d_g0 * (cache["pre_g0"] > 0)
-    _lin_backward(L["point1"], cache["x_pts"], d_pre_g0, grads["point1"])
-    if image_active:
-        d_f0 = _rows(d_f0_grid)
-        d_pre_f0 = d_f0 * (cache["pre_f0"] > 0)
-        _lin_backward(L["image1"], cache["x_img"], d_pre_f0, grads["image1"])
-
+        # the stage's dense layers, back to the stage inputs
+        d_pre = d_g_layer * (st.pre_points > 0)
+        d_g, grads[point] = _linear_backward(L[point], st.points_in, d_pre)
+        if image_on:
+            d_pre = _rows(d_f_layer) * (st.pre_image > 0)
+            d_f, grads[image] = _linear_backward(L[image], st.image_in, d_pre)
     return grads
 
 
@@ -649,14 +532,7 @@ class TrainingReport:
     diverged: bool
 
     def to_dict(self) -> dict:
-        cfg = asdict(self.config)
-        return {
-            "config": cfg,
-            "epochs": self.epochs,
-            "final_val": self.final_val,
-            "parameter_count": self.parameter_count,
-            "diverged": self.diverged,
-        }
+        return asdict(self)
 
 
 def make_scenes(config: TrainConfig):

@@ -4,8 +4,14 @@ Grid features are (C, H, W) arrays; point features are (N, C).  Projected
 coordinates are continuous (u, v) pixels: the scatter direction bins by
 floor(u), floor(v); the gather direction samples grid values located at
 integer (u, v) positions with bilinear weights and zero padding outside the
-image.  All reductions run in a canonical order so results are bit-identical
-under permutation of the input points.
+image.
+
+:class:`ProjectionPlan` is the one implementation of both directions: it
+holds them as sparse matrices over a fixed set of coordinates, and its
+methods are deterministic for a fixed point order.  The one-shot functions
+build a plan per call.  The two that sum over points (:func:`point_to_pixel`
+and :func:`pixel_to_point_backward`) first sort the points canonically, so
+their results are bit-identical under permutation of the input points.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from .errors import ShapeError
 
 __all__ = [
     "DenseLayer",
+    "ProjectionPlan",
+    "FusionCache",
     "point_to_pixel",
     "point_to_pixel_backward",
     "pixel_to_point",
@@ -62,18 +70,10 @@ def _linear(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
     return x @ layer.weights.T + layer.bias
 
 
-def _canonical_order(cells: np.ndarray, coords: np.ndarray, data: np.ndarray):
-    """Deterministic total order over (cell, coords, payload) rows.
-
-    The order itself is arbitrary (raw byte order), but it is a pure function
-    of each row's content, which makes every downstream reduction bit-exact
-    under permutation of the input points.
-    """
-    rows = np.ascontiguousarray(
-        np.column_stack([cells.astype(float), coords, data])
-    )
-    view = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
-    return np.argsort(view.ravel(), kind="stable")
+def _linear_backward(layer: DenseLayer, x: np.ndarray, d_out: np.ndarray):
+    """Gradients of :func:`_linear` w.r.t. its input rows and its parameters."""
+    grad = DenseLayer(weights=d_out.T @ x, bias=d_out.sum(axis=0))
+    return d_out @ layer.weights, grad
 
 
 def _bin_points(coords: np.ndarray, height: int, width: int):
@@ -82,61 +82,6 @@ def _bin_points(coords: np.ndarray, height: int, width: int):
     rows = np.floor(uv[:, 1]).astype(int)
     valid = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
     return rows, cols, valid
-
-
-def point_to_pixel(
-    features: np.ndarray, coords: np.ndarray, height: int, width: int
-) -> np.ndarray:
-    """Scatter-average point features onto a pixel grid.
-
-    Pixel (r, c) receives the mean feature of all points with
-    floor(v) == r, floor(u) == c; empty pixels are exactly zero.  Points
-    projecting outside the grid are ignored.
-    """
-    g = np.asarray(features, dtype=float)
-    n, c = g.shape
-    uv = np.asarray(coords, dtype=float).reshape(-1, 2)
-    if len(uv) != n:
-        raise ShapeError("feature count and coordinate count differ")
-    rows, cols, valid = _bin_points(uv, height, width)
-    out = np.zeros((c, height, width))
-    if not valid.any():
-        return out
-    cells = rows[valid] * width + cols[valid]
-    gv, uvv = g[valid], uv[valid]
-    order = _canonical_order(cells, uvv, gv)
-    cells, gv = cells[order], gv[order]
-    flat_idx = (cells[:, None] * c + np.arange(c)).ravel()
-    sums = np.bincount(
-        flat_idx, weights=gv.ravel(), minlength=height * width * c
-    ).reshape(height * width, c)
-    counts = np.bincount(cells, minlength=height * width).astype(float)
-    nonzero = counts > 0
-    sums[nonzero] /= counts[nonzero, None]
-    return sums.T.reshape(c, height, width)
-
-
-def point_to_pixel_backward(
-    grad_output: np.ndarray, coords: np.ndarray, num_points: int
-) -> np.ndarray:
-    """Backward of :func:`point_to_pixel` w.r.t. the point features.
-
-    A point landing in pixel (r, c) shared by n points receives
-    grad_output[:, r, c] / n; out-of-grid points receive zero.
-    """
-    go = np.asarray(grad_output, dtype=float)
-    c, height, width = go.shape
-    uv = np.asarray(coords, dtype=float).reshape(-1, 2)
-    if len(uv) != num_points:
-        raise ShapeError("coordinate count and point count differ")
-    rows, cols, valid = _bin_points(uv, height, width)
-    grad = np.zeros((num_points, c))
-    if not valid.any():
-        return grad
-    cells = rows[valid] * width + cols[valid]
-    counts = np.bincount(cells, minlength=height * width).astype(float)
-    grad[valid] = go.reshape(c, -1).T[cells] / counts[cells, None]
-    return grad
 
 
 def _bilinear_weights(coords: np.ndarray, height: int, width: int):
@@ -157,47 +102,6 @@ def _bilinear_weights(coords: np.ndarray, height: int, width: int):
         inside = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
         neighbors.append((ys, xs, np.where(inside, wgt, 0.0), inside))
     return neighbors
-
-
-def pixel_to_point(grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Bilinear gather of grid features at continuous point projections."""
-    f = np.asarray(grid, dtype=float)
-    c, height, width = f.shape
-    uv = np.asarray(coords, dtype=float).reshape(-1, 2)
-    out = np.zeros((len(uv), c))
-    flat = f.reshape(c, -1)
-    for ys, xs, wgt, inside in _bilinear_weights(uv, height, width):
-        idx = np.where(inside, ys * width + xs, 0)
-        out += wgt[:, None] * np.where(inside[:, None], flat.T[idx], 0.0)
-    return out
-
-
-def pixel_to_point_backward(
-    grad_points: np.ndarray, coords: np.ndarray, height: int, width: int
-) -> np.ndarray:
-    """Backward of :func:`pixel_to_point` w.r.t. the grid features."""
-    gp = np.asarray(grad_points, dtype=float)
-    n, c = gp.shape
-    uv = np.asarray(coords, dtype=float).reshape(-1, 2)
-    if len(uv) != n:
-        raise ShapeError("coordinate count and gradient count differ")
-    # canonical order keeps the scatter-add bit-deterministic under permutation
-    order = _canonical_order(
-        np.floor(uv[:, 1]).astype(int) * width + np.floor(uv[:, 0]).astype(int),
-        uv,
-        gp,
-    )
-    uv, gp = uv[order], gp[order]
-    grad = np.zeros(height * width * c)
-    chan = np.arange(c)
-    for ys, xs, wgt, inside in _bilinear_weights(uv, height, width):
-        idx = ys[inside] * width + xs[inside]
-        contrib = wgt[inside, None] * gp[inside]
-        flat_idx = (idx[:, None] * c + chan).ravel()
-        grad += np.bincount(
-            flat_idx, weights=contrib.ravel(), minlength=height * width * c
-        )
-    return grad.reshape(height, width, c).transpose(2, 0, 1).copy()
 
 
 class ProjectionPlan:
@@ -258,42 +162,112 @@ class ProjectionPlan:
         return out.T.reshape(-1, self.height, self.width)
 
 
+def _canonical_order(coords: np.ndarray, payload: np.ndarray, width: int):
+    """Points and their payload rows in a deterministic total order.
+
+    The order itself is arbitrary (raw byte order of each point's cell,
+    coordinates and payload), but it is a pure function of each row's
+    content, which makes every downstream sum bit-exact under permutation of
+    the input points.
+    """
+    cells = np.floor(coords[:, 1]).astype(int) * width + np.floor(coords[:, 0]).astype(int)
+    rows = np.ascontiguousarray(np.column_stack([cells.astype(float), coords, payload]))
+    view = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+    order = np.argsort(view.ravel(), kind="stable")
+    return coords[order], payload[order]
+
+
+def _uv(coords: np.ndarray, count: int) -> np.ndarray:
+    uv = np.asarray(coords, dtype=float).reshape(-1, 2)
+    if len(uv) != count:
+        raise ShapeError(f"{len(uv)} coordinates for {count} points")
+    return uv
+
+
+def point_to_pixel(
+    features: np.ndarray, coords: np.ndarray, height: int, width: int
+) -> np.ndarray:
+    """Scatter-average point features onto a pixel grid.
+
+    Pixel (r, c) receives the mean feature of all points with
+    floor(v) == r, floor(u) == c; empty pixels are exactly zero.  Points
+    projecting outside the grid are ignored.
+    """
+    g = np.asarray(features, dtype=float)
+    uv = _uv(coords, len(g))
+    uv, g = _canonical_order(uv, g, width)
+    return ProjectionPlan(uv, height, width).scatter(g)
+
+
+def point_to_pixel_backward(
+    grad_output: np.ndarray, coords: np.ndarray, num_points: int
+) -> np.ndarray:
+    """Backward of :func:`point_to_pixel` w.r.t. the point features.
+
+    A point landing in pixel (r, c) shared by n points receives
+    grad_output[:, r, c] / n; out-of-grid points receive zero.
+    """
+    go = np.asarray(grad_output, dtype=float)
+    uv = _uv(coords, num_points)
+    return ProjectionPlan(uv, *go.shape[1:]).scatter_grad(go)
+
+
+def pixel_to_point(grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Bilinear gather of grid features at continuous point projections."""
+    f = np.asarray(grid, dtype=float)
+    return ProjectionPlan(coords, *f.shape[1:]).gather(f)
+
+
+def pixel_to_point_backward(
+    grad_points: np.ndarray, coords: np.ndarray, height: int, width: int
+) -> np.ndarray:
+    """Backward of :func:`pixel_to_point` w.r.t. the grid features."""
+    gp = np.asarray(grad_points, dtype=float)
+    uv = _uv(coords, len(gp))
+    uv, gp = _canonical_order(uv, gp, width)
+    return ProjectionPlan(uv, height, width).gather_grad(gp)
+
+
 def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
+
+
+def _rows(grid: np.ndarray) -> np.ndarray:
+    """(C, H, W) grid as (H*W, C) rows."""
+    return grid.reshape(grid.shape[0], -1).T
+
+
+def _grid(rows: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Inverse of :func:`_rows`."""
+    return rows.T.reshape(-1, height, width)
+
+
+@dataclass(frozen=True)
+class FusionCache:
+    """What a fusion block's backward needs from its forward, as (M, C) rows."""
+
+    x_aux: np.ndarray
+    pre1: np.ndarray  # pre-activation of the first layer
+    cat: np.ndarray  # input of the second layer: relu(pre1) next to the main input
+    pre2: np.ndarray  # pre-activation of the second layer
+    layers: tuple[DenseLayer, DenseLayer]
 
 
 def _fuse_forward(x_aux: np.ndarray, x_main: np.ndarray, layers):
     """Shared fusion core on row-major features: relu(L2(cat(relu(L1(aux)), main)))."""
     l1, l2 = layers
     pre1 = _linear(l1, x_aux)
-    a1 = _relu(pre1)
-    cat = np.concatenate([a1, x_main], axis=1)
+    cat = np.concatenate([_relu(pre1), x_main], axis=1)
     pre2 = _linear(l2, cat)
-    out = _relu(pre2)
-    cache = (x_aux, pre1, a1, cat, pre2, layers)
-    return out, cache
+    return _relu(pre2), FusionCache(x_aux, pre1, cat, pre2, layers)
 
 
-def _fuse_backward(grad_out: np.ndarray, cache):
-    x_aux, pre1, a1, cat, pre2, (l1, l2) = cache
-    d_pre2 = grad_out * (pre2 > 0)
-    g_l2 = DenseLayer(weights=d_pre2.T @ cat, bias=d_pre2.sum(axis=0))
-    d_cat = d_pre2 @ l2.weights
-    k = a1.shape[1]
-    d_a1, d_main = d_cat[:, :k], d_cat[:, k:]
-    d_pre1 = d_a1 * (pre1 > 0)
-    g_l1 = DenseLayer(weights=d_pre1.T @ x_aux, bias=d_pre1.sum(axis=0))
-    d_aux = d_pre1 @ l1.weights
-    return d_aux, d_main, (g_l1, g_l2)
-
-
-def _grid_to_rows(grid: np.ndarray) -> np.ndarray:
-    c = grid.shape[0]
-    return grid.reshape(c, -1).T
-
-
-def _rows_to_grid(rows: np.ndarray, height: int, width: int) -> np.ndarray:
-    return rows.T.reshape(-1, height, width)
+def _fuse_backward(grad_out: np.ndarray, cache: FusionCache):
+    l1, l2 = cache.layers
+    d_cat, g_l2 = _linear_backward(l2, cache.cat, grad_out * (cache.pre2 > 0))
+    k = l1.out_channels
+    d_aux, g_l1 = _linear_backward(l1, cache.x_aux, d_cat[:, :k] * (cache.pre1 > 0))
+    return d_aux, d_cat[:, k:], (g_l1, g_l2)
 
 
 def fuse_p2i(
@@ -307,16 +281,15 @@ def fuse_p2i(
     """
     if scattered.shape[1:] != image.shape[1:]:
         raise ShapeError("grids must share spatial dimensions")
-    h, w = image.shape[1:]
-    out, cache = _fuse_forward(_grid_to_rows(scattered), _grid_to_rows(image), layers)
-    return _rows_to_grid(out, h, w), (cache, h, w)
+    out, cache = _fuse_forward(_rows(scattered), _rows(image), layers)
+    return _grid(out, *image.shape[1:]), cache
 
 
-def fuse_p2i_backward(grad_out: np.ndarray, cache):
+def fuse_p2i_backward(grad_out: np.ndarray, cache: FusionCache):
     """Gradients of fuse_p2i w.r.t. (scattered, image, layer parameters)."""
-    inner, h, w = cache
-    d_aux, d_main, g_layers = _fuse_backward(_grid_to_rows(grad_out), inner)
-    return _rows_to_grid(d_aux, h, w), _rows_to_grid(d_main, h, w), g_layers
+    h, w = grad_out.shape[1:]
+    d_aux, d_main, g_layers = _fuse_backward(_rows(grad_out), cache)
+    return _grid(d_aux, h, w), _grid(d_main, h, w), g_layers
 
 
 def fuse_i2p(
@@ -328,6 +301,6 @@ def fuse_i2p(
     return _fuse_forward(gathered, points, layers)
 
 
-def fuse_i2p_backward(grad_out: np.ndarray, cache):
+def fuse_i2p_backward(grad_out: np.ndarray, cache: FusionCache):
     """Gradients of fuse_i2p w.r.t. (gathered, points, layer parameters)."""
     return _fuse_backward(grad_out, cache)

@@ -209,6 +209,17 @@ class TestIou:
             est = mc_iou(a, b, 200_000, rng)
             assert abs(iou_3d(a, b) - est) < 2e-2
 
+    def test_coincident_edges_along_heading(self, rng):
+        # a shift along the shared heading leaves two pairs of edges collinear
+        for _ in range(2000):
+            yaw = rng.uniform(-np.pi, np.pi)
+            center = rng.uniform(-20.0, 20.0, size=3)
+            s = rng.uniform(-1.0, 1.0)
+            a = Box3D(center=center, l=4.0, w=2.0, h=1.5, yaw=yaw)
+            shift = s * np.array([np.cos(yaw), np.sin(yaw), 0.0])
+            b = Box3D(center=center + shift, l=4.0, w=2.0, h=1.5, yaw=yaw)
+            assert abs(iou_3d(a, b) - (4.0 - abs(s)) / (4.0 + abs(s))) < 1e-12
+
     def test_rotation_of_both_boxes_is_invariant(self, rng):
         a = random_box(rng, center_scale=1.0)
         b = random_box(rng, center_scale=1.0)
