@@ -15,6 +15,7 @@ import logging
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -59,9 +60,9 @@ def _setup_logging():
 
 def cmd_nlcmap(args) -> int:
     try:
-        calib = parse_calib(open(args.calib, "rb").read())
-        labels = parse_labels(open(args.label, "rb").read())
-        points = read_velodyne(open(args.velodyne, "rb").read())
+        calib = parse_calib(Path(args.calib).read_bytes())
+        labels = parse_labels(Path(args.label).read_bytes())
+        points = read_velodyne(Path(args.velodyne).read_bytes())
     except (OSError, KittiIOError) as exc:
         log.error("input error: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
@@ -110,7 +111,7 @@ def cmd_solve(args) -> int:
     init = None
     if args.init:
         try:
-            spec = json.load(open(args.init))
+            spec = json.loads(Path(args.init).read_text())
             init = Box3D(
                 center=np.array(spec["center"]),
                 l=spec["l"], w=spec["w"], h=spec["h"], yaw=spec["yaw"],
@@ -189,7 +190,7 @@ def _write_curves_csv(path: str, epochs: list[dict]):
 
 def _load_config(path: str):
     try:
-        return parse_train_config(open(path).read())
+        return parse_train_config(Path(path).read_text())
     except (OSError, ValueError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return None

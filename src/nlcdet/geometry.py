@@ -108,6 +108,42 @@ def project_points(points: np.ndarray, calib: Calibration):
     return u, v, d
 
 
+def _pixel_cells(u: np.ndarray, v: np.ndarray, height: int, width: int):
+    """Flat pixel cell ``floor(v) * width + floor(u)`` of each projected point,
+    and whether the point lands in [0, width) x [0, height).
+
+    The bounds test runs on the float coordinates before any int cast, so
+    NaN, +-inf and values beyond the int64 range are outside; outside points
+    get cell 0.
+    """
+    inside = (u >= 0) & (u < width) & (v >= 0) & (v < height)
+    cells = np.zeros(len(u), dtype=int)
+    cells[inside] = (
+        np.floor(v[inside]).astype(int) * width + np.floor(u[inside]).astype(int)
+    )
+    return cells, inside
+
+
+def _nearest_per_pixel(xyz, u, v, d, height: int, width: int):
+    """Z-buffer: the point that owns each pixel it lands in.
+
+    Of the points with finite positive depth ``d`` that land in the image,
+    each pixel keeps the nearest, ties broken by lexicographic (x, y, z).
+    The order is a function of the point values alone, so the result does
+    not depend on the order of the input points.  Returns the indices of the
+    winning points and their flat cells, sorted by cell.
+    """
+    cells, inside = _pixel_cells(u, v, height, width)
+    idx = np.nonzero(inside & (d > 0) & (d < np.inf))[0]
+    order = np.lexsort(
+        (xyz[idx, 2], xyz[idx, 1], xyz[idx, 0], d[idx], cells[idx])
+    )
+    idx, cells = idx[order], cells[idx[order]]
+    first = np.ones(len(idx), dtype=bool)
+    first[1:] = cells[1:] != cells[:-1]
+    return idx[first], cells[first]
+
+
 def project_point(p: np.ndarray, calib: Calibration):
     """Project a single point; raises BehindCamera when depth <= 1e-9."""
     u, v, d = project_points(np.asarray(p, dtype=float).reshape(1, 3), calib)

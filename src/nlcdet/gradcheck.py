@@ -109,63 +109,41 @@ def _kink_safe(cache: FusionCache, threshold=1e-4):
     return min(np.abs(cache.pre1).min(), np.abs(cache.pre2).min()) > threshold
 
 
-def _check_fuse(rng, grid_mode: bool) -> float:
-    forward_fn = fuse_p2i if grid_mode else fuse_i2p
-    backward_fn = fuse_p2i_backward if grid_mode else fuse_i2p_backward
+def _check_fuse(rng, forward_fn, backward_fn, aux_shape, main_shape) -> float:
+    """FD check of a fusion block w.r.t. its two inputs and both layers."""
     for _ in range(50):
         c_aux, c_mid, c_main, c_out = 3, 4, 3, 4
-        if grid_mode:
-            h, w = 3, 4
-            aux = rng.normal(size=(c_aux, h, w))
-            main = rng.normal(size=(c_main, h, w))
-        else:
-            n = 10
-            aux = rng.normal(size=(n, c_aux))
-            main = rng.normal(size=(n, c_main))
+        aux = rng.normal(size=aux_shape)
+        main = rng.normal(size=main_shape)
         layers = _random_fuse_layers(rng, c_aux, c_mid, c_main, c_out)
         out, cache = forward_fn(aux, main, layers)
         if not _kink_safe(cache):
             continue
         cot = rng.normal(size=out.shape)
         d_aux, d_main, (g1, g2) = backward_fn(cot, cache)
-        analytic = np.concatenate(
-            [
-                d_aux.ravel(),
-                d_main.ravel(),
-                g1.weights.ravel(),
-                g1.bias,
-                g2.weights.ravel(),
-                g2.bias,
-            ]
-        )
-
         blocks = [aux, main, layers[0].weights, layers[0].bias, layers[1].weights, layers[1].bias]
-        fd_parts = []
-        for bi, block in enumerate(blocks):
-            fd = np.zeros(block.size)
-            for i in range(block.size):
-                vals = []
-                for sign in (1.0, -1.0):
-                    pert = [b.copy() for b in blocks]
-                    pert[bi].flat[i] += sign * _EPS
-                    pl = (
-                        DenseLayer(weights=pert[2], bias=pert[3]),
-                        DenseLayer(weights=pert[4], bias=pert[5]),
-                    )
-                    o, _ = forward_fn(pert[0], pert[1], pl)
-                    vals.append(float(np.sum(o * cot)))
-                fd[i] = (vals[0] - vals[1]) / (2 * _EPS)
-            fd_parts.append(fd)
-        return _rel_err(analytic, np.concatenate(fd_parts))
+        ends = np.cumsum([b.size for b in blocks])[:-1]
+
+        def fused(flat):
+            a, m, w1, b1, w2, b2 = (
+                part.reshape(b.shape) for part, b in zip(np.split(flat, ends), blocks)
+            )
+            return forward_fn(a, m, (DenseLayer(w1, b1), DenseLayer(w2, b2)))[0]
+
+        flat = np.concatenate([b.ravel() for b in blocks])
+        analytic = np.concatenate(
+            [g.ravel() for g in (d_aux, d_main, g1.weights, g1.bias, g2.weights, g2.bias)]
+        )
+        return _rel_err(analytic, _fd_grad(fused, flat, cot))
     raise RuntimeError("could not sample a kink-safe fusion instance")
 
 
 def check_fuse_p2i(rng: np.random.Generator) -> float:
-    return _check_fuse(rng, grid_mode=True)
+    return _check_fuse(rng, fuse_p2i, fuse_p2i_backward, (3, 3, 4), (3, 3, 4))
 
 
 def check_fuse_i2p(rng: np.random.Generator) -> float:
-    return _check_fuse(rng, grid_mode=False)
+    return _check_fuse(rng, fuse_i2p, fuse_i2p_backward, (10, 3), (10, 3))
 
 
 def check_losses(rng: np.random.Generator) -> float:
@@ -184,29 +162,14 @@ def check_losses(rng: np.random.Generator) -> float:
         seam = np.abs(np.abs(diff) - delta) < 1e-3
         pred[seam] += 5e-3
         _, grad = loss_fn(pred, target, fg, delta)
-        fd = np.zeros_like(pred)
-        for i in range(pred.size):
-            for sign in (1.0, -1.0):
-                pert = pred.copy()
-                pert.flat[i] += sign * _EPS
-                l, _ = loss_fn(pert, target, fg, delta)
-                fd.flat[i] += sign * l
-        fd /= 2 * _EPS
+        fd = _fd_grad(lambda p: loss_fn(p, target, fg, delta)[0], pred, 1.0)
         worst = max(worst, _rel_err(grad, fd))
 
     logits = rng.normal(size=(n, 4))
     labels = rng.integers(0, 4, size=n)
     _, grad = cross_entropy(logits, labels)
-    fd = np.zeros_like(logits)
-    for i in range(logits.size):
-        for sign in (1.0, -1.0):
-            pert = logits.copy()
-            pert.flat[i] += sign * _EPS
-            l, _ = cross_entropy(pert, labels)
-            fd.flat[i] += sign * l
-    fd /= 2 * _EPS
-    worst = max(worst, _rel_err(grad, fd))
-    return worst
+    fd = _fd_grad(lambda x: cross_entropy(x, labels)[0], logits, 1.0)
+    return max(worst, _rel_err(grad, fd))
 
 
 def _min_preactivation(cache) -> float:

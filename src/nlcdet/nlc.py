@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .geometry import Box3D, Calibration, _to_box_frame, project_points, points_in_box, rot_z
+from .geometry import (
+    Box3D, Calibration, _nearest_per_pixel, _to_box_frame, points_in_box, project_points, rot_z,
+)
 
 __all__ = [
     "NlcMap",
@@ -118,25 +120,15 @@ def build_gt_nlc_map(
             owner_dist[idx[better]] = d[better]
 
         fg = np.nonzero(owner >= 0)[0]
-        if len(fg):
-            u, v, d = project_points(xyz[fg], calib)
-            ok = (d > 0) & (u >= 0) & (u < width) & (v >= 0) & (v < height)
-            fg, u, v, d = fg[ok], u[ok], v[ok], d[ok]
-            rows = np.floor(v).astype(int)
-            cols = np.floor(u).astype(int)
-            # canonical processing order makes the result independent of
-            # input point ordering, including depth ties
-            order = np.lexsort(
-                (xyz[fg, 2], xyz[fg, 1], xyz[fg, 0], d, rows * width + cols)
-            )
-            for k in order:
-                r, c = rows[k], cols[k]
-                if d[k] < depth[r, c]:
-                    i = fg[k]
-                    depth[r, c] = d[k]
-                    values[r, c] = lidar_to_nlc(xyz[i], boxes[owner[i]])
-                    mask[r, c] = True
-                    obj_ids[r, c] = owner[i]
+        u, v, d = project_points(xyz[fg], calib)
+        win, cells = _nearest_per_pixel(xyz[fg], u, v, d, height, width)
+        win_owner = owner[fg[win]]
+        depth.flat[cells] = d[win]
+        mask.flat[cells] = True
+        obj_ids.flat[cells] = win_owner
+        for bi in np.unique(win_owner):
+            sel = win_owner == bi
+            values.reshape(-1, 3)[cells[sel]] = lidar_to_nlc(xyz[fg[win[sel]]], boxes[bi])
 
     result = NlcMap(values=values, mask=mask, depth=depth)
     return (result, obj_ids) if return_object_ids else result

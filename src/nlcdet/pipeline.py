@@ -15,14 +15,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Box3D, Calibration, project_points, rot_z
+from .geometry import Box3D, Calibration, _nearest_per_pixel, _to_box_frame, project_points
 from .losses import LossWeights, center_loss, cross_entropy, nlc_loss
 from .nlc import NlcMap, build_gt_nlc_map, lidar_to_nlc, mmae, nlc_to_lidar, object_pixel_sets
 from .propagation import (
     DenseLayer,
     FusionCache,
     ProjectionPlan,
-    _bin_points,
     _grid,
     _linear,
     _linear_backward,
@@ -168,8 +167,7 @@ def generate_scene(seed: int, params: SceneParams = SceneParams()) -> SyntheticS
         cand = np.column_stack([x, y, z])
         keep = np.ones(need, dtype=bool)
         for box in boxes:
-            local = np.abs((cand - box.center) @ rot_z(box.yaw)) / box.dims
-            keep &= np.max(local, axis=1) > 0.55
+            keep &= np.max(np.abs(_to_box_frame(cand, box) - 0.5), axis=1) > 0.55
         bg = np.vstack([bg, cand[keep]])
     bg = bg[: params.background_points]
 
@@ -190,11 +188,9 @@ def generate_scene(seed: int, params: SceneParams = SceneParams()) -> SyntheticS
     coords = np.column_stack([u, v])
     gt_map, obj_ids = build_gt_nlc_map(points, boxes, calib, h, w, return_object_ids=True)
 
-    depth_plane = np.full(h * w, np.inf)
-    rows, cols, valid = _bin_points(coords, h, w)
-    valid &= d > 0
-    np.minimum.at(depth_plane, rows[valid] * w + cols[valid], d[valid])
-    depth_plane = np.where(np.isfinite(depth_plane), depth_plane / _DEPTH_NORM, 0.0)
+    depth_plane = np.zeros(h * w)
+    nearest, cells = _nearest_per_pixel(xyz, u, v, d, h, w)
+    depth_plane[cells] = d[nearest] / _DEPTH_NORM
     image = np.stack(
         [depth_plane.reshape(h, w), gt_map.mask.astype(float)], axis=0
     )

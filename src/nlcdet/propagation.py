@@ -2,9 +2,11 @@
 
 Grid features are (C, H, W) arrays; point features are (N, C).  Projected
 coordinates are continuous (u, v) pixels: the scatter direction bins by
-floor(u), floor(v); the gather direction samples grid values located at
-integer (u, v) positions with bilinear weights and zero padding outside the
-image.
+floor(u), floor(v) with the pixel-binning rule of :mod:`nlcdet.geometry`
+(the same rule the ground-truth NLC map and the synthetic depth image use);
+the gather direction samples grid values located at integer (u, v) positions
+with bilinear weights and zero padding outside the image.  Points with NaN,
+infinite or huge coordinates fall outside in both directions.
 
 :class:`ProjectionPlan` is the one implementation of both directions: it
 holds them as sparse matrices over a fixed set of coordinates, and its
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
+from .geometry import _pixel_cells
 
 __all__ = [
     "DenseLayer",
@@ -76,22 +79,20 @@ def _linear_backward(layer: DenseLayer, x: np.ndarray, d_out: np.ndarray):
     return d_out @ layer.weights, grad
 
 
-def _bin_points(coords: np.ndarray, height: int, width: int):
-    uv = np.asarray(coords, dtype=float).reshape(-1, 2)
-    cols = np.floor(uv[:, 0]).astype(int)
-    rows = np.floor(uv[:, 1]).astype(int)
-    valid = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
-    return rows, cols, valid
-
-
 def _bilinear_weights(coords: np.ndarray, height: int, width: int):
-    """Neighbor indices and weights for zero-padded bilinear sampling."""
+    """Point rows, flat cells and weights of zero-padded bilinear sampling.
+
+    Only points with a neighbor in the image, u in [-1, W) and v in [-1, H),
+    reach the int cast, so NaN, +-inf and huge coordinates sample nothing.
+    """
     uv = np.asarray(coords, dtype=float).reshape(-1, 2)
     u, v = uv[:, 0], uv[:, 1]
+    near = np.nonzero((u >= -1) & (u < width) & (v >= -1) & (v < height))[0]
+    u, v = u[near], v[near]
     x0 = np.floor(u).astype(int)
     y0 = np.floor(v).astype(int)
     fx, fy = u - x0, v - y0
-    neighbors = []
+    rows, cells, weights = [], [], []
     for dy, dx, wgt in (
         (0, 0, (1 - fx) * (1 - fy)),
         (0, 1, fx * (1 - fy)),
@@ -100,8 +101,10 @@ def _bilinear_weights(coords: np.ndarray, height: int, width: int):
     ):
         xs, ys = x0 + dx, y0 + dy
         inside = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
-        neighbors.append((ys, xs, np.where(inside, wgt, 0.0), inside))
-    return neighbors
+        rows.append(near[inside])
+        cells.append(ys[inside] * width + xs[inside])
+        weights.append(wgt[inside])
+    return np.concatenate(rows), np.concatenate(cells), np.concatenate(weights)
 
 
 class ProjectionPlan:
@@ -121,8 +124,8 @@ class ProjectionPlan:
         n = len(uv)
         self.height, self.width, self.count = height, width, n
 
-        rows, cols, valid = _bin_points(uv, height, width)
-        cells = rows[valid] * width + cols[valid]
+        cells, valid = _pixel_cells(uv[:, 0], uv[:, 1], height, width)
+        cells = cells[valid]
         counts = np.bincount(cells, minlength=height * width).astype(float)
         idx = np.nonzero(valid)[0]
         self.scatter_matrix = sparse.csr_matrix(
@@ -130,18 +133,9 @@ class ProjectionPlan:
         )
         self.scatter_matrix_t = self.scatter_matrix.T.tocsr()
 
-        g_rows, g_cols, g_vals = [], [], []
-        for ys, xs, wgt, inside in _bilinear_weights(uv, height, width):
-            sel = np.nonzero(inside)[0]
-            g_rows.append(sel)
-            g_cols.append(ys[sel] * width + xs[sel])
-            g_vals.append(wgt[sel])
+        rows, cells, weights = _bilinear_weights(uv, height, width)
         self.gather_matrix = sparse.csr_matrix(
-            (
-                np.concatenate(g_vals),
-                (np.concatenate(g_rows), np.concatenate(g_cols)),
-            ),
-            shape=(n, height * width),
+            (weights, (rows, cells)), shape=(n, height * width)
         )
         self.gather_matrix_t = self.gather_matrix.T.tocsr()
 
@@ -162,7 +156,7 @@ class ProjectionPlan:
         return out.T.reshape(-1, self.height, self.width)
 
 
-def _canonical_order(coords: np.ndarray, payload: np.ndarray, width: int):
+def _canonical_order(coords: np.ndarray, payload: np.ndarray, height: int, width: int):
     """Points and their payload rows in a deterministic total order.
 
     The order itself is arbitrary (raw byte order of each point's cell,
@@ -170,7 +164,7 @@ def _canonical_order(coords: np.ndarray, payload: np.ndarray, width: int):
     content, which makes every downstream sum bit-exact under permutation of
     the input points.
     """
-    cells = np.floor(coords[:, 1]).astype(int) * width + np.floor(coords[:, 0]).astype(int)
+    cells, _ = _pixel_cells(coords[:, 0], coords[:, 1], height, width)
     rows = np.ascontiguousarray(np.column_stack([cells.astype(float), coords, payload]))
     view = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
     order = np.argsort(view.ravel(), kind="stable")
@@ -195,7 +189,7 @@ def point_to_pixel(
     """
     g = np.asarray(features, dtype=float)
     uv = _uv(coords, len(g))
-    uv, g = _canonical_order(uv, g, width)
+    uv, g = _canonical_order(uv, g, height, width)
     return ProjectionPlan(uv, height, width).scatter(g)
 
 
@@ -224,7 +218,7 @@ def pixel_to_point_backward(
     """Backward of :func:`pixel_to_point` w.r.t. the grid features."""
     gp = np.asarray(grad_points, dtype=float)
     uv = _uv(coords, len(gp))
-    uv, gp = _canonical_order(uv, gp, width)
+    uv, gp = _canonical_order(uv, gp, height, width)
     return ProjectionPlan(uv, height, width).gather_grad(gp)
 
 

@@ -19,6 +19,7 @@ from nlcdet import (
     read_nlc_map,
     write_nlc_map,
 )
+from nlcdet.geometry import project_points
 from nlcdet.nlc import object_pixel_sets
 
 from conftest import random_box
@@ -145,6 +146,86 @@ class TestGtMap:
         _, obj = build_gt_nlc_map(p, [a, b], simple_calib(), 48, 64, return_object_ids=True)
         claimed = obj[obj >= 0]
         assert list(claimed) == [1]
+
+
+def reference_gt_map(xyz, boxes, calib, height, width):
+    """The per-point loop the vectorized map must reproduce bit for bit."""
+    values = np.zeros((height, width, 3))
+    mask = np.zeros((height, width), dtype=bool)
+    depth = np.full((height, width), np.inf)
+    obj_ids = np.full((height, width), -1, dtype=int)
+    owner = np.full(len(xyz), -1, dtype=int)
+    owner_dist = np.full(len(xyz), np.inf)
+    for bi, box in enumerate(boxes):
+        idx = points_in_box(xyz, box, margin=0.0)
+        d = np.linalg.norm(xyz[idx] - box.center, axis=1)
+        better = d < owner_dist[idx]
+        owner[idx[better]] = bi
+        owner_dist[idx[better]] = d[better]
+    fg = np.nonzero(owner >= 0)[0]
+    u, v, d = project_points(xyz[fg], calib)
+    ok = (d > 0) & (u >= 0) & (u < width) & (v >= 0) & (v < height)
+    fg, u, v, d = fg[ok], u[ok], v[ok], d[ok]
+    rows = np.floor(v).astype(int)
+    cols = np.floor(u).astype(int)
+    order = np.lexsort((xyz[fg, 2], xyz[fg, 1], xyz[fg, 0], d, rows * width + cols))
+    for k in order:
+        r, c = rows[k], cols[k]
+        if d[k] < depth[r, c]:
+            i = fg[k]
+            depth[r, c] = d[k]
+            values[r, c] = lidar_to_nlc(xyz[i], boxes[owner[i]])
+            mask[r, c] = True
+            obj_ids[r, c] = owner[i]
+    return values, mask, depth, obj_ids
+
+
+def _lattice_cloud(rng, box, count):
+    """Points on a lattice inside the box, coarse along x and fine across it,
+    so that many points share a pixel at equal depth."""
+    steps = np.array([8, 64, 64])
+    return nlc_to_lidar(rng.integers(1, steps, size=(count, 3)) / steps, box)
+
+
+def _gt_case(name, rng):
+    front = Box3D(center=np.array([10.0, 0.0, 0.0]), l=4, w=3, h=2, yaw=0.0)
+    if name == "depth_ties":
+        # yaw 0: depth is x, so each lattice plane is one depth
+        return _lattice_cloud(rng, front, 400), [front]
+    if name == "duplicates":
+        pts = nlc_to_lidar(rng.uniform(0, 1, size=(150, 3)), front)
+        return pts[rng.integers(0, 150, size=400)], [front]
+    if name == "overlapping_boxes":
+        other = Box3D(center=np.array([11.0, 0.5, 0.3]), l=4, w=3, h=2, yaw=0.4)
+        pts = np.vstack([_lattice_cloud(rng, b, 300) for b in (front, other)])
+        return pts, [front, other]
+    if name == "behind_camera":
+        # the mirror of the front box: its points project into the image
+        # with negative depth and must not claim pixels
+        behind = Box3D(center=np.array([-10.0, 0.0, 0.0]), l=4, w=3, h=2, yaw=0.0)
+        pts = np.vstack([_lattice_cloud(rng, b, 300) for b in (front, behind)])
+        return pts[rng.permutation(len(pts))], [front, behind]
+    if name == "no_foreground":
+        pts = front.center + rng.uniform(3.0, 6.0, size=(300, 3)) * rng.choice([-1, 1], size=(300, 3))
+        return pts, [front]
+    raise ValueError(name)
+
+
+class TestGtMapReference:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "case",
+        ["depth_ties", "duplicates", "overlapping_boxes", "behind_camera", "no_foreground"],
+    )
+    def test_matches_per_point_loop(self, case, seed):
+        pts, boxes = _gt_case(case, np.random.default_rng(seed))
+        m, obj = build_gt_nlc_map(pts, boxes, simple_calib(), 48, 64, return_object_ids=True)
+        values, mask, depth, obj_ids = reference_gt_map(pts, boxes, simple_calib(), 48, 64)
+        assert np.array_equal(m.values, values)
+        assert np.array_equal(m.mask, mask)
+        assert np.array_equal(m.depth, depth)
+        assert np.array_equal(obj, obj_ids)
+        assert mask.any() == (case != "no_foreground")
 
 
 class TestMmae:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nlcdet.geometry import project_points
 from nlcdet.nlc import build_gt_nlc_map
 from nlcdet.pipeline import (
     ABLATION_ROWS,
@@ -13,6 +14,7 @@ from nlcdet.pipeline import (
     SceneParams,
     ToyModel,
     TrainConfig,
+    _DEPTH_NORM,
     ablation,
     backward,
     compute_losses,
@@ -55,6 +57,17 @@ class TestSceneGeneration:
         assert np.array_equal(rebuilt.values, scene.gt_nlc_map.values)
         assert np.array_equal(rebuilt.mask, scene.gt_nlc_map.mask)
         assert np.array_equal(rebuilt.depth, scene.gt_nlc_map.depth)
+
+        # the depth channel holds the nearest in-front depth of each pixel
+        h, w = scene.image.shape[1:]
+        u, v = scene.coords.T
+        d = project_points(scene.points[:, :3], scene.calib)[2]
+        ok = (d > 0) & (u >= 0) & (u < w) & (v >= 0) & (v < h)
+        nearest = np.full(h * w, np.inf)
+        cells = np.floor(v[ok]).astype(int) * w + np.floor(u[ok]).astype(int)
+        np.minimum.at(nearest, cells, d[ok])
+        expected = np.where(np.isfinite(nearest), nearest / _DEPTH_NORM, 0.0)
+        assert np.array_equal(scene.image[0], expected.reshape(h, w))
 
     def test_labels_consistent_with_masks(self):
         scene = generate_scene(11)

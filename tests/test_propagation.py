@@ -194,6 +194,34 @@ class TestProjectionPlan:
             plan.scatter_grad(t_grid), point_to_pixel_backward(t_grid, coords, n)
         )
 
+    def test_non_finite_coordinates_fall_outside(self, rng):
+        n, c, h, w = 20, 3, 5, 6
+        coords = np.column_stack(
+            [rng.uniform(-1, w + 1, size=n), rng.uniform(-1, h + 1, size=n)]
+        )
+        rows = [0, 3, 5, 8, 11, 14]
+        bad = coords.copy()
+        bad[rows] = [
+            [np.nan, 1.0], [2.0, np.inf], [-np.inf, 3.0],
+            [1e300, 2.0], [1.0, -1e300], [np.nan, np.nan],
+        ]
+        far = coords.copy()
+        far[rows] = -5.0
+        plan, expected = ProjectionPlan(bad, h, w), ProjectionPlan(far, h, w)
+        feats = rng.normal(size=(n, c))
+        grid = rng.normal(size=(c, h, w))
+        assert np.array_equal(plan.scatter(feats), expected.scatter(feats))
+        assert np.array_equal(plan.scatter_grad(grid), expected.scatter_grad(grid))
+        assert np.array_equal(plan.gather(grid), expected.gather(grid))
+        assert np.array_equal(plan.gather_grad(feats), expected.gather_grad(feats))
+        assert np.array_equal(
+            point_to_pixel(feats, bad, h, w), point_to_pixel(feats, far, h, w)
+        )
+        assert np.array_equal(
+            pixel_to_point_backward(feats, bad, h, w),
+            pixel_to_point_backward(feats, far, h, w),
+        )
+
     def test_adjoints_exact(self, rng):
         n, c, h, w = 30, 3, 5, 5
         coords = rng.uniform(0, 5, size=(n, 2))
