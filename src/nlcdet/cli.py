@@ -1,25 +1,20 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal check failure.
-Diagnostics go to stderr (level set by NLCDET_LOG); data outputs go only to
---out paths or stdout.
+Diagnostics go to stderr; data outputs go only to --out paths or stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
-import logging
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import KittiIOError, NlcdetError, Underdetermined
+from .errors import KittiIOError, NlcdetError, ParseError
 from .geometry import Box3D
 from .kitti_io import parse_calib, parse_labels, read_velodyne, label_to_lidar_box, to_calibration
 from .metrics import Detection, evaluate
@@ -33,8 +28,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CHECK = 3
 
-log = logging.getLogger("nlcdet")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage failures exit with code 1."""
@@ -44,18 +37,41 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _setup_logging():
-    level = os.environ.get("NLCDET_LOG", "warn").lower()
-    mapping = {
-        "error": logging.ERROR,
-        "warn": logging.WARNING,
-        "info": logging.INFO,
-        "debug": logging.DEBUG,
-    }
-    logging.basicConfig(
-        stream=sys.stderr, level=mapping.get(level, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+def _emit_json(obj, path=None):
+    """Write ``obj`` as indented JSON to ``path``, or print it when no path is given."""
+    text = json.dumps(obj, indent=2)
+    if path:
+        Path(path).write_text(text)
+    else:
+        print(text)
+
+
+def _read_csv(path: str, columns: int, header: tuple[str, ...], parse) -> list:
+    """``parse`` applied to the values of every data row of a numeric CSV file.
+
+    Blank lines, ``#`` comments and a header row (first field in ``header``)
+    are skipped.  Every other row must hold ``columns`` finite numbers that
+    ``parse`` accepts; a bad row raises ParseError with its line number.
+    """
+    out = []
+    with open(path, newline="") as fh:
+        for line_no, row in enumerate(csv.reader(fh), start=1):
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            if row[0].strip().lower() in header:
+                continue
+            if len(row) != columns:
+                raise ParseError(
+                    f"line {line_no}: expected {columns} columns, got {len(row)}", line=line_no
+                )
+            try:
+                vals = [float(x) for x in row]
+                if not np.all(np.isfinite(vals)):
+                    raise ValueError("values must be finite numbers")
+                out.append(parse(vals))
+            except ValueError as exc:
+                raise ParseError(f"line {line_no}: {exc}", line=line_no) from None
+    return out
 
 
 def cmd_nlcmap(args) -> int:
@@ -64,7 +80,6 @@ def cmd_nlcmap(args) -> int:
         labels = parse_labels(Path(args.label).read_bytes())
         points = read_velodyne(Path(args.velodyne).read_bytes())
     except (OSError, KittiIOError) as exc:
-        log.error("input error: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     boxes = [
@@ -85,26 +100,9 @@ def cmd_nlcmap(args) -> int:
     return EXIT_OK
 
 
-def _read_corrs_csv(path: str) -> np.ndarray:
-    rows = []
-    with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if row[0].strip().lower() in ("x", "x_l"):
-                continue
-            if len(row) != 6:
-                raise KittiIOError(f"line {line_no}: expected 6 columns")
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError as exc:
-                raise KittiIOError(f"line {line_no}: {exc}") from None
-    return np.array(rows).reshape(-1, 6)
-
-
 def cmd_solve(args) -> int:
     try:
-        corrs = _read_corrs_csv(args.corrs)
+        corrs = np.array(_read_csv(args.corrs, 6, ("x", "x_l"), list)).reshape(-1, 6)
     except (OSError, KittiIOError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -119,15 +117,10 @@ def cmd_solve(args) -> int:
         except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
             print(f"error: bad init file: {exc}", file=sys.stderr)
             return EXIT_DATA
-    try:
-        report = solve_box(corrs, init=init, opts=SolveOptions())
-    except Underdetermined as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    out = report.to_dict()
+    out = solve_box(corrs, init=init, opts=SolveOptions()).to_dict()
     if args.noise_report:
         out["noise_sweep"] = _noise_sweep(corrs, args.seed)
-    print(json.dumps(out, indent=2))
+    _emit_json(out)
     return EXIT_OK
 
 
@@ -175,17 +168,12 @@ def cmd_gradcheck(args) -> int:
 
 
 def _write_curves_csv(path: str, epochs: list[dict]):
+    columns = ("train_total", "point_grad_norm", "image_grad_norm", "image_to_point_grad_norm")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["epoch", "train_total", "point_grad_norm", "image_grad_norm",
-             "image_to_point_grad_norm"]
-        )
+        writer.writerow(["epoch", *columns])
         for row in epochs:
-            writer.writerow(
-                [row["epoch"], repr(row["train_total"]), repr(row["point_grad_norm"]),
-                 repr(row["image_grad_norm"]), repr(row["image_to_point_grad_norm"])]
-            )
+            writer.writerow([row["epoch"], *(repr(row[c]) for c in columns)])
 
 
 def _load_config(path: str):
@@ -203,12 +191,7 @@ def cmd_train(args) -> int:
     _, report = train(config)
     if args.curves:
         _write_curves_csv(args.curves, report.epochs)
-    out = report.to_dict()
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(out, fh, indent=2)
-    else:
-        print(json.dumps(out, indent=2))
+    _emit_json(report.to_dict(), args.out)
     if report.diverged:
         print("error: training diverged (non-finite loss)", file=sys.stderr)
         return EXIT_CHECK
@@ -221,12 +204,7 @@ def cmd_ablation(args) -> int:
         return EXIT_DATA
     seeds = tuple(int(s) for s in args.seeds.split(","))
     report = ablation(config, seeds=seeds)
-    text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text)
+    _emit_json(report, args.out)
     if any(
         run["diverged"] for row in report["rows"].values() for run in row["runs"]
     ):
@@ -235,36 +213,17 @@ def cmd_ablation(args) -> int:
     return EXIT_OK
 
 
-def _read_boxes_csv(path: str, with_score: bool):
-    out = []
-    with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if row[0].strip().lower() == "x":
-                continue
-            want = 9 if with_score else 8
-            if len(row) != want:
-                raise KittiIOError(
-                    f"line {line_no}: expected {want} columns, got {len(row)}"
-                )
-            try:
-                vals = [float(x) for x in row[: want - 1]]
-                cls = int(float(row[want - 1]))
-            except ValueError as exc:
-                raise KittiIOError(f"line {line_no}: {exc}") from None
-            box = Box3D(center=np.array(vals[:3]), l=vals[3], w=vals[4], h=vals[5], yaw=vals[6])
-            if with_score:
-                out.append(Detection(box=box, score=vals[7], class_id=cls))
-            else:
-                out.append((box, cls))
-    return out
+def _box(vals: list[float]) -> Box3D:
+    return Box3D(center=np.array(vals[:3]), l=vals[3], w=vals[4], h=vals[5], yaw=vals[6])
 
 
 def cmd_eval(args) -> int:
     try:
-        dets = _read_boxes_csv(args.dets, with_score=True)
-        gts = _read_boxes_csv(args.gts, with_score=False)
+        dets = _read_csv(
+            args.dets, 9, ("x",),
+            lambda v: Detection(box=_box(v), score=v[7], class_id=int(v[8])),
+        )
+        gts = _read_csv(args.gts, 8, ("x",), lambda v: (_box(v), int(v[7])))
     except (OSError, KittiIOError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -278,7 +237,7 @@ def cmd_eval(args) -> int:
             result[str(cls)] = None
             continue
         result[str(cls)] = evaluate(cls_dets, cls_gts, args.iou, recall_positions)
-    print(json.dumps({"iou_threshold": args.iou, "ap": result}, indent=2))
+    _emit_json({"iou_threshold": args.iou, "ap": result})
     return EXIT_OK
 
 
@@ -336,7 +295,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -159,6 +159,11 @@ def _to_box_frame(points: np.ndarray, box: Box3D) -> np.ndarray:
     return local / box.dims + 0.5
 
 
+def _from_box_frame(nlc: np.ndarray, box: Box3D) -> np.ndarray:
+    """Inverse of :func:`_to_box_frame`: (N, 3) box-normalized coordinates to LiDAR points."""
+    return box.center + ((nlc - 0.5) * box.dims) @ rot_z(box.yaw).T
+
+
 # Corner ordering: images of these normalized coordinates, bottom face first,
 # counter-clockwise when viewed from +z.
 _CORNER_NLC = np.array(
@@ -178,7 +183,7 @@ _CORNER_NLC = np.array(
 
 def box_corners(box: Box3D) -> np.ndarray:
     """Return the 8 box corners, (8, 3), in the documented fixed order."""
-    return box.center + ((_CORNER_NLC - 0.5) * box.dims) @ rot_z(box.yaw).T
+    return _from_box_frame(_CORNER_NLC, box)
 
 
 def points_in_box(points: np.ndarray, box: Box3D, margin: float = 0.0) -> np.ndarray:
@@ -296,6 +301,4 @@ def augment_global(
             replace(b, center=rot @ b.center, yaw=b.yaw + phi) for b in out_boxes
         ]
 
-    if not record["flip"] and record["scale"] is None and record["rotation"] is None:
-        return np.array(points, dtype=float, copy=True), list(boxes), record
     return pts, out_boxes, record

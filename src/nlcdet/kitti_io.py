@@ -7,6 +7,7 @@ structured :class:`~nlcdet.errors.KittiIOError`, never an unhandled crash.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,14 @@ def _as_text(data) -> str:
     return str(data)
 
 
+_TOKEN = re.compile(r"\S+")  # \S is the complement of str.isspace, as in str.split()
+
+
+def _tokens(line: str, start: int = 0) -> list[tuple[int, str]]:
+    """The ``str.split()`` tokens of ``line[start:]``, each with its 1-based column in ``line``."""
+    return [(m.start() + 1, m.group()) for m in _TOKEN.finditer(line, start)]
+
+
 def _parse_float(token: str, line_no: int, col: int) -> float:
     try:
         value = float(token)
@@ -93,20 +102,17 @@ def parse_calib(text) -> KittiCalib:
     for line_no, line in enumerate(_as_text(text).splitlines(), start=1):
         if ":" not in line:
             continue
-        key, _, rest = line.partition(":")
-        key = key.strip()
+        key = line.partition(":")[0].strip()
         if key not in _CALIB_SHAPES:
             continue
         shape = _CALIB_SHAPES[key]
-        tokens = rest.split()
+        tokens = _tokens(line, line.index(":") + 1)
         if len(tokens) != shape[0] * shape[1]:
             raise MalformedMatrix(
                 f"line {line_no}: {key} needs {shape[0] * shape[1]} values, "
                 f"got {len(tokens)}"
             )
-        values = [
-            _parse_float(tok, line_no, line.index(tok) + 1) for tok in tokens
-        ]
+        values = [_parse_float(tok, line_no, col) for col, tok in tokens]
         found[key] = np.array(values).reshape(shape)
     for key in _CALIB_SHAPES:
         if key not in found:
@@ -129,9 +135,9 @@ def parse_labels(text) -> list[KittiLabel]:
     """Parse a KITTI label file; DontCare entries are retained and flagged."""
     labels = []
     for line_no, line in enumerate(_as_text(text).splitlines(), start=1):
-        if not line.strip():
+        fields = _tokens(line)
+        if not fields:
             continue
-        fields = line.split()
         if len(fields) < 15:
             raise ParseError(
                 f"line {line_no}: expected 15 fields, got {len(fields)}",
@@ -139,14 +145,15 @@ def parse_labels(text) -> list[KittiLabel]:
             )
 
         def num(i):
-            return _parse_float(fields[i], line_no, line.index(fields[i]) + 1)
+            col, tok = fields[i]
+            return _parse_float(tok, line_no, col)
 
         occ = num(2)
         if not np.isfinite(occ):
             raise ParseError(f"line {line_no}: occlusion level must be finite", line=line_no)
         labels.append(
             KittiLabel(
-                type=fields[0],
+                type=fields[0][1],
                 truncated=num(1),
                 occluded=int(occ),
                 alpha=num(3),

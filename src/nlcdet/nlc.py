@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import ParseError
 from .geometry import (
-    Box3D, Calibration, _nearest_per_pixel, _to_box_frame, points_in_box, project_points, rot_z,
+    Box3D, Calibration, _from_box_frame, _nearest_per_pixel, _to_box_frame, points_in_box,
+    project_points,
 )
 
 __all__ = [
@@ -69,7 +70,7 @@ def nlc_to_lidar(nlc: np.ndarray, box: Box3D) -> np.ndarray:
     n = np.asarray(nlc, dtype=float)
     single = n.ndim == 1
     n = n.reshape(-1, 3)
-    pts = box.center + ((n - 0.5) * box.dims) @ rot_z(box.yaw).T
+    pts = _from_box_frame(n, box)
     return pts[0] if single else pts
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import Box3D, Calibration, _nearest_per_pixel, _to_box_frame, project_points
-from .losses import LossWeights, center_loss, cross_entropy, nlc_loss
+from .losses import LossWeights, center_loss, cross_entropy, nlc_loss, total_loss
 from .nlc import NlcMap, build_gt_nlc_map, lidar_to_nlc, mmae, nlc_to_lidar, object_pixel_sets
 from .propagation import (
     DenseLayer,
@@ -262,50 +262,32 @@ def parse_train_config(text: str) -> TrainConfig:
     return TrainConfig(weights=weights, **values)
 
 
-def _layer_shapes(cp: int, ci: int) -> dict[str, tuple[int, int]]:
-    """(in, out) channels of every layer, in packing order."""
+def _layer_shapes(cp: int, ci: int) -> dict[str, tuple[str, int, int]]:
+    """Branch fed and (in, out) channels of every layer, in packing order."""
     return {
-        "point1": (4, cp),
-        "point2": (cp, cp),
-        "image1": (2, ci),
-        "image2": (ci, ci),
-        "i2p1a": (ci, cp),
-        "i2p1b": (2 * cp, cp),
-        "i2p2a": (ci, cp),
-        "i2p2b": (2 * cp, cp),
-        "p2i1a": (cp, ci),
-        "p2i1b": (2 * ci, ci),
-        "p2i2a": (cp, ci),
-        "p2i2b": (2 * ci, ci),
-        "head_nlc": (ci, 3),
-        "head_sem2d": (ci, 2),
-        "head_sem3d": (cp, 2),
-        "head_ctr": (cp, 3),
+        "point1": ("point", 4, cp),
+        "point2": ("point", cp, cp),
+        "image1": ("image", 2, ci),
+        "image2": ("image", ci, ci),
+        "i2p1a": ("point", ci, cp),
+        "i2p1b": ("point", 2 * cp, cp),
+        "i2p2a": ("point", ci, cp),
+        "i2p2b": ("point", 2 * cp, cp),
+        "p2i1a": ("image", cp, ci),
+        "p2i1b": ("image", 2 * ci, ci),
+        "p2i2a": ("image", cp, ci),
+        "p2i2b": ("image", 2 * ci, ci),
+        "head_nlc": ("image", ci, 3),
+        "head_sem2d": ("image", ci, 2),
+        "head_sem3d": ("point", cp, 2),
+        "head_ctr": ("point", cp, 3),
     }
 
 
-_LAYER_NAMES = tuple(_layer_shapes(1, 1))  # the names do not depend on the widths
-
-POINT_BRANCH_LAYERS = (
-    "point1",
-    "point2",
-    "i2p1a",
-    "i2p1b",
-    "i2p2a",
-    "i2p2b",
-    "head_sem3d",
-    "head_ctr",
-)
-IMAGE_BRANCH_LAYERS = (
-    "image1",
-    "image2",
-    "p2i1a",
-    "p2i1b",
-    "p2i2a",
-    "p2i2b",
-    "head_nlc",
-    "head_sem2d",
-)
+_LAYERS = _layer_shapes(1, 1)  # the names and branches do not depend on the widths
+_LAYER_NAMES = tuple(_LAYERS)
+POINT_BRANCH_LAYERS = tuple(n for n, (branch, _, _) in _LAYERS.items() if branch == "point")
+IMAGE_BRANCH_LAYERS = tuple(n for n, (branch, _, _) in _LAYERS.items() if branch == "image")
 
 
 @dataclass
@@ -319,7 +301,7 @@ class ToyModel:
         rng = np.random.default_rng(seed)
         layers = {
             name: DenseLayer.init(i, o, rng)
-            for name, (i, o) in _layer_shapes(c_point, c_image).items()
+            for name, (_, i, o) in _layer_shapes(c_point, c_image).items()
         }
         return ToyModel(layers=layers)
 
@@ -443,12 +425,8 @@ def compute_losses(outputs: dict, scene: SyntheticScene, config: TrainConfig):
         )
     else:
         losses["nlc"] = losses["sem2d"] = 0.0
-    w = config.weights
-    losses["total"] = (
-        w.nlc * losses["nlc"]
-        + w.sem2d * losses["sem2d"]
-        + w.sem3d * losses["sem3d"]
-        + w.ctr * losses["ctr"]
+    losses["total"] = total_loss(
+        0.0, 0.0, losses["nlc"], losses["sem2d"], losses["sem3d"], losses["ctr"], config.weights
     )
     return losses, grads
 

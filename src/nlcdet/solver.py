@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import Underdetermined
 from .geometry import Box3D, normalize_angle, rot_z
-from .nlc import lidar_to_nlc
 
 __all__ = ["SolveOptions", "SolveReport", "solve_box", "dof_analysis"]
 

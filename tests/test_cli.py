@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from nlcdet import Box3D, nlc_to_lidar, read_nlc_map
 from nlcdet.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
@@ -212,6 +213,52 @@ class TestEvalCommand:
         dets.write_text("1,2,3\n")
         gts.write_text("10,0,0,4,2,1.5,0,0\n")
         assert main(["eval", "--dets", str(dets), "--gts", str(gts)]) == EXIT_DATA
+
+
+def _corrs_text(n=12):
+    """A header, a comment and ``n`` exact correspondences of one box: lines 1 to n + 2."""
+    box = Box3D(center=np.array([10.0, -3.0, 0.5]), l=4.2, w=1.8, h=1.5, yaw=0.8)
+    nlc = np.random.default_rng(7).uniform(0.05, 0.95, size=(n, 3))
+    rows = [",".join(repr(float(v)) for v in r) for r in np.hstack([nlc_to_lidar(nlc, box), nlc])]
+    return "x_l,y_l,z_l,x_nlc,y_nlc,z_nlc\n# lidar point, then its NLC\n" + "\n".join(rows) + "\n"
+
+
+DETS = "x,y,z,l,w,h,yaw,score,class\n# one detection\n\n10,0,0,4,2,1.5,0,0.9,0\n"
+GTS = "x,y,z,l,w,h,yaw,class\n10,0,0,4,2,1.5,0,0\n"
+
+
+def _run_on_csvs(tmp_path, inputs):
+    """Write each input to ``<name>.csv`` and run ``solve`` on corrs, else ``eval``."""
+    argv = ["solve" if "corrs" in inputs else "eval"]
+    for name, text in inputs.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        argv += [f"--{name}", str(path)]
+    return main(argv)
+
+
+class TestCsvInputs:
+    def test_headers_comments_and_blank_lines_skipped(self, tmp_path, capsys):
+        assert _run_on_csvs(tmp_path, {"dets": DETS, "gts": GTS}) == EXIT_OK
+        assert _run_on_csvs(tmp_path, {"corrs": _corrs_text()}) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("name, row, line", [
+        ("dets", "1,2,3", 5),
+        ("gts", "1,2,3", 3),
+        ("corrs", "1,2,3", 15),
+        ("gts", "20,0,0,-1,2,1.5,0,0", 3),
+        ("dets", "nan,0,0,4,2,1.5,0,0.8,0", 5),
+        ("dets", "20,0,0,4,2,1.5,0,0.8,inf", 5),
+        ("corrs", "10,-3,nan,0.5,0.5,0.5", 15),
+    ])
+    def test_bad_row_exit_2_naming_its_line(self, tmp_path, capsys, name, row, line):
+        inputs = {"corrs": _corrs_text()} if name == "corrs" else {"dets": DETS, "gts": GTS}
+        inputs[name] += row + "\n"
+        assert _run_on_csvs(tmp_path, inputs) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: line {line}: ")
 
 
 class TestUsage:

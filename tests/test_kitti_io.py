@@ -284,3 +284,31 @@ class TestTotality:
                     parser(text)
                 except KittiIOError:
                     pass
+
+
+class TestErrorColumns:
+    """A ParseError's column points at the bad token, not at an earlier substring match."""
+
+    @pytest.mark.parametrize("parser, text, line, column, token", [
+        (parse_labels, "Car 0 0 0 a 1 1 1 1 1 1 1 1 1 1", 1, 11, "a"),
+        (parse_labels, CAR_LINE + "\n\n  " + CAR_LINE.replace(" ", "\t", 1)[:-5] + "C", 3, 66, "C"),
+        (parse_labels, CAR_LINE.replace("Car", "Van")[:-5] + "an", 1, 64, "an"),
+        (parse_calib, "P2: 1 0 0 0 0 1 0 0 0 0 1 P", 1, 27, "P"),
+        (parse_calib, IDENTITY_CALIB_TEXT.replace("R0_rect: 1 0 0 0 1", "R0_rect: 1 0 0 0 R0"),
+         2, 18, "R0"),
+    ])
+    def test_column_points_at_bad_token(self, parser, text, line, column, token):
+        with pytest.raises(ParseError) as exc:
+            parser(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert text.splitlines()[line - 1][column - 1:].split()[0] == token
+
+    def test_tokens_are_those_of_str_split(self, rng):
+        from nlcdet.kitti_io import _tokens
+
+        alphabet = np.array(list("ab1. \t\x0b\x0c\x1c\x1f\x85\xa0:"))
+        for _ in range(500):
+            line = "".join(rng.choice(alphabet, size=int(rng.integers(0, 30))))
+            tokens = _tokens(line)
+            assert [tok for _, tok in tokens] == line.split()
+            assert all(line[col - 1:].startswith(tok) for col, tok in tokens)
