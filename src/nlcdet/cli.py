@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -16,7 +17,9 @@ import numpy as np
 
 from .errors import KittiIOError, NlcdetError, ParseError
 from .geometry import Box3D
-from .kitti_io import parse_calib, parse_labels, read_velodyne, label_to_lidar_box, to_calibration
+from .kitti_io import (
+    MAX_ABS_VALUE, label_to_lidar_box, parse_calib, parse_labels, read_velodyne, to_calibration,
+)
 from .metrics import Detection, evaluate
 from .nlc import build_gt_nlc_map, nlc_map_to_csv, write_nlc_map
 from .pipeline import ablation, parse_train_config, train
@@ -47,15 +50,24 @@ def _emit_json(obj, path=None):
 
 
 def _read_csv(path: str, columns: int, header: tuple[str, ...], parse) -> list:
-    """``parse`` applied to the values of every data row of a numeric CSV file.
+    """``parse`` applied to the values of every data row of a UTF-8 numeric CSV file.
 
     Blank lines, ``#`` comments and a header row (first field in ``header``)
-    are skipped.  Every other row must hold ``columns`` finite numbers that
-    ``parse`` accepts; a bad row raises ParseError with its line number.
+    are skipped.  Every other row must hold ``columns`` numbers within
+    +-``MAX_ABS_VALUE`` that ``parse`` accepts; a bad row, or bytes that are
+    not UTF-8, raise ParseError with their line number.
     """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"line {line_no}: not UTF-8 text", line=line_no) from None
     out = []
-    with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            line_no = reader.line_num
             if not row or row[0].lstrip().startswith("#"):
                 continue
             if row[0].strip().lower() in header:
@@ -66,11 +78,14 @@ def _read_csv(path: str, columns: int, header: tuple[str, ...], parse) -> list:
                 )
             try:
                 vals = [float(x) for x in row]
-                if not np.all(np.isfinite(vals)):
-                    raise ValueError("values must be finite numbers")
+                if not np.all(np.abs(vals) <= MAX_ABS_VALUE):
+                    raise ValueError(f"values must be numbers within +-{MAX_ABS_VALUE:g}")
                 out.append(parse(vals))
             except ValueError as exc:
                 raise ParseError(f"line {line_no}: {exc}", line=line_no) from None
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        line_no = reader.line_num
+        raise ParseError(f"line {line_no}: {exc}", line=line_no) from None
     return out
 
 
@@ -82,10 +97,10 @@ def cmd_nlcmap(args) -> int:
     except (OSError, KittiIOError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    cal = to_calibration(calib)
     boxes = [
         label_to_lidar_box(lb, calib) for lb in labels if not lb.is_dont_care
     ]
-    cal = to_calibration(calib)
     nlc_map, obj_ids = build_gt_nlc_map(
         points, boxes, cal, args.height, args.width, return_object_ids=True
     )
@@ -241,6 +256,14 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _iou_threshold(text: str) -> float:
+    """argparse type for ``--iou``: a number in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not in (0, 1]")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="nlcdet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -287,7 +310,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="average precision on detection/gt CSVs")
     p.add_argument("--dets", required=True, help="CSV: x,y,z,l,w,h,yaw,score,class")
     p.add_argument("--gts", required=True, help="CSV: x,y,z,l,w,h,yaw,class")
-    p.add_argument("--iou", type=float, default=0.7)
+    p.add_argument("--iou", type=_iou_threshold, default=0.7)
     p.add_argument("--r11", action="store_true", help="legacy 11-point protocol")
     p.set_defaults(func=cmd_eval)
 

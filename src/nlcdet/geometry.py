@@ -95,16 +95,17 @@ def project_points(points: np.ndarray, calib: Calibration):
     """Project (N, 3) LiDAR points to pixel coordinates.
 
     Returns (u, v, d) arrays; d is the camera-frame depth before
-    dehomogenization.  No validity filtering is applied here: entries with
-    d <= 0 carry meaningless (u, v) and must be masked by the caller.
+    dehomogenization.  Points with d <= 0 (behind or on the camera plane)
+    have no image position and get NaN (u, v), which every pixel-binning
+    and sampling rule treats as outside the image.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     cam = pts @ calib.R.T + calib.T
     hom = cam @ calib.K.T
     d = hom[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = hom[:, 0] / d
-        v = hom[:, 1] / d
+        u = np.where(d > 0, hom[:, 0] / d, np.nan)
+        v = np.where(d > 0, hom[:, 1] / d, np.nan)
     return u, v, d
 
 

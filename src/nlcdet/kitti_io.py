@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     DegenerateCalib,
+    KittiIOError,
     MalformedMatrix,
     MissingField,
     ParseError,
@@ -81,15 +82,23 @@ def _tokens(line: str, start: int = 0) -> list[tuple[int, str]]:
     return [(m.start() + 1, m.group()) for m in _TOKEN.finditer(line, start)]
 
 
+# Largest magnitude of a value read from an input file.  No real calibration
+# entry, size or coordinate comes close, and the bound keeps the squares and
+# products formed from such values finite.
+MAX_ABS_VALUE = 1e100
+
+
 def _parse_float(token: str, line_no: int, col: int) -> float:
     try:
         value = float(token)
     except ValueError:
+        value = np.nan
+    if not abs(value) <= MAX_ABS_VALUE:
         raise ParseError(
-            f"line {line_no}, column {col}: {token!r} is not a number",
+            f"line {line_no}, column {col}: {token!r} is not a number within +-{MAX_ABS_VALUE:g}",
             line=line_no,
             column=col,
-        ) from None
+        )
     return value
 
 
@@ -148,14 +157,11 @@ def parse_labels(text) -> list[KittiLabel]:
             col, tok = fields[i]
             return _parse_float(tok, line_no, col)
 
-        occ = num(2)
-        if not np.isfinite(occ):
-            raise ParseError(f"line {line_no}: occlusion level must be finite", line=line_no)
         labels.append(
             KittiLabel(
                 type=fields[0][1],
                 truncated=num(1),
-                occluded=int(occ),
+                occluded=int(num(2)),
                 alpha=num(3),
                 bbox2d=(num(4), num(5), num(6), num(7)),
                 h=num(8),
@@ -206,15 +212,24 @@ def to_calibration(calib: KittiCalib) -> Calibration:
     """Compose P2, R0_rect, and Tr_velo_to_cam into a single pinhole model.
 
     P2 = [K | p4]; the composed model is u,v,d = K ([R | T] x) with
-    R = R0_rect @ Tr_rot and T = R0_rect @ Tr_t + K^-1 p4.
+    R = R0_rect @ Tr_rot and T = R0_rect @ Tr_t + K^-1 p4.  Matrices that
+    do not compose to a valid :class:`~nlcdet.geometry.Calibration` raise
+    DegenerateCalib.
     """
     K = calib.P2[:, :3]
     p4 = calib.P2[:, 3]
-    if abs(np.linalg.det(K)) < 1e-12:
-        raise DegenerateCalib("P2 intrinsic block is singular")
-    R = calib.R0_rect @ calib.Tr_velo_to_cam[:, :3]
-    T = calib.R0_rect @ calib.Tr_velo_to_cam[:, 3] + np.linalg.solve(K, p4)
-    return Calibration(K=K, R=R, T=T)
+    # overflow from huge entries leaves non-finite values, which are rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not abs(np.linalg.det(K)) >= 1e-12:
+            raise DegenerateCalib("P2 intrinsic block is singular")
+        R = calib.R0_rect @ calib.Tr_velo_to_cam[:, :3]
+        T = calib.R0_rect @ calib.Tr_velo_to_cam[:, 3] + np.linalg.solve(K, p4)
+        try:
+            if not np.all(np.isfinite(T)):
+                raise ValueError("translation must be finite")
+            return Calibration(K=K, R=R, T=T)
+        except ValueError as exc:
+            raise DegenerateCalib(f"not a pinhole camera: {exc}") from None
 
 
 def _rect_to_velo(calib: KittiCalib):
@@ -233,6 +248,8 @@ def label_to_lidar_box(label: KittiLabel, calib: KittiCalib) -> Box3D:
     The label location is the bottom center in the rectified camera frame
     (y down); the box center sits h/2 above it.  The heading converts by
     mapping the object's camera-frame x-axis direction into the LiDAR frame.
+    A label whose box is not valid, such as one with a size that is not
+    positive, raises KittiIOError.
     """
     if label.is_dont_care:
         raise ValueError("DontCare labels carry no box")
@@ -244,7 +261,10 @@ def label_to_lidar_box(label: KittiLabel, calib: KittiCalib) -> Box3D:
     dir_cam = np.array([np.cos(label.rotation_y), 0.0, -np.sin(label.rotation_y)])
     dir_velo = inv_rot @ dir_cam
     yaw = float(np.arctan2(dir_velo[1], dir_velo[0]))
-    return Box3D(center=center, l=label.l, w=label.w, h=label.h, yaw=yaw)
+    try:
+        return Box3D(center=center, l=label.l, w=label.w, h=label.h, yaw=yaw)
+    except ValueError as exc:
+        raise KittiIOError(f"{label.type} label gives no box: {exc}") from None
 
 
 def lidar_box_to_label(

@@ -108,11 +108,18 @@ def build_gt_nlc_map(
     obj_ids = np.full((height, width), -1, dtype=int)
 
     if len(xyz) and boxes:
-        # assign each foreground point to its nearest-center containing box
+        # assign each foreground point to its nearest-center containing box;
+        # a point inside a box lies within half the box's bird's-eye diagonal
+        # of its center along x and y (padded against rounding), so only
+        # those points are transformed
         owner = np.full(len(xyz), -1, dtype=int)
         owner_dist = np.full(len(xyz), np.inf)
+        x, y = np.ascontiguousarray(xyz[:, 0]), np.ascontiguousarray(xyz[:, 1])
         for bi, box in enumerate(boxes):
-            idx = points_in_box(xyz, box, margin=0.0)
+            r = 0.5 * np.hypot(box.l, box.w) * (1.0 + 1e-9)
+            cx, cy = box.center[:2]
+            near = np.nonzero((np.abs(x - cx) <= r) & (np.abs(y - cy) <= r))[0]
+            idx = near[points_in_box(xyz[near], box, margin=0.0)]
             if len(idx) == 0:
                 continue
             d = np.linalg.norm(xyz[idx] - box.center, axis=1)

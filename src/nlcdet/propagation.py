@@ -6,19 +6,24 @@ floor(u), floor(v) with the pixel-binning rule of :mod:`nlcdet.geometry`
 (the same rule the ground-truth NLC map and the synthetic depth image use);
 the gather direction samples grid values located at integer (u, v) positions
 with bilinear weights and zero padding outside the image.  Points with NaN,
-infinite or huge coordinates fall outside in both directions.
+infinite or huge coordinates fall outside in both directions; so do points
+behind the camera, which :func:`nlcdet.geometry.project_points` gives NaN
+coordinates.
 
 :class:`ProjectionPlan` is the one implementation of both directions: it
-holds them as sparse matrices over a fixed set of coordinates, and its
-methods are deterministic for a fixed point order.  The one-shot functions
-build a plan per call.  The two that sum over points (:func:`point_to_pixel`
-and :func:`pixel_to_point_backward`) first sort the points canonically, so
-their results are bit-identical under permutation of the input points.
+holds them as sparse matrices over a fixed set of coordinates, each built on
+its first use, and its methods are deterministic for a fixed point order.
+The one-shot functions build a plan per call, so each builds only the matrix
+it applies.  The two that sum over points (:func:`point_to_pixel` and
+:func:`pixel_to_point_backward`) first drop the points that cannot
+contribute and sort the rest canonically, so their results are
+bit-identical under permutation of the input points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,16 +84,21 @@ def _linear_backward(layer: DenseLayer, x: np.ndarray, d_out: np.ndarray):
     return d_out @ layer.weights, grad
 
 
-def _bilinear_weights(coords: np.ndarray, height: int, width: int):
+def _near_image(uv: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Whether each point has a bilinear neighbor in the image:
+    u in [-1, W) and v in [-1, H).  False for NaN, +-inf and huge values."""
+    u, v = uv[:, 0], uv[:, 1]
+    return (u >= -1) & (u < width) & (v >= -1) & (v < height)
+
+
+def _bilinear_weights(uv: np.ndarray, height: int, width: int):
     """Point rows, flat cells and weights of zero-padded bilinear sampling.
 
-    Only points with a neighbor in the image, u in [-1, W) and v in [-1, H),
-    reach the int cast, so NaN, +-inf and huge coordinates sample nothing.
+    Only points near the image (:func:`_near_image`) reach the int cast, so
+    NaN, +-inf and huge coordinates sample nothing.
     """
-    uv = np.asarray(coords, dtype=float).reshape(-1, 2)
-    u, v = uv[:, 0], uv[:, 1]
-    near = np.nonzero((u >= -1) & (u < width) & (v >= -1) & (v < height))[0]
-    u, v = u[near], v[near]
+    near = np.nonzero(_near_image(uv, height, width))[0]
+    u, v = uv[near, 0], uv[near, 1]
     x0 = np.floor(u).astype(int)
     y0 = np.floor(v).astype(int)
     fx, fy = u - x0, v - y0
@@ -108,36 +118,49 @@ def _bilinear_weights(coords: np.ndarray, height: int, width: int):
 
 
 class ProjectionPlan:
-    """Precomputed sparse operators for a fixed set of projected coordinates.
+    """Sparse operators for a fixed set of projected coordinates.
 
-    Caches the scatter-average matrix (pixels x points) and the bilinear
+    Holds the scatter-average matrix (pixels x points) and the bilinear
     gather matrix (points x pixels) so repeated propagation through the same
     scene costs two CSR products instead of re-binning every call.  Both
     backwards are exact transposes, so the adjoint identity holds by
-    construction.
+    construction.  Each of the four matrices is built on first use and then
+    kept, so a plan that only scatters never builds the gather matrices; the
+    plan keeps its own copy of the coordinates they are built from.
     """
 
     def __init__(self, coords: np.ndarray, height: int, width: int):
+        self.uv = np.array(coords, dtype=float).reshape(-1, 2)
+        self.height, self.width, self.count = height, width, len(self.uv)
+
+    @cached_property
+    def scatter_matrix(self):
         from scipy import sparse
 
-        uv = np.asarray(coords, dtype=float).reshape(-1, 2)
-        n = len(uv)
-        self.height, self.width, self.count = height, width, n
-
-        cells, valid = _pixel_cells(uv[:, 0], uv[:, 1], height, width)
+        h, w = self.height, self.width
+        cells, valid = _pixel_cells(self.uv[:, 0], self.uv[:, 1], h, w)
         cells = cells[valid]
-        counts = np.bincount(cells, minlength=height * width).astype(float)
+        counts = np.bincount(cells, minlength=h * w).astype(float)
         idx = np.nonzero(valid)[0]
-        self.scatter_matrix = sparse.csr_matrix(
-            (1.0 / counts[cells], (cells, idx)), shape=(height * width, n)
+        return sparse.csr_matrix(
+            (1.0 / counts[cells], (cells, idx)), shape=(h * w, self.count)
         )
-        self.scatter_matrix_t = self.scatter_matrix.T.tocsr()
 
-        rows, cells, weights = _bilinear_weights(uv, height, width)
-        self.gather_matrix = sparse.csr_matrix(
-            (weights, (rows, cells)), shape=(n, height * width)
-        )
-        self.gather_matrix_t = self.gather_matrix.T.tocsr()
+    @cached_property
+    def scatter_matrix_t(self):
+        return self.scatter_matrix.T.tocsr()
+
+    @cached_property
+    def gather_matrix(self):
+        from scipy import sparse
+
+        h, w = self.height, self.width
+        rows, cells, weights = _bilinear_weights(self.uv, h, w)
+        return sparse.csr_matrix((weights, (rows, cells)), shape=(self.count, h * w))
+
+    @cached_property
+    def gather_matrix_t(self):
+        return self.gather_matrix.T.tocsr()
 
     def scatter(self, features: np.ndarray) -> np.ndarray:
         out = self.scatter_matrix @ features
@@ -189,7 +212,10 @@ def point_to_pixel(
     """
     g = np.asarray(features, dtype=float)
     uv = _uv(coords, len(g))
-    uv, g = _canonical_order(uv, g, height, width)
+    # points outside add nothing, and dropping them keeps the sorted order
+    # of the rest, so the sum is the one over all points sorted
+    _, inside = _pixel_cells(uv[:, 0], uv[:, 1], height, width)
+    uv, g = _canonical_order(uv[inside], g[inside], height, width)
     return ProjectionPlan(uv, height, width).scatter(g)
 
 
@@ -218,7 +244,9 @@ def pixel_to_point_backward(
     """Backward of :func:`pixel_to_point` w.r.t. the grid features."""
     gp = np.asarray(grad_points, dtype=float)
     uv = _uv(coords, len(gp))
-    uv, gp = _canonical_order(uv, gp, height, width)
+    # as in point_to_pixel: only points with a neighbor in the image add anything
+    near = _near_image(uv, height, width)
+    uv, gp = _canonical_order(uv[near], gp[near], height, width)
     return ProjectionPlan(uv, height, width).gather_grad(gp)
 
 

@@ -34,6 +34,9 @@ class SolveReport:
     degenerate: bool
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; an infinite condition estimate (a rank-deficient
+        Jacobian) becomes None, since JSON has no infinity."""
+        condition = self.condition_estimate
         return {
             "box": {
                 "center": self.box.center.tolist(),
@@ -44,7 +47,7 @@ class SolveReport:
             },
             "rms_residual": self.rms_residual,
             "iterations": self.iterations,
-            "condition_estimate": self.condition_estimate,
+            "condition_estimate": condition if np.isfinite(condition) else None,
             "converged": self.converged,
             "degenerate": self.degenerate,
         }

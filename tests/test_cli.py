@@ -1,9 +1,15 @@
 """The nlcdet command-line front door: subcommands, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlcdet import Box3D, nlc_to_lidar, read_nlc_map
 from nlcdet.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
@@ -261,6 +267,50 @@ class TestCsvInputs:
         assert err.startswith(f"error: line {line}: ")
 
 
+class TestInputBytes:
+    def test_csv_not_utf8_exit_2_naming_its_line(self, tmp_path, capsys):
+        dets = tmp_path / "dets.csv"
+        dets.write_bytes(DETS.encode() + b"\xff\xfe1,2\n")
+        (tmp_path / "gts.csv").write_text(GTS)
+        code = main(["eval", "--dets", str(dets), "--gts", str(tmp_path / "gts.csv")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: line 5: ")
+
+    def test_csv_field_over_size_limit_exit_2(self, tmp_path, capsys):
+        inputs = {"corrs": _corrs_text() + "1" * 200_000 + ",0,0,0,0,0\n"}
+        assert _run_on_csvs(tmp_path, inputs) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: line 15: ")
+
+    @pytest.mark.parametrize("value", ["1e101", "-1e300"])
+    def test_csv_value_beyond_range_exit_2(self, tmp_path, capsys, value):
+        inputs = {"corrs": _corrs_text() + f"10,-3,{value},0.5,0.5,0.5\n"}
+        assert _run_on_csvs(tmp_path, inputs) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: line 15: ")
+
+    def test_calibration_that_is_not_a_pinhole_exit_2(self, tmp_path, rng, capsys):
+        calib, label, velo, _ = make_fixture(tmp_path, rng)
+        # a nonzero below-diagonal intrinsic
+        calib.write_text(calib.read_text().replace("0.0 100.0 48.0", "7.0 100.0 48.0", 1))
+        code = main([
+            "nlcmap", "--calib", str(calib), "--label", str(label),
+            "--velodyne", str(velo), "--out", str(tmp_path / "m.nlcm"),
+        ])
+        assert code == EXIT_DATA
+        assert "upper-triangular" in capsys.readouterr().err
+
+    def test_label_with_negative_size_exit_2(self, tmp_path, rng, capsys):
+        calib, label, velo, _ = make_fixture(tmp_path, rng)
+        label.write_text("Car 0 0 0 0 0 0 0 1.5 -1.8 4 0 1 10 0\n")
+        code = main([
+            "nlcmap", "--calib", str(calib), "--label", str(label),
+            "--velodyne", str(velo), "--out", str(tmp_path / "m.nlcm"),
+        ])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: Car label gives no box")
+
+
 class TestUsage:
     def test_no_command(self):
         assert main([]) == EXIT_USAGE
@@ -271,7 +321,136 @@ class TestUsage:
     def test_unknown_flag(self):
         assert main(["solve", "--bogus"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("iou", ["0", "-0.5", "1.01", "nan", "x"])
+    def test_iou_outside_unit_interval(self, tmp_path, capsys, iou):
+        argv = ["eval", "--dets", str(tmp_path / "d.csv"), "--gts", str(tmp_path / "g.csv")]
+        assert main(argv + ["--iou", iou]) == EXIT_USAGE
+        assert "usage" in capsys.readouterr().err.lower()
+
+    def test_iou_of_one_accepted(self, tmp_path, capsys):
+        assert _run_on_csvs(tmp_path, {"dets": DETS, "gts": GTS}) == EXIT_OK
+        argv = ["eval", "--dets", str(tmp_path / "dets.csv"), "--gts", str(tmp_path / "gts.csv")]
+        assert main(argv + ["--iou", "1"]) == EXIT_OK
+
     def test_help_available(self, capsys):
         for cmd in ("nlcmap", "solve", "gradcheck", "train", "ablation", "eval"):
             assert main([cmd, "--help"]) == EXIT_OK
             assert "usage" in capsys.readouterr().out.lower()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# Numbers as they come in real files, plus the extremes that break arithmetic.
+_NUMBERS = st.one_of(
+    st.floats(-100.0, 100.0),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e100, -1e100, 1e300, -1e300, 1e308,
+                     np.nan, np.inf, -np.inf]),
+)
+_FIELDS = st.one_of(
+    _NUMBERS.map(repr), st.sampled_from(["", "x", "#", "1e", " 1 ", "0x10", "é", '"1"'])
+)
+
+
+def _csv_bytes(columns, box_rows=False):
+    """A CSV file: rows of mostly ``columns`` fields, or arbitrary bytes.
+
+    With ``box_rows``, rows may also be boxes with positive sizes, so that
+    whole files of valid boxes are common.
+    """
+    rows = [
+        st.lists(st.floats(-100.0, 100.0).map(repr), min_size=columns, max_size=columns),
+        st.lists(_NUMBERS.map(repr), min_size=columns, max_size=columns),
+        st.lists(_FIELDS, max_size=columns + 2),
+    ]
+    if box_rows:
+        rows.insert(0, st.tuples(
+            st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3),
+            st.lists(st.floats(0.1, 6.0), min_size=3, max_size=3),
+            st.lists(st.floats(-4.0, 4.0), min_size=columns - 6, max_size=columns - 6),
+        ).map(lambda t: [repr(v) for v in t[0] + t[1] + t[2]]))
+    lines = st.one_of(
+        st.lists(st.one_of(*rows).map(",".join), max_size=12),
+        st.lists(rows[0].map(",".join), min_size=3, max_size=12),
+    )
+    text = lines.map("\n".join)
+    return st.one_of(text.map(str.encode), st.binary(max_size=64))
+
+
+def _kitti_bytes():
+    """A calib/label/velodyne triple, each a file with some values replaced or arbitrary bytes."""
+    calib = KittiCalib(
+        P2=np.array([[100.0, 0, 16, 0], [0, 100.0, 12, 0], [0, 0, 1, 0]]),
+        R0_rect=np.eye(3),
+        Tr_velo_to_cam=np.array([[0.0, -1, 0, 0], [0, 0, -1, 0], [1, 0, 0, 0]]),
+    )
+    base = np.concatenate([calib.P2.ravel(), calib.R0_rect.ravel(), calib.Tr_velo_to_cam.ravel()])
+
+    def calib_text(edits):
+        vals = base.copy()
+        vals[list(edits)] = list(edits.values())
+        return emit_calib(KittiCalib(vals[:12].reshape(3, 4), vals[12:21].reshape(3, 3),
+                                     vals[21:].reshape(3, 4))).encode()
+
+    label = st.tuples(
+        st.sampled_from(["Car", "DontCare"]), st.lists(_NUMBERS, min_size=14, max_size=14)
+    ).map(lambda t: " ".join([t[0], *(repr(v) for v in t[1])]))
+    box_label = st.tuples(
+        st.floats(0.5, 5.0), st.floats(0.5, 5.0), st.floats(0.5, 5.0),
+        st.floats(-5.0, 5.0), st.floats(-3.0, 3.0), st.floats(1.0, 40.0), st.floats(-4.0, 4.0),
+    ).map(lambda t: "Car 0 0 0 0 0 0 0 " + " ".join(repr(v) for v in t))
+    float32 = st.one_of(
+        st.floats(-50.0, 50.0, width=32),
+        st.sampled_from([0.0, -0.0, 1e-45, 3.4e38, -3.4e38, np.nan, np.inf, -np.inf]),
+    )
+    points = st.lists(float32, max_size=240).map(
+        lambda v: np.asarray(v[: len(v) // 4 * 4], dtype="<f4").tobytes()
+    )
+    box_points = st.integers(0, 2**32 - 1).map(lambda s: write_velodyne(
+        np.random.default_rng(s).uniform([2, -5, -3, 0], [40, 5, 3, 1], size=(300, 4))
+    ))
+    return st.tuples(
+        st.one_of(st.dictionaries(st.integers(0, 32), _NUMBERS, max_size=3).map(calib_text),
+                  st.binary(max_size=64)),
+        st.one_of(st.lists(st.one_of(label, box_label), max_size=4).map("\n".join).map(str.encode),
+                  st.binary(max_size=64)),
+        st.one_of(points, box_points, st.binary(max_size=64)),
+    )
+
+
+_COMMANDS = st.one_of(
+    st.tuples(st.just("solve"), st.fixed_dictionaries({"corrs": _csv_bytes(6)})),
+    st.tuples(st.just("eval"), st.fixed_dictionaries(
+        {"dets": _csv_bytes(9, box_rows=True), "gts": _csv_bytes(8, box_rows=True)})),
+    st.tuples(st.just("nlcmap"), _kitti_bytes().map(
+        lambda t: {"calib": t[0], "label": t[1], "velodyne": t[2]})),
+)
+
+
+class TestCommandFuzz:
+    """``main`` on generated input files ends in exit 0 or 2, never an uncaught exception."""
+
+    @given(command=_COMMANDS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_exit_0_or_2(self, command):
+        name, files = command
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [name]
+            for flag, data in files.items():
+                path = Path(tmp) / flag
+                path.write_bytes(data)
+                argv += [f"--{flag}", str(path)]
+            if name == "nlcmap":
+                argv += ["--out", str(Path(tmp) / "map.nlcm"), "--height", "24", "--width", "32"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (EXIT_OK, EXIT_DATA), err.getvalue()
+            if code == EXIT_DATA:
+                assert len(err.getvalue().splitlines()) == 1
+                assert err.getvalue().startswith("error: ")
+            elif name == "nlcmap":
+                read_nlc_map((Path(tmp) / "map.nlcm").read_bytes())
+            else:
+                json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -58,6 +58,16 @@ class TestProjection:
         assert np.allclose(v, pts[:, 1] / pts[:, 2])
         assert np.array_equal(d, pts[:, 2])
 
+    def test_behind_camera_gets_nan(self):
+        # a point and its mirror through the camera center divide to the same
+        # (u, v); only the one in front has an image position
+        calib = Calibration(K=np.array([[10.0, 0.0, 8.0], [0.0, 10.0, 6.0], [0.0, 0.0, 1.0]]))
+        p = np.array([19.0, 15.0, 20.0])
+        u, v, d = project_points(np.stack([p, -p, [1.0, 1.0, 0.0]]), calib)
+        assert (u[0], v[0], d[0]) == (17.5, 13.5, 20.0)
+        assert np.isnan(u[1:]).all() and np.isnan(v[1:]).all()
+        assert d[1:].tolist() == [-20.0, 0.0]
+
     def test_behind_camera_raises(self):
         with pytest.raises(BehindCamera):
             project_point(np.array([0.0, 0.0, -1.0]), identity_calib())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nlcdet import (
+    DegenerateCalib,
     Box3D,
     KittiIOError,
     MalformedMatrix,
@@ -75,6 +76,12 @@ class TestCalibParsing:
     def test_unknown_keys_ignored(self):
         assert parse_calib("P0: 9 9\n" + IDENTITY_CALIB_TEXT + "junk line\n")
 
+    def test_value_beyond_range_rejected(self):
+        text = IDENTITY_CALIB_TEXT.replace("R0_rect: 1 0", "R0_rect: 1 1e200")
+        with pytest.raises(ParseError) as exc:
+            parse_calib(text)
+        assert (exc.value.line, exc.value.column) == (2, 12)
+
     def test_emit_parse_round_trip(self, rng):
         for _ in range(50):
             calib = KittiCalib(
@@ -92,6 +99,26 @@ class TestCalibParsing:
 
 
 CAR_LINE = "Car 0.00 0 -1.58 587 178 603 191 1.48 1.60 3.69 2.77 1.55 8.41 -1.56"
+
+
+class TestCalibComposition:
+    def test_non_pinhole_composition_rejected(self):
+        lower = kitti_like_calib()
+        lower.P2[1, 0] = 3.0
+        stretched = kitti_like_calib()
+        stretched.Tr_velo_to_cam[:, :3] *= 2.0
+        # in range, but R0_rect @ Tr_velo_to_cam squares past the float range
+        huge = kitti_like_calib()
+        huge.R0_rect *= 1e100
+        huge.Tr_velo_to_cam *= 1e100
+        for calib in (lower, stretched, huge):
+            with pytest.raises(DegenerateCalib):
+                to_calibration(calib)
+
+    def test_label_without_valid_box_rejected(self):
+        label = parse_labels(CAR_LINE.replace(" 1.60 ", " -1.60 "))[0]
+        with pytest.raises(KittiIOError, match="Car label gives no box"):
+            label_to_lidar_box(label, kitti_like_calib())
 
 
 class TestLabelParsing:
@@ -126,6 +153,13 @@ class TestLabelParsing:
     def test_non_finite_occlusion_rejected(self):
         with pytest.raises(ParseError):
             parse_labels(CAR_LINE.replace(" 0 -1.58", " inf -1.58"))
+
+    @pytest.mark.parametrize("token", ["nan", "-inf", "1e101", "-2e300"])
+    def test_value_beyond_range_rejected(self, token):
+        line = CAR_LINE.replace(" 1.60 ", f" {token} ")
+        with pytest.raises(ParseError) as exc:
+            parse_labels(line)
+        assert exc.value.column == line.index(token) + 1
 
     def test_emit_parse_round_trip(self, rng):
         for _ in range(100):

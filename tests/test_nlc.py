@@ -205,6 +205,19 @@ def _gt_case(name, rng):
         behind = Box3D(center=np.array([-10.0, 0.0, 0.0]), l=4, w=3, h=2, yaw=0.0)
         pts = np.vstack([_lattice_cloud(rng, b, 300) for b in (front, behind)])
         return pts[rng.permutation(len(pts))], [front, behind]
+    if name in ("rotated_45", "rotated_45_touching"):
+        # a square footprint turned 45 degrees has corners exactly half its
+        # bird's-eye diagonal from the center along x and along y, so a
+        # lattice through every corner tests the edge of the owner prefilter
+        square = Box3D(center=np.array([20.0, 0.5, 0.0]), l=3, w=3, h=2, yaw=np.pi / 4)
+        gap = 0.0 if name == "rotated_45_touching" else 1.0
+        oblong = Box3D(
+            center=square.center + [3 * np.sqrt(2) + gap, 0, 0], l=3, w=3, h=2, yaw=-np.pi / 4
+        )
+        axes = np.meshgrid(*(np.linspace(0, 1, k) for k in (9, 9, 5)), indexing="ij")
+        lattice = np.stack(axes, axis=-1).reshape(-1, 3)
+        pts = np.vstack([nlc_to_lidar(lattice, b) for b in (square, oblong)])
+        return pts[rng.permutation(len(pts))], [square, oblong]
     if name == "no_foreground":
         pts = front.center + rng.uniform(3.0, 6.0, size=(300, 3)) * rng.choice([-1, 1], size=(300, 3))
         return pts, [front]
@@ -215,7 +228,10 @@ class TestGtMapReference:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize(
         "case",
-        ["depth_ties", "duplicates", "overlapping_boxes", "behind_camera", "no_foreground"],
+        [
+            "depth_ties", "duplicates", "overlapping_boxes", "behind_camera",
+            "rotated_45", "rotated_45_touching", "no_foreground",
+        ],
     )
     def test_matches_per_point_loop(self, case, seed):
         pts, boxes = _gt_case(case, np.random.default_rng(seed))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nlcdet import (
+    Calibration,
     DenseLayer,
     ShapeError,
     fuse_i2p,
@@ -15,8 +16,11 @@ from nlcdet import (
     pixel_to_point_backward,
     point_to_pixel,
     point_to_pixel_backward,
+    project_points,
 )
-from nlcdet.propagation import ProjectionPlan, fuse_i2p_backward, fuse_p2i_backward
+from nlcdet.propagation import (
+    ProjectionPlan, _canonical_order, fuse_i2p_backward, fuse_p2i_backward,
+)
 
 
 class TestPointToPixel:
@@ -231,6 +235,81 @@ class TestProjectionPlan:
         lhs = float(np.sum(plan.scatter(g) * t))
         rhs = float(np.sum(g * plan.scatter_grad(t)))
         assert abs(lhs - rhs) < 1e-10
+
+
+    def test_matrices_built_on_first_use(self, rng):
+        matrices = {"scatter_matrix", "scatter_matrix_t", "gather_matrix", "gather_matrix_t"}
+        coords = rng.uniform(0, 5, size=(20, 2))
+        plan = ProjectionPlan(coords, 5, 5)
+        assert not matrices & set(vars(plan))
+        # the plan keeps its own coordinates, so a later change to the
+        # caller's array cannot reach a matrix built after it
+        coords[:] = -10.0
+        out = plan.scatter(np.ones((20, 1)))
+        assert np.sum(out) > 0
+        assert "gather_matrix" not in vars(plan)
+        assert matrices & set(vars(plan)) == {"scatter_matrix"}
+        plan.gather_grad(np.ones((20, 1)))
+        assert matrices & set(vars(plan)) == {"scatter_matrix", "gather_matrix", "gather_matrix_t"}
+
+
+def test_behind_camera_point_does_not_share_its_mirrors_pixel():
+    # a point 20 m in front of the camera and its mirror 20 m behind it
+    # divide to the same (u, v) = (17.5, 13.5); the mirror has no image position
+    calib = Calibration(K=np.array([[10.0, 0.0, 8.0], [0.0, 10.0, 6.0], [0.0, 0.0, 1.0]]))
+    p = np.array([19.0, 15.0, 20.0])
+    u, v, _ = project_points(np.stack([p, -p]), calib)
+    coords = np.column_stack([u, v])
+    out = point_to_pixel(np.array([[1.0], [3.0]]), coords, 24, 32)
+    assert out[0, 13, 17] == 1.0
+    assert np.count_nonzero(out) == 1
+    gathered = pixel_to_point(np.ones((1, 24, 32)), coords)
+    assert gathered[:, 0].tolist() == [1.0, 0.0]
+
+
+def reference_one_shot(payload, coords, height, width, method):
+    """The summing one-shots as first written: every row sorted, then a plan."""
+    uv = np.asarray(coords, dtype=float).reshape(-1, 2)
+    uv, rows = _canonical_order(uv, np.asarray(payload, dtype=float), height, width)
+    return getattr(ProjectionPlan(uv, height, width), method)(rows)
+
+
+def _awkward_rows(rng, height, width, channels):
+    """Points of every kind the summing one-shots drop or keep, with payloads."""
+    coords = np.column_stack(
+        [rng.uniform(-1.5, width + 0.5, size=30), rng.uniform(-1.5, height + 0.5, size=30)]
+    )
+    special = np.array([
+        # non-finite and huge
+        [np.nan, 1.0], [2.0, np.nan], [np.inf, 1.0], [1.0, -np.inf], [1e300, 2.0], [2.0, -1e300],
+        # border: u or v in [-1, 0) still reaches the image through a bilinear neighbor
+        [-0.5, 1.5], [1.5, -0.25], [-1.0, -1.0], [-1.0, 2.0], [width - 0.5, -0.75],
+        # differing only in the sign of zero
+        [0.0, 1.25], [-0.0, 1.25], [2.5, 0.0], [2.5, -0.0], [-0.0, -0.0],
+    ])
+    coords = np.vstack([coords, special, coords[:8], coords[:8], [[3.25, 2.5]] * 2])
+    feats = rng.normal(size=(len(coords), channels))
+    feats[-18:-10] = feats[:8]  # exact duplicate rows
+    feats[-2:] = [[0.0] + [1.0] * (channels - 1), [-0.0] + [1.0] * (channels - 1)]
+    return coords, feats
+
+
+class TestOneShotReference:
+    """Dropping the rows that cannot contribute before the sort changes no bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_all_rows_sort(self, seed):
+        rng = np.random.default_rng(seed)
+        h, w = 5, 7
+        coords, feats = _awkward_rows(rng, h, w, 3)
+        for p in [np.arange(len(coords))] + [rng.permutation(len(coords)) for _ in range(3)]:
+            c, f = coords[p], feats[p]
+            assert np.array_equal(
+                point_to_pixel(f, c, h, w), reference_one_shot(f, c, h, w, "scatter")
+            )
+            assert np.array_equal(
+                pixel_to_point_backward(f, c, h, w), reference_one_shot(f, c, h, w, "gather_grad")
+            )
 
 
 def test_import_leaves_scipy_sparse_unloaded(src_env):
