@@ -1,6 +1,7 @@
 """Command-line front door.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal check failure.
+Exit codes: 0 success, 1 usage error, 2 data error or a file that cannot be
+read or written, 3 internal check failure.
 Diagnostics go to stderr; data outputs go only to --out paths or stdout.
 """
 
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import KittiIOError, NlcdetError, ParseError
+from .errors import NlcdetError, ParseError
 from .geometry import Box3D
 from .kitti_io import (
     MAX_ABS_VALUE, label_to_lidar_box, parse_calib, parse_labels, read_velodyne, to_calibration,
@@ -90,13 +91,9 @@ def _read_csv(path: str, columns: int, header: tuple[str, ...], parse) -> list:
 
 
 def cmd_nlcmap(args) -> int:
-    try:
-        calib = parse_calib(Path(args.calib).read_bytes())
-        labels = parse_labels(Path(args.label).read_bytes())
-        points = read_velodyne(Path(args.velodyne).read_bytes())
-    except (OSError, KittiIOError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    calib = parse_calib(Path(args.calib).read_bytes())
+    labels = parse_labels(Path(args.label).read_bytes())
+    points = read_velodyne(Path(args.velodyne).read_bytes())
     cal = to_calibration(calib)
     boxes = [
         label_to_lidar_box(lb, calib) for lb in labels if not lb.is_dont_care
@@ -116,11 +113,7 @@ def cmd_nlcmap(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    try:
-        corrs = np.array(_read_csv(args.corrs, 6, ("x", "x_l"), list)).reshape(-1, 6)
-    except (OSError, KittiIOError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    corrs = np.array(_read_csv(args.corrs, 6, ("x", "x_l"), list)).reshape(-1, 6)
     init = None
     if args.init:
         try:
@@ -233,15 +226,11 @@ def _box(vals: list[float]) -> Box3D:
 
 
 def cmd_eval(args) -> int:
-    try:
-        dets = _read_csv(
-            args.dets, 9, ("x",),
-            lambda v: Detection(box=_box(v), score=v[7], class_id=int(v[8])),
-        )
-        gts = _read_csv(args.gts, 8, ("x",), lambda v: (_box(v), int(v[7])))
-    except (OSError, KittiIOError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    dets = _read_csv(
+        args.dets, 9, ("x",),
+        lambda v: Detection(box=_box(v), score=v[7], class_id=int(v[8])),
+    )
+    gts = _read_csv(args.gts, 8, ("x",), lambda v: (_box(v), int(v[7])))
     recall_positions = 11 if args.r11 else 40
     classes = sorted({d.class_id for d in dets} | {c for _, c in gts})
     result = {}
@@ -325,7 +314,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NlcdetError as exc:
+    except (NlcdetError, OSError) as exc:  # bad data, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -197,7 +197,7 @@ def check_full_model(rng: np.random.Generator, directions: int = 5) -> float:
         # zero-initialized biases would pin empty-pixel pre-activations to the
         # ReLU kink; randomize them for the check
         for layer in model.layers.values():
-            layer.bias = rng.normal(0.0, 0.3, size=layer.bias.shape)
+            layer.bias[...] = rng.normal(0.0, 0.3, size=layer.bias.shape)
         _, probe_cache = forward(model, scene, config)
         if _min_preactivation(probe_cache) > 1e-4:
             break
@@ -213,9 +213,7 @@ def check_full_model(rng: np.random.Generator, directions: int = 5) -> float:
     base = model.pack()
     outputs, cache = forward(model, scene, config)
     _, head_grads = compute_losses(outputs, scene, config)
-    grads = backward(model, scene, config, cache, head_grads)
-    flat_model = ToyModel(layers=grads)
-    grad_vec = flat_model.pack()
+    grad_vec = backward(model, scene, config, cache, head_grads).params
 
     worst = 0.0
     for _ in range(directions):

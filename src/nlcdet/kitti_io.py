@@ -208,11 +208,23 @@ def write_velodyne(points: np.ndarray) -> bytes:
     return np.ascontiguousarray(points, dtype="<f4").reshape(-1, 4).tobytes()
 
 
+def _nearest_rotation(R: np.ndarray) -> np.ndarray:
+    """The rotation nearest to R (its SVD polar factor) if R is within 1e-6
+    of orthonormal with det > 0; R itself otherwise."""
+    if not (np.allclose(R @ R.T, np.eye(3), rtol=0.0, atol=1e-6) and np.linalg.det(R) > 0):
+        return R
+    u, _, vt = np.linalg.svd(R)
+    return u @ vt
+
+
 def to_calibration(calib: KittiCalib) -> Calibration:
     """Compose P2, R0_rect, and Tr_velo_to_cam into a single pinhole model.
 
     P2 = [K | p4]; the composed model is u,v,d = K ([R | T] x) with
-    R = R0_rect @ Tr_rot and T = R0_rect @ Tr_t + K^-1 p4.  Matrices that
+    R = R0_rect @ Tr_rot and T = R0_rect @ Tr_t + K^-1 p4.  KITTI prints
+    these matrices to 7 significant digits, so R is orthonormal only to
+    about 5e-8; an R that fails the Calibration check but lies within 1e-6
+    of a rotation is replaced by its nearest rotation.  Matrices that still
     do not compose to a valid :class:`~nlcdet.geometry.Calibration` raise
     DegenerateCalib.
     """
@@ -227,7 +239,10 @@ def to_calibration(calib: KittiCalib) -> Calibration:
         try:
             if not np.all(np.isfinite(T)):
                 raise ValueError("translation must be finite")
-            return Calibration(K=K, R=R, T=T)
+            try:
+                return Calibration(K=K, R=R, T=T)
+            except ValueError:
+                return Calibration(K=K, R=_nearest_rotation(R), T=T)
         except ValueError as exc:
             raise DegenerateCalib(f"not a pinhole camera: {exc}") from None
 

@@ -285,55 +285,40 @@ def _layer_shapes(cp: int, ci: int) -> dict[str, tuple[str, int, int]]:
 
 
 _LAYERS = _layer_shapes(1, 1)  # the names and branches do not depend on the widths
-_LAYER_NAMES = tuple(_LAYERS)
 POINT_BRANCH_LAYERS = tuple(n for n, (branch, _, _) in _LAYERS.items() if branch == "point")
 IMAGE_BRANCH_LAYERS = tuple(n for n, (branch, _, _) in _LAYERS.items() if branch == "image")
 
 
-@dataclass
 class ToyModel:
-    """All layers of the two-branch toy network, keyed by name."""
+    """All layers of the two-branch toy network, keyed by name: views into the
+    one float64 vector ``params`` (zeros when new), each layer's weights then
+    bias in packing order, so updating ``params`` in place updates every layer."""
 
-    layers: dict[str, DenseLayer]
+    def __init__(self, c_point: int = 16, c_image: int = 16):
+        shapes = _layer_shapes(c_point, c_image)
+        self.c_point, self.c_image = c_point, c_image
+        self.params = np.zeros(sum((i + 1) * o for _, i, o in shapes.values()))
+        self.layers, off = {}, 0
+        for name, (_, i, o) in shapes.items():
+            weights = self.params[off : off + o * i].reshape(o, i)
+            self.layers[name] = DenseLayer(weights, self.params[off + o * i : off + (i + 1) * o])
+            off += (i + 1) * o
 
     @staticmethod
     def init(seed: int, c_point: int = 16, c_image: int = 16) -> "ToyModel":
+        """He-normal weights drawn layer by layer in packing order, zero biases."""
         rng = np.random.default_rng(seed)
-        layers = {
-            name: DenseLayer.init(i, o, rng)
-            for name, (_, i, o) in _layer_shapes(c_point, c_image).items()
-        }
-        return ToyModel(layers=layers)
-
-    def parameter_count(self) -> int:
-        return sum(
-            l.weights.size + l.bias.size for l in self.layers.values()
-        )
+        model = ToyModel(c_point, c_image)
+        for layer in model.layers.values():
+            scale = np.sqrt(2.0 / layer.in_channels)
+            layer.weights[...] = rng.normal(0.0, scale, size=layer.weights.shape)
+        return model
 
     def pack(self) -> np.ndarray:
-        return np.concatenate([
-            part.ravel()
-            for name in _LAYER_NAMES
-            for part in (self.layers[name].weights, self.layers[name].bias)
-        ])
+        return self.params.copy()
 
     def unpack(self, vec: np.ndarray) -> None:
-        off = 0
-        for name in _LAYER_NAMES:
-            layer = self.layers[name]
-            for attr in ("weights", "bias"):
-                part = getattr(layer, attr)
-                setattr(layer, attr, vec[off : off + part.size].reshape(part.shape).copy())
-                off += part.size
-
-
-def _zero_grads(model: ToyModel) -> dict[str, DenseLayer]:
-    return {
-        name: DenseLayer(
-            weights=np.zeros_like(l.weights), bias=np.zeros_like(l.bias)
-        )
-        for name, l in model.layers.items()
-    }
+        self.params[...] = vec
 
 
 # per stage: point layer, image layer, i2p fusion layers, p2i fusion layers
@@ -441,10 +426,11 @@ def backward(
 ):
     """Backpropagate the weighted sum of the selected loss components.
 
-    Returns parameter gradients with the same layer structure as the model.
+    Returns the parameter gradients as a model of the same shape, so a layer
+    that got no gradient reads zero.
     """
     L = model.layers
-    grads = _zero_grads(model)
+    grads = {}
     h, w = scene.image.shape[1:]
     plan = scene.plan
     image_on = not config.point_only
@@ -487,13 +473,17 @@ def backward(
         if image_on:
             d_pre = _rows(d_f_layer) * (st.pre_image > 0)
             d_f, grads[image] = _linear_backward(L[image], st.image_in, d_pre)
-    return grads
+    out = ToyModel(model.c_point, model.c_image)
+    for name, grad in grads.items():
+        out.layers[name].weights[...] = grad.weights
+        out.layers[name].bias[...] = grad.bias
+    return out
 
 
-def _grad_norm(grads: dict[str, DenseLayer], names) -> float:
+def _grad_norm(grads: ToyModel, names) -> float:
     total = 0.0
-    for name in names:
-        total += float(np.sum(grads[name].weights ** 2) + np.sum(grads[name].bias ** 2))
+    for layer in (grads.layers[name] for name in names):
+        total += float(np.sum(layer.weights ** 2) + np.sum(layer.bias ** 2))
     return float(np.sqrt(total))
 
 
@@ -579,9 +569,7 @@ def train(
             grads = backward(model, scene, config, cache, head_grads)
             pn += _grad_norm(grads, POINT_BRANCH_LAYERS) ** 2
             inorm += _grad_norm(grads, IMAGE_BRANCH_LAYERS) ** 2
-            for name, layer in model.layers.items():
-                layer.weights -= lr * grads[name].weights
-                layer.bias -= lr * grads[name].bias
+            model.params -= lr * grads.params
         if diverged:
             break
         # image-objective gradient reaching the point branch (telemetry)
@@ -609,7 +597,7 @@ def train(
         config=config,
         epochs=epochs_log,
         final_val=final_val,
-        parameter_count=model.parameter_count(),
+        parameter_count=model.params.size,
         diverged=diverged,
     )
     return model, report

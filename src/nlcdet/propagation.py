@@ -45,9 +45,10 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseLayer:
-    """Shared per-point linear map / 1x1 convolution: y = W x + b."""
+    """Shared per-point linear map / 1x1 convolution: y = W x + b.  Frozen, so
+    arrays that view a larger parameter vector stay bound to it."""
 
     weights: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
@@ -59,14 +60,6 @@ class DenseLayer:
     @property
     def out_channels(self) -> int:
         return self.weights.shape[0]
-
-    @staticmethod
-    def init(in_channels: int, out_channels: int, rng: np.random.Generator):
-        scale = np.sqrt(2.0 / in_channels)
-        return DenseLayer(
-            weights=rng.normal(0.0, scale, size=(out_channels, in_channels)),
-            bias=np.zeros(out_channels),
-        )
 
 
 def _linear(layer: DenseLayer, x: np.ndarray) -> np.ndarray:

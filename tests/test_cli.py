@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from nlcdet import Box3D, nlc_to_lidar, read_nlc_map
 from nlcdet.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from nlcdet.kitti_io import KittiCalib, emit_calib, emit_labels, lidar_box_to_label, write_velodyne
+from nlcdet.kitti_io import (
+    KittiCalib, emit_calib, emit_labels, lidar_box_to_label, parse_calib, write_velodyne,
+)
 
 
 def make_fixture(tmp_path, rng):
@@ -84,6 +86,70 @@ class TestNlcmap:
             "--velodyne", str(velo), "--out", str(tmp_path / "x.nlcm"),
         ])
         assert code == EXIT_DATA
+
+
+def _kitti_printed_fixture(tmp_path, rng, scale=1.0):
+    """The fixture with a rotated rectification, every calibration
+    entry printed to 7 significant digits as KITTI prints them."""
+    calib_path, label_path, velo_path, box = make_fixture(tmp_path, rng)
+    calib = parse_calib(calib_path.read_text())
+    a, b = 0.1, 0.2
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, np.cos(a), -np.sin(a)], [0.0, np.sin(a), np.cos(a)]])
+    ry = np.array([[np.cos(b), 0.0, np.sin(b)], [0.0, 1.0, 0.0], [-np.sin(b), 0.0, np.cos(b)]])
+    calib.R0_rect = rx @ ry * scale
+    calib_path.write_text("".join(
+        f"{key}: " + " ".join(f"{x:.6e}" for x in getattr(calib, key).ravel()) + "\n"
+        for key in ("P2", "R0_rect", "Tr_velo_to_cam")
+    ))
+    label_path.write_text(emit_labels([lidar_box_to_label(box, calib)]))
+    return calib_path, label_path, velo_path
+
+
+class TestKittiPrintedCalibration:
+    def _nlcmap(self, tmp_path, paths):
+        calib, label, velo = paths
+        return main([
+            "nlcmap", "--calib", str(calib), "--label", str(label), "--velodyne", str(velo),
+            "--out", str(tmp_path / "m.nlcm"), "--height", "96", "--width", "128",
+        ])
+
+    def test_seven_digit_rotation_accepted(self, tmp_path, rng, capsys):
+        paths = _kitti_printed_fixture(tmp_path, rng)
+        calib = parse_calib(paths[0].read_text())
+        rot = calib.R0_rect @ calib.Tr_velo_to_cam[:, :3]
+        off_diagonal = (rot @ rot.T)[~np.eye(3, dtype=bool)]
+        assert np.abs(off_diagonal).max() > 1e-8  # beyond Calibration's 1e-9
+        assert self._nlcmap(tmp_path, paths) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("object 0: ") and not out.startswith("object 0: 0 ")
+
+    def test_rotation_off_by_1e_4_exit_2(self, tmp_path, rng, capsys):
+        paths = _kitti_printed_fixture(tmp_path, rng, scale=1.0 + 1e-4)
+        assert self._nlcmap(tmp_path, paths) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: not a pinhole camera: R must be")
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("command, flag", [
+        ("nlcmap", "--out"), ("nlcmap", "--csv"),
+        ("train", "--out"), ("train", "--curves"), ("ablation", "--out"),
+    ])
+    def test_missing_directory_exit_2(self, tmp_path, rng, capsys, command, flag):
+        missing = str(tmp_path / "missing" / "file")
+        if command == "nlcmap":
+            calib, label, velo, _ = make_fixture(tmp_path, rng)
+            argv = ["nlcmap", "--calib", str(calib), "--label", str(label),
+                    "--velodyne", str(velo), "--height", "96", "--width", "128"]
+            if flag != "--out":
+                argv += ["--out", str(tmp_path / "m.nlcm")]
+        else:
+            cfg = tmp_path / "train.cfg"
+            cfg.write_text(TestTrainAndAblation.CONFIG)
+            argv = [command, "--config", str(cfg)] + (["--seeds", "0,1"] if command == "ablation" else [])
+        assert main(argv + [flag, missing]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "missing" in err
 
 
 class TestSolve:

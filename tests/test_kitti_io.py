@@ -36,6 +36,17 @@ IDENTITY_CALIB_TEXT = (
     "Tr_velo_to_cam: 1 0 0 0 0 1 0 0 0 0 1 0\n"
 )
 
+KITTI_2011_09_26_CALIB_TEXT = (
+    "P2: 7.215377e+02 0.000000e+00 6.095593e+02 4.485728e+01 0.000000e+00 "
+    "7.215377e+02 1.728540e+02 2.163791e-01 0.000000e+00 0.000000e+00 "
+    "1.000000e+00 2.745884e-03\n"
+    "R0_rect: 9.999239e-01 9.837760e-03 -7.445048e-03 -9.869795e-03 "
+    "9.999421e-01 -4.278459e-03 7.402527e-03 4.351614e-03 9.999631e-01\n"
+    "Tr_velo_to_cam: 7.533745e-03 -9.999714e-01 -6.166020e-04 -4.069766e-03 "
+    "1.480249e-02 7.280733e-04 -9.998902e-01 -7.631618e-02 9.998621e-01 "
+    "7.523790e-03 1.480755e-02 -2.717806e-01\n"
+)
+
 
 def kitti_like_calib():
     # plausible forward-camera geometry: LiDAR x -> camera z
@@ -113,6 +124,33 @@ class TestCalibComposition:
         huge.Tr_velo_to_cam *= 1e100
         for calib in (lower, stretched, huge):
             with pytest.raises(DegenerateCalib):
+                to_calibration(calib)
+
+    def test_kitti_printed_rotation_replaced_by_nearest(self):
+        # the 2011_09_26 drive's matrices, as KITTI prints them
+        calib = parse_calib(KITTI_2011_09_26_CALIB_TEXT)
+        product = calib.R0_rect @ calib.Tr_velo_to_cam[:, :3]
+        assert np.abs(product @ product.T - np.eye(3)).max() > 1e-9
+        R = to_calibration(calib).R
+        assert np.abs(R @ R.T - np.eye(3)).max() < 1e-12
+        assert np.linalg.det(R) > 0
+        assert np.abs(R - product).max() < 1e-7
+
+    def test_rotation_accepted_as_is_kept_bit_for_bit(self):
+        c, s = np.cos(0.004), np.sin(0.004)
+        calib = kitti_like_calib()
+        calib.R0_rect = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        for cal in (calib, kitti_like_calib()):
+            R = to_calibration(cal).R
+            assert np.array_equal(R, cal.R0_rect @ cal.Tr_velo_to_cam[:, :3])
+
+    def test_rotation_beyond_tolerance_rejected(self):
+        off = parse_calib(KITTI_2011_09_26_CALIB_TEXT)
+        off.R0_rect *= 1.0 + 1e-4
+        mirrored = kitti_like_calib()
+        mirrored.R0_rect = np.diag([1.0, 1.0, -1.0])
+        for calib in (off, mirrored):
+            with pytest.raises(DegenerateCalib, match="orthonormal"):
                 to_calibration(calib)
 
     def test_label_without_valid_box_rejected(self):

@@ -1,6 +1,6 @@
 """Synthetic scenes, the toy two-branch network, training, and the ablation."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -159,8 +159,8 @@ class TestForwardBackward:
         grads = backward(model, scene, cfg, cache, head_grads,
                          components=("nlc", "sem2d"))
         for name in POINT_BRANCH_LAYERS:
-            assert np.all(grads[name].weights == 0.0)
-            assert np.all(grads[name].bias == 0.0)
+            assert np.all(grads.layers[name].weights == 0.0)
+            assert np.all(grads.layers[name].bias == 0.0)
 
     def test_p2i_carries_image_gradient_to_points(self):
         scene = generate_scene(5)
@@ -170,7 +170,7 @@ class TestForwardBackward:
         _, head_grads = compute_losses(outputs, scene, cfg)
         grads = backward(model, scene, cfg, cache, head_grads,
                          components=("nlc", "sem2d"))
-        total = sum(float(np.abs(grads[n].weights).sum()) for n in ("point1", "point2"))
+        total = sum(float(np.abs(grads.layers[n].weights).sum()) for n in ("point1", "point2"))
         assert total > 0.0
 
     def test_point_losses_never_touch_image_branch(self):
@@ -183,7 +183,53 @@ class TestForwardBackward:
         # i2p feeds points from the image branch, so image1/2 may receive
         # gradient; the image-side heads must not
         for name in ("head_nlc", "head_sem2d"):
-            assert np.all(grads[name].weights == 0.0)
+            assert np.all(grads.layers[name].weights == 0.0)
+
+
+class TestParameterVector:
+    def test_layers_are_views_into_params(self):
+        model, _ = train(TINY)  # after training, so the update kept the views
+        sizes = 0
+        for layer in model.layers.values():
+            assert np.shares_memory(layer.weights, model.params)
+            assert np.shares_memory(layer.bias, model.params)
+            sizes += layer.weights.size + layer.bias.size
+        assert sizes == model.params.size
+
+    def test_unpack_then_pack_round_trips_and_reaches_forward(self):
+        scene = generate_scene(5)
+        model = ToyModel.init(0, 6, 6)
+        before, _ = forward(model, scene, TINY)
+        vec = np.random.default_rng(1).normal(size=model.params.size)
+        model.unpack(vec)
+        packed = model.pack()
+        assert np.array_equal(packed, vec)
+        assert not np.shares_memory(packed, model.params)
+        after, _ = forward(model, scene, TINY)
+        for key in before:
+            assert not np.array_equal(before[key], after[key])
+
+    def test_layer_arrays_cannot_be_rebound(self):
+        layer = ToyModel.init(0, 6, 6).layers["point1"]
+        with pytest.raises(FrozenInstanceError):
+            layer.bias = np.ones_like(layer.bias)
+
+    def test_disabled_i2p_layers_get_exactly_zero_gradient(self):
+        scene = generate_scene(5)
+        cfg = replace(TINY, enable_i2p=False)
+        model = ToyModel.init(0, 6, 6)
+        outputs, cache = forward(model, scene, cfg)
+        _, head_grads = compute_losses(outputs, scene, cfg)
+        grads = backward(model, scene, cfg, cache, head_grads)
+        # the i2p layers' part of the flat vector, found through their views
+        probe = ToyModel(6, 6)
+        for name in ("i2p1a", "i2p1b", "i2p2a", "i2p2b"):
+            probe.layers[name].weights[...] = 1.0
+            probe.layers[name].bias[...] = 1.0
+        part = probe.params == 1.0
+        assert 0 < part.sum() < part.size
+        assert np.all(grads.params[part] == 0.0)
+        assert np.any(grads.params[~part] != 0.0)
 
 
 class TestTraining:
