@@ -7,6 +7,7 @@ x-axis, normalized to (-pi, pi].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,6 +67,15 @@ class Box3D:
         return self.l * self.w * self.h
 
 
+def _is_rotation(R: np.ndarray) -> bool:
+    """Whether the 3x3 matrix R is orthonormal with det +1, each to an
+    absolute 1e-9."""
+    return bool(
+        np.allclose(R @ R.T, np.eye(3), rtol=0.0, atol=1e-9)
+        and np.isclose(np.linalg.det(R), 1.0, rtol=0.0, atol=1e-9)
+    )
+
+
 @dataclass(frozen=True)
 class Calibration:
     """Pinhole model: intrinsics K, LiDAR-to-camera rotation R, translation T."""
@@ -82,9 +92,7 @@ class Calibration:
             raise ValueError("K must be upper-triangular")
         if not np.all(np.diag(K) > 0):
             raise ValueError("K diagonal must be positive")
-        if not np.allclose(R @ R.T, np.eye(3), atol=1e-9) or not np.isclose(
-            np.linalg.det(R), 1.0, atol=1e-9
-        ):
+        if not _is_rotation(R):
             raise ValueError("R must be orthonormal with det +1")
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "R", R)
@@ -206,29 +214,30 @@ def _bev_corners(box: Box3D) -> np.ndarray:
 
 def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     """Sutherland-Hodgman clip of a convex subject by a convex CCW clip polygon."""
-    output = subject
+    output = subject.tolist()
+    clip = clip.tolist()
     m = len(clip)
     for i in range(m):
-        if len(output) == 0:
+        if not output:
             break
-        a, b = clip[i], clip[(i + 1) % m]
-        edge = b - a
+        (ax, ay), (bx, by) = clip[i], clip[(i + 1) % m]
+        ex, ey = bx - ax, by - ay
         inp = output
         output = []
-        prev = inp[-1]
+        px, py = inp[-1]
         # signed side of the clip edge; >= 0 is inside
-        s_prev = edge[0] * (prev[1] - a[1]) - edge[1] * (prev[0] - a[0])
-        for cur in inp:
-            s_cur = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0])
+        s_prev = ex * (py - ay) - ey * (px - ax)
+        for cx, cy in inp:
+            s_cur = ex * (cy - ay) - ey * (cx - ax)
             if (s_cur >= 0) != (s_prev >= 0):
                 # the side value is linear along prev->cur and changes sign,
                 # so the denominator is never zero
-                output.append(prev + s_prev / (s_prev - s_cur) * (cur - prev))
+                t = s_prev / (s_prev - s_cur)
+                output.append([px + t * (cx - px), py + t * (cy - py)])
             if s_cur >= 0:
-                output.append(cur)
-            prev, s_prev = cur, s_cur
-        output = np.asarray(output).reshape(-1, 2)
-    return np.asarray(output).reshape(-1, 2)
+                output.append([cx, cy])
+            px, py, s_prev = cx, cy, s_cur
+    return np.array(output, dtype=float).reshape(-1, 2)
 
 
 def _shoelace_area(poly: np.ndarray) -> float:
@@ -238,9 +247,28 @@ def _shoelace_area(poly: np.ndarray) -> float:
     return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
+def _footprint_key(box: Box3D) -> tuple:
+    """Order of :func:`iou_3d`'s clip: bird's-eye area first, then the fields
+    that fix the footprint, so equal keys mean equal footprints."""
+    l, w = float(box.l), float(box.w)
+    return (l * w, l, w, float(box.yaw), *box.center[:2].tolist())
+
+
 def iou_3d(a: Box3D, b: Box3D) -> float:
-    """3D IoU of two oriented boxes: BEV polygon clipping times vertical overlap."""
-    inter_poly = _clip_polygon(_bev_corners(a), _bev_corners(b))
+    """3D IoU of two oriented boxes: BEV polygon clipping times vertical overlap.
+
+    Boxes whose bird's-eye circumscribed circles are apart (with a relative
+    pad of 1e-9 for rounding) cannot overlap and get 0.0 without clipping.
+    The smaller footprint is clipped by the larger, whatever the argument
+    order, so the value is symmetric and a small box inside a huge one keeps
+    its own corners.
+    """
+    (ax, ay, _), (bx, by, _) = a.center.tolist(), b.center.tolist()
+    reach = (math.hypot(a.l, a.w) + math.hypot(b.l, b.w)) / 2
+    if math.hypot(ax - bx, ay - by) > reach * (1 + 1e-9):
+        return 0.0
+    small, large = (a, b) if _footprint_key(a) <= _footprint_key(b) else (b, a)
+    inter_poly = _clip_polygon(_bev_corners(small), _bev_corners(large))
     area = _shoelace_area(inter_poly)
     if area < 1e-12:
         return 0.0

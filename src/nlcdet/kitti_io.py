@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     TruncatedFile,
 )
-from .geometry import Box3D, Calibration, normalize_angle
+from .geometry import Box3D, Calibration, _is_rotation, normalize_angle
 
 __all__ = [
     "KittiCalib",
@@ -208,10 +208,20 @@ def write_velodyne(points: np.ndarray) -> bytes:
     return np.ascontiguousarray(points, dtype="<f4").reshape(-1, 4).tobytes()
 
 
-def _nearest_rotation(R: np.ndarray) -> np.ndarray:
-    """The rotation nearest to R (its SVD polar factor) if R is within 1e-6
-    of orthonormal with det > 0; R itself otherwise."""
-    if not (np.allclose(R @ R.T, np.eye(3), rtol=0.0, atol=1e-6) and np.linalg.det(R) > 0):
+def _composed_rotation(calib: KittiCalib) -> np.ndarray:
+    """R0_rect @ Tr_velo_to_cam's rotation block, the rotation that both the
+    projection and the label lift use.
+
+    KITTI prints these matrices to 7 significant digits, so the product is
+    orthonormal only to about 5e-8.  A product that fails the
+    :class:`~nlcdet.geometry.Calibration` check but lies within 1e-6 of
+    orthonormal with det > 0 is replaced by its nearest rotation (the SVD
+    polar factor); any other product is returned as it is.
+    """
+    R = calib.R0_rect @ calib.Tr_velo_to_cam[:, :3]
+    if _is_rotation(R) or not (
+        np.allclose(R @ R.T, np.eye(3), rtol=0.0, atol=1e-6) and np.linalg.det(R) > 0
+    ):
         return R
     u, _, vt = np.linalg.svd(R)
     return u @ vt
@@ -221,12 +231,9 @@ def to_calibration(calib: KittiCalib) -> Calibration:
     """Compose P2, R0_rect, and Tr_velo_to_cam into a single pinhole model.
 
     P2 = [K | p4]; the composed model is u,v,d = K ([R | T] x) with
-    R = R0_rect @ Tr_rot and T = R0_rect @ Tr_t + K^-1 p4.  KITTI prints
-    these matrices to 7 significant digits, so R is orthonormal only to
-    about 5e-8; an R that fails the Calibration check but lies within 1e-6
-    of a rotation is replaced by its nearest rotation.  Matrices that still
-    do not compose to a valid :class:`~nlcdet.geometry.Calibration` raise
-    DegenerateCalib.
+    R from :func:`_composed_rotation` and T = R0_rect @ Tr_t + K^-1 p4.
+    Matrices that do not compose to a valid
+    :class:`~nlcdet.geometry.Calibration` raise DegenerateCalib.
     """
     K = calib.P2[:, :3]
     p4 = calib.P2[:, 3]
@@ -234,22 +241,20 @@ def to_calibration(calib: KittiCalib) -> Calibration:
     with np.errstate(over="ignore", invalid="ignore"):
         if not abs(np.linalg.det(K)) >= 1e-12:
             raise DegenerateCalib("P2 intrinsic block is singular")
-        R = calib.R0_rect @ calib.Tr_velo_to_cam[:, :3]
+        R = _composed_rotation(calib)
         T = calib.R0_rect @ calib.Tr_velo_to_cam[:, 3] + np.linalg.solve(K, p4)
         try:
             if not np.all(np.isfinite(T)):
                 raise ValueError("translation must be finite")
-            try:
-                return Calibration(K=K, R=R, T=T)
-            except ValueError:
-                return Calibration(K=K, R=_nearest_rotation(R), T=T)
+            return Calibration(K=K, R=R, T=T)
         except ValueError as exc:
             raise DegenerateCalib(f"not a pinhole camera: {exc}") from None
 
 
 def _rect_to_velo(calib: KittiCalib):
-    """Rotation/translation taking rectified-camera coordinates to LiDAR."""
-    rot = calib.R0_rect @ calib.Tr_velo_to_cam[:, :3]
+    """Rotation/translation taking rectified-camera coordinates to LiDAR,
+    the inverse of the rotation :func:`to_calibration` projects with."""
+    rot = _composed_rotation(calib)
     if abs(np.linalg.det(rot)) < 1e-9:
         raise DegenerateCalib("rectification/extrinsic composition is singular")
     t = calib.R0_rect @ calib.Tr_velo_to_cam[:, 3]

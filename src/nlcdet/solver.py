@@ -69,32 +69,37 @@ def _box_from_params(q: np.ndarray) -> Box3D:
     )
 
 
-def _residuals_and_jacobian(q: np.ndarray, pts: np.ndarray, nlcs: np.ndarray):
-    """Stacked residuals r = nlc(p; box) - n and the analytic (3N, 7) Jacobian.
+_AXES = np.arange(3)
+
+
+def _residuals(q: np.ndarray, pts: np.ndarray, nlcs: np.ndarray):
+    """Stacked residuals r = nlc(p; box) - n, and the intermediate values
+    :func:`_jacobian` needs.
 
     Parameters are (cx, cy, cz, log l, log w, log h, yaw).
     """
-    c = q[:3]
     dims = np.exp(q[3:6])
-    theta = q[6]
-    rot = rot_z(theta)
-    d = pts - c  # (N, 3)
+    rot = rot_z(q[6])
+    d = pts - q[:3]  # (N, 3)
     local = d @ rot  # R^T d
     n = local / dims + 0.5
-    res = (n - nlcs).ravel()
+    return (n - nlcs).ravel(), (rot, dims, d, n)
 
-    npts = len(pts)
+
+def _jacobian(parts) -> np.ndarray:
+    """The analytic (3N, 7) Jacobian of :func:`_residuals` at the same q."""
+    rot, dims, d, n = parts
+    npts = len(d)
     jac = np.zeros((npts, 3, 7))
     # d n / d c = -(1/dims) * R^T
     jac[:, :, :3] = -(rot.T / dims[:, None])[None, :, :]
     # d n_k / d log(dim_k) = -(n_k - 0.5)
-    for k in range(3):
-        jac[:, k, 3 + k] = -(n[:, k] - 0.5)
+    jac[:, _AXES, _AXES + 3] = -(n - 0.5)
     # d local / d theta = (dR/dtheta)^T d
-    ct, st = np.cos(theta), np.sin(theta)
+    ct, st = rot[0, 0], rot[1, 0]
     jac[:, 0, 6] = (-st * d[:, 0] + ct * d[:, 1]) / dims[0]
     jac[:, 1, 6] = (-ct * d[:, 0] - st * d[:, 1]) / dims[1]
-    return res, jac.reshape(3 * npts, 7)
+    return jac.reshape(3 * npts, 7)
 
 
 def _default_init(pts: np.ndarray, nlcs: np.ndarray | None = None) -> Box3D:
@@ -142,7 +147,8 @@ def solve_box(
     pts, nlcs = corrs[:, :3], corrs[:, 3:]
 
     q = _params_from_box(init if init is not None else _default_init(pts, nlcs))
-    res, jac = _residuals_and_jacobian(q, pts, nlcs)
+    res, parts = _residuals(q, pts, nlcs)
+    jac = _jacobian(parts)
     cost = float(res @ res)
     lam = opts.lm_damping_init
     converged = False
@@ -151,21 +157,23 @@ def solve_box(
         jtj = jac.T @ jac
         jtr = jac.T @ res
         # Marquardt scaling, floored so unobservable parameters stay damped
-        scale = np.diag(jtj) + 1e-12 * max(np.diag(jtj).max(), 1.0)
+        diag = jtj.diagonal()
+        scale = diag + 1e-12 * max(diag.max(), 1.0)
+        jtj.ravel()[::8] += lam * scale  # damp the diagonal in place
         try:
-            step = np.linalg.solve(jtj + lam * np.diag(scale), -jtr)
+            step = np.linalg.solve(jtj, -jtr)
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
         q_new = q + step
         # keep dimensions representable; beyond this range the fit is hopeless
-        q_new[3:6] = np.clip(q_new[3:6], -30.0, 30.0)
-        res_new, jac_new = _residuals_and_jacobian(q_new, pts, nlcs)
+        np.clip(q_new[3:6], -30.0, 30.0, out=q_new[3:6])
+        res_new, parts = _residuals(q_new, pts, nlcs)
         cost_new = float(res_new @ res_new)
         if cost_new <= cost:
             rms_old = np.sqrt(cost / len(res))
             rms_new = np.sqrt(cost_new / len(res))
-            q, res, jac, cost = q_new, res_new, jac_new, cost_new
+            q, res, jac, cost = q_new, res_new, _jacobian(parts), cost_new
             lam *= 0.5
             if rms_old - rms_new < opts.tol:
                 converged = True
@@ -213,7 +221,7 @@ def dof_analysis(
                 at = _default_init(pts, nlcs)
         else:
             at = _default_init(pts, nlcs)
-    _, jac = _residuals_and_jacobian(_params_from_box(at), pts, nlcs)
-    sv = np.linalg.svd(jac, compute_uv=False)
+    _, parts = _residuals(_params_from_box(at), pts, nlcs)
+    sv = np.linalg.svd(_jacobian(parts), compute_uv=False)
     rank = int(np.sum(sv > 1e-10 * sv[0])) if sv[0] > 0 else 0
     return {"equations": 3 * len(corrs), "unknowns": 7, "jacobian_rank": rank}

@@ -144,6 +144,22 @@ class TestCalibComposition:
             R = to_calibration(cal).R
             assert np.array_equal(R, cal.R0_rect @ cal.Tr_velo_to_cam[:, :3])
 
+    def test_label_lift_uses_the_projection_rotation(self):
+        # KITTI's printed matrices: the lift must invert the rotation that
+        # to_calibration projects with, not the raw 7-digit product
+        calib = parse_calib(KITTI_2011_09_26_CALIB_TEXT)
+        cal = to_calibration(calib)
+        label = parse_labels(CAR_LINE)[0]
+        box = label_to_lidar_box(label, calib)
+        t = calib.R0_rect @ calib.Tr_velo_to_cam[:, 3]
+        center_cam = np.array(label.location) - [0.0, label.h / 2.0, 0.0]
+        assert np.abs(cal.R @ box.center + t - center_cam).max() < 1e-12
+        hom = calib.P2 @ np.append(center_cam, 1.0)
+        u, v, d = project_points(box.center, cal)
+        assert np.abs([u[0] - hom[0] / hom[2], v[0] - hom[1] / hom[2], d[0] - hom[2]]).max() < 1e-9
+        back = lidar_box_to_label(box, calib)
+        assert np.abs(np.subtract(back.location, label.location)).max() < 1e-12
+
     def test_rotation_beyond_tolerance_rejected(self):
         off = parse_calib(KITTI_2011_09_26_CALIB_TEXT)
         off.R0_rect *= 1.0 + 1e-4

@@ -8,13 +8,16 @@ import pytest
 from nlcdet import (
     Box3D,
     SolveOptions,
+    SolveReport,
     Underdetermined,
     dof_analysis,
     lidar_to_nlc,
     nlc_to_lidar,
     normalize_angle,
+    rot_z,
     solve_box,
 )
+from nlcdet.solver import _box_from_params, _default_init, _params_from_box
 
 from conftest import random_box
 
@@ -198,3 +201,128 @@ class TestDofAnalysis:
     def test_empty_rejected(self):
         with pytest.raises(Underdetermined):
             dof_analysis(np.zeros((0, 6)))
+
+
+def _reference_residuals_and_jacobian(q, pts, nlcs):
+    """The one-pass residual and Jacobian evaluation ``solve_box`` must match."""
+    c = q[:3]
+    dims = np.exp(q[3:6])
+    theta = q[6]
+    rot = rot_z(theta)
+    d = pts - c
+    local = d @ rot
+    n = local / dims + 0.5
+    res = (n - nlcs).ravel()
+    npts = len(pts)
+    jac = np.zeros((npts, 3, 7))
+    jac[:, :, :3] = -(rot.T / dims[:, None])[None, :, :]
+    for k in range(3):
+        jac[:, k, 3 + k] = -(n[:, k] - 0.5)
+    ct, st = np.cos(theta), np.sin(theta)
+    jac[:, 0, 6] = (-st * d[:, 0] + ct * d[:, 1]) / dims[0]
+    jac[:, 1, 6] = (-ct * d[:, 0] - st * d[:, 1]) / dims[1]
+    return res, jac.reshape(3 * npts, 7)
+
+
+def reference_solve_box(correspondences, init=None, opts=SolveOptions()):
+    """The Levenberg-Marquardt loop ``solve_box`` must reproduce bit for bit:
+    a Jacobian on every trial step, an explicit damping matrix and a
+    per-axis loop."""
+    corrs = np.asarray(correspondences, dtype=float).reshape(-1, 6)
+    order = np.lexsort(tuple(corrs[:, k] for k in range(5, -1, -1)))
+    corrs = corrs[order]
+    pts, nlcs = corrs[:, :3], corrs[:, 3:]
+    q = _params_from_box(init if init is not None else _default_init(pts, nlcs))
+    res, jac = _reference_residuals_and_jacobian(q, pts, nlcs)
+    cost = float(res @ res)
+    lam = opts.lm_damping_init
+    converged = False
+    iterations = 0
+    for iterations in range(1, opts.max_iterations + 1):
+        jtj = jac.T @ jac
+        jtr = jac.T @ res
+        scale = np.diag(jtj) + 1e-12 * max(np.diag(jtj).max(), 1.0)
+        try:
+            step = np.linalg.solve(jtj + lam * np.diag(scale), -jtr)
+        except np.linalg.LinAlgError:
+            lam *= 10.0
+            continue
+        q_new = q + step
+        q_new[3:6] = np.clip(q_new[3:6], -30.0, 30.0)
+        res_new, jac_new = _reference_residuals_and_jacobian(q_new, pts, nlcs)
+        cost_new = float(res_new @ res_new)
+        if cost_new <= cost:
+            rms_old = np.sqrt(cost / len(res))
+            rms_new = np.sqrt(cost_new / len(res))
+            q, res, jac, cost = q_new, res_new, jac_new, cost_new
+            lam *= 0.5
+            if rms_old - rms_new < opts.tol:
+                converged = True
+                break
+        else:
+            lam *= 10.0
+            if lam > 1e12:
+                break
+    sv = np.linalg.svd(jac, compute_uv=False)
+    condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+    degenerate = condition > 1e8
+    if degenerate:
+        converged = False
+    q[6] = normalize_angle(q[6])
+    return SolveReport(
+        box=_box_from_params(q),
+        rms_residual=float(np.sqrt(cost / len(res))),
+        iterations=iterations,
+        condition_estimate=condition,
+        converged=converged,
+        degenerate=degenerate,
+    )
+
+
+def _report_fields(report):
+    b = report.box
+    return [b.center, b.l, b.w, b.h, b.yaw, report.rms_residual, report.iterations,
+            report.condition_estimate, report.converged, report.degenerate]
+
+
+def _with_outliers(rng, corrs, frac):
+    corrs = corrs.copy()
+    bad = rng.choice(len(corrs), size=int(round(frac * len(corrs))), replace=False)
+    corrs[bad, 3:] = rng.uniform(0.0, 1.0, size=(len(bad), 3))
+    return corrs
+
+
+def _clutter(rng):
+    a, b = (make_instance(rng, random_box(rng, dim_lo=1.0), 30) for _ in range(2))
+    return np.vstack([a[:15], b[15:]])
+
+
+def _at_center(rng):
+    box = random_box(rng, dim_lo=1.0)
+    return np.hstack([np.tile(box.center, (5, 1)), np.full((5, 3), 0.5)])
+
+
+class TestReferenceLoop:
+    CASES = {
+        "clean": lambda rng: (make_instance(rng, random_box(rng, dim_lo=1.0), 30), None),
+        "outliers_10pct": lambda rng: (
+            _with_outliers(rng, make_instance(rng, random_box(rng, dim_lo=1.0), 30), 0.1), None),
+        "clutter": lambda rng: (_clutter(rng), None),
+        "three_points": lambda rng: (make_instance(rng, random_box(rng, dim_lo=1.0), 3), None),
+        "rank_deficient": lambda rng: (_at_center(rng), None),
+        "rank_deficient_init": lambda rng: (
+            (c := _at_center(rng)), Box3D(center=c[0, :3], l=2.0, w=1.5, h=1.0, yaw=0.3)),
+        "given_init": lambda rng: (
+            make_instance(rng, box := random_box(rng, dim_lo=1.0), 20),
+            perturbed(box, rng, pos=1.0, ang=0.5)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_field_matches_reference(self, case):
+        for seed in range(12):
+            rng = np.random.default_rng([seed, 8])
+            corrs, init = self.CASES[case](rng)
+            got = _report_fields(solve_box(corrs, init=init))
+            want = _report_fields(reference_solve_box(corrs, init=init))
+            for g, w in zip(got, want):
+                assert type(g) is type(w) and np.array_equal(g, w), (case, seed, got, want)
