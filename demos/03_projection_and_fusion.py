@@ -48,15 +48,17 @@ print(f"\nplan reproduces the public ops: "
       f"scatter {np.abs(plan.scatter(feats) - grid).max():.3e}, "
       f"gather {np.abs(plan.gather(grid) - back).max():.3e}")
 
-# Fusion blocks merge the transported features with the native branch.
+# Fusion blocks merge the transported features with the native branch.  Both
+# take (M, C) rows: pixel rows (H*W, C) on the image side, point rows on the other.
 layers = (
     DenseLayer(weights=rng.normal(size=(C, C)) * 0.3, bias=np.zeros(C)),
     DenseLayer(weights=rng.normal(size=(C, 2 * C)) * 0.3, bias=np.zeros(C)),
 )
-image = rng.normal(size=(C, H, W))
-fused_img, _ = fuse_p2i(grid, image, layers)
+image_rows = rng.normal(size=(H * W, C))
+fused_img, _ = fuse_p2i(grid.reshape(C, -1).T, image_rows, layers)
 fused_pts, _ = fuse_i2p(back, feats, layers)
-print(f"fuse point->image: {fused_img.shape}; fuse image->point: {fused_pts.shape}")
+print(f"fuse point->image: {fused_img.shape} pixel rows; "
+      f"fuse image->point: {fused_pts.shape} point rows")
 
 # The same finite-difference harness that gates the package, run here live.
 results = gradcheck.run_all(trials=3, seed=0)

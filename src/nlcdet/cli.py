@@ -153,7 +153,7 @@ def cmd_gradcheck(args) -> int:
     if args.trials <= 0:
         print("error: --trials must be positive", file=sys.stderr)
         return EXIT_USAGE
-    results = gc.run_all(args.trials, args.seed, perturb=args.self_test_perturb)
+    results = gc.run_all(args.trials, args.seed)
     op_map = {
         "p2i": ("point_to_pixel", "adjoint_point_to_pixel"),
         "point_to_pixel": ("point_to_pixel", "adjoint_point_to_pixel"),
@@ -210,8 +210,7 @@ def cmd_ablation(args) -> int:
     config = _load_config(args.config)
     if config is None:
         return EXIT_DATA
-    seeds = tuple(int(s) for s in args.seeds.split(","))
-    report = ablation(config, seeds=seeds)
+    report = ablation(config, seeds=args.seeds)
     _emit_json(report, args.out)
     if any(
         run["diverged"] for row in report["rows"].values() for run in row["runs"]
@@ -253,6 +252,14 @@ def _iou_threshold(text: str) -> float:
     return value
 
 
+def _seed_list(text: str) -> tuple[int, ...]:
+    """argparse type for ``--seeds``: at least two comma-separated non-negative integers."""
+    seeds = tuple(int(s) for s in text.split(","))
+    if len(seeds) < 2 or min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} must hold at least two non-negative seeds")
+    return seeds
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="nlcdet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -281,7 +288,6 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--self-test-perturb", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train", help="train the synthetic-scene toy network")
@@ -292,7 +298,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ablation", help="run the fusion ablation experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--seeds", default="0,1,2")
+    p.add_argument("--seeds", type=_seed_list, default="0,1,2")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ablation)
 

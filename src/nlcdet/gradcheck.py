@@ -139,7 +139,7 @@ def _check_fuse(rng, forward_fn, backward_fn, aux_shape, main_shape) -> float:
 
 
 def check_fuse_p2i(rng: np.random.Generator) -> float:
-    return _check_fuse(rng, fuse_p2i, fuse_p2i_backward, (3, 3, 4), (3, 3, 4))
+    return _check_fuse(rng, fuse_p2i, fuse_p2i_backward, (12, 3), (12, 3))
 
 
 def check_fuse_i2p(rng: np.random.Generator) -> float:
@@ -231,12 +231,8 @@ def check_full_model(rng: np.random.Generator, directions: int = 5) -> float:
     return worst
 
 
-def run_all(trials: int, seed: int, perturb: bool = False) -> dict[str, float]:
-    """Run every operator check ``trials`` times; returns max error per check.
-
-    ``perturb`` deliberately corrupts one backward result (negative control
-    for the verification harness itself).
-    """
+def run_all(trials: int, seed: int) -> dict[str, float]:
+    """Run every operator check ``trials`` times; returns max error per check."""
     rng = np.random.default_rng(seed)
     results = {}
     checks = {
@@ -253,8 +249,6 @@ def run_all(trials: int, seed: int, perturb: bool = False) -> dict[str, float]:
     results["full_model"] = max(
         check_full_model(rng) for _ in range(max(1, trials // 20))
     )
-    if perturb:
-        results["point_to_pixel"] += 1.0
     return results
 
 

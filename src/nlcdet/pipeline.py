@@ -22,11 +22,9 @@ from .propagation import (
     DenseLayer,
     FusionCache,
     ProjectionPlan,
-    _grid,
     _linear,
     _linear_backward,
     _relu,
-    _rows,
     fuse_i2p,
     fuse_i2p_backward,
     fuse_p2i,
@@ -228,6 +226,16 @@ class TrainConfig:
     image_channels: int = 16
     point_only: bool = False
 
+    def __post_init__(self):
+        for name, low in (("seed", 0), ("data_seed", 0), ("epochs", 0), ("train_scenes", 1),
+                          ("val_scenes", 1), ("point_channels", 1), ("image_channels", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if not (np.isfinite(self.huber_delta) and self.huber_delta > 0):
+            raise ValueError(f"huber_delta must be a positive number, got {self.huber_delta}")
+        if not np.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
+
 
 # each TrainConfig field by the type of its default, and the loss weights
 _CONFIG_KEYS = {
@@ -321,6 +329,16 @@ class ToyModel:
         self.params[...] = vec
 
 
+def _rows(grid: np.ndarray) -> np.ndarray:
+    """(C, H, W) grid as (H*W, C) rows, the image branch's layout."""
+    return grid.reshape(grid.shape[0], -1).T
+
+
+def _grid(rows: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Inverse of :func:`_rows`, the layout of the plan's grids."""
+    return rows.T.reshape(-1, height, width)
+
+
 # per stage: point layer, image layer, i2p fusion layers, p2i fusion layers
 _STAGES = (
     ("point1", "image1", ("i2p1a", "i2p1b"), ("p2i1a", "p2i1b")),
@@ -372,9 +390,8 @@ def forward(model: ToyModel, scene: SyntheticScene, config: TrainConfig):
             gathered = plan.gather(_grid(f, h, w))
             g_out, st.i2p = fuse_i2p(gathered, g, (L[i2p[0]], L[i2p[1]]))
         if config.enable_p2i and image_on:
-            scattered = plan.scatter(g)
-            f_grid, st.p2i = fuse_p2i(scattered, _grid(f, h, w), (L[p2i[0]], L[p2i[1]]))
-            f = _rows(f_grid)
+            scattered = _rows(plan.scatter(g))
+            f, st.p2i = fuse_p2i(scattered, f, (L[p2i[0]], L[p2i[1]]))
         g = g_out
         stages.append(st)
 
@@ -452,26 +469,25 @@ def backward(
         # fusion, back to the outputs of the stage's dense layers
         d_g_layer = np.zeros_like(st.pre_points)
         if image_on:
-            d_f_out = _grid(d_f, h, w)
-            d_f_layer = np.zeros((st.pre_image.shape[1], h, w))
+            d_f_layer = np.zeros_like(st.pre_image)
         if st.i2p is not None:
             d_gathered, d_part, (grads[i2p[0]], grads[i2p[1]]) = fuse_i2p_backward(d_g, st.i2p)
             d_g_layer += d_part
-            d_f_layer += plan.gather_grad(d_gathered)
+            d_f_layer += _rows(plan.gather_grad(d_gathered))
         else:
             d_g_layer += d_g
         if st.p2i is not None:
-            d_scattered, d_part, (grads[p2i[0]], grads[p2i[1]]) = fuse_p2i_backward(d_f_out, st.p2i)
+            d_scattered, d_part, (grads[p2i[0]], grads[p2i[1]]) = fuse_p2i_backward(d_f, st.p2i)
             d_f_layer += d_part
-            d_g_layer += plan.scatter_grad(d_scattered)
+            d_g_layer += plan.scatter_grad(_grid(d_scattered, h, w))
         elif image_on:
-            d_f_layer += d_f_out
+            d_f_layer += d_f
 
         # the stage's dense layers, back to the stage inputs
         d_pre = d_g_layer * (st.pre_points > 0)
         d_g, grads[point] = _linear_backward(L[point], st.points_in, d_pre)
         if image_on:
-            d_pre = _rows(d_f_layer) * (st.pre_image > 0)
+            d_pre = d_f_layer * (st.pre_image > 0)
             d_f, grads[image] = _linear_backward(L[image], st.image_in, d_pre)
     out = ToyModel(model.c_point, model.c_image)
     for name, grad in grads.items():
@@ -545,8 +561,8 @@ def train(
     """
     if train_scenes is None or val_scenes is None:
         generated_train, generated_val = make_scenes(config)
-        train_scenes = train_scenes or generated_train
-        val_scenes = val_scenes or generated_val
+        train_scenes = generated_train if train_scenes is None else train_scenes
+        val_scenes = generated_val if val_scenes is None else val_scenes
     if not train_scenes:
         raise ValueError("need at least one training scene")
 

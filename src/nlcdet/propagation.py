@@ -1,6 +1,8 @@
 """Bidirectional point/pixel feature propagation with analytic backward passes.
 
-Grid features are (C, H, W) arrays; point features are (N, C).  Projected
+Grid features are (C, H, W) arrays; point features are (N, C); the fusion
+blocks take (M, C) rows on both sides, pixel rows (H*W, C) for
+point-to-pixel fusion and point rows for image-to-point fusion.  Projected
 coordinates are continuous (u, v) pixels: the scatter direction bins by
 floor(u), floor(v) with the pixel-binning rule of :mod:`nlcdet.geometry`
 (the same rule the ground-truth NLC map and the synthetic depth image use);
@@ -115,11 +117,12 @@ class ProjectionPlan:
 
     Holds the scatter-average matrix (pixels x points) and the bilinear
     gather matrix (points x pixels) so repeated propagation through the same
-    scene costs two CSR products instead of re-binning every call.  Both
-    backwards are exact transposes, so the adjoint identity holds by
-    construction.  Each of the four matrices is built on first use and then
-    kept, so a plan that only scatters never builds the gather matrices; the
-    plan keeps its own copy of the coordinates they are built from.
+    scene costs one sparse product per call instead of re-binning every call.
+    Each backward applies the transpose of its forward matrix, a CSC view
+    that shares its arrays, so the adjoint identity holds by construction.
+    Each matrix is built on first use and then kept, so a plan that only
+    scatters never builds the gather matrix; the plan keeps its own copy of
+    the coordinates they are built from.
     """
 
     def __init__(self, coords: np.ndarray, height: int, width: int):
@@ -140,10 +143,6 @@ class ProjectionPlan:
         )
 
     @cached_property
-    def scatter_matrix_t(self):
-        return self.scatter_matrix.T.tocsr()
-
-    @cached_property
     def gather_matrix(self):
         from scipy import sparse
 
@@ -151,24 +150,20 @@ class ProjectionPlan:
         rows, cells, weights = _bilinear_weights(self.uv, h, w)
         return sparse.csr_matrix((weights, (rows, cells)), shape=(self.count, h * w))
 
-    @cached_property
-    def gather_matrix_t(self):
-        return self.gather_matrix.T.tocsr()
-
     def scatter(self, features: np.ndarray) -> np.ndarray:
         out = self.scatter_matrix @ features
         return out.T.reshape(-1, self.height, self.width)
 
     def scatter_grad(self, grad_output: np.ndarray) -> np.ndarray:
         c = grad_output.shape[0]
-        return self.scatter_matrix_t @ grad_output.reshape(c, -1).T
+        return self.scatter_matrix.T @ grad_output.reshape(c, -1).T
 
     def gather(self, grid: np.ndarray) -> np.ndarray:
         c = grid.shape[0]
         return self.gather_matrix @ grid.reshape(c, -1).T
 
     def gather_grad(self, grad_points: np.ndarray) -> np.ndarray:
-        out = self.gather_matrix_t @ grad_points
+        out = self.gather_matrix.T @ grad_points
         return out.T.reshape(-1, self.height, self.width)
 
 
@@ -247,16 +242,6 @@ def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def _rows(grid: np.ndarray) -> np.ndarray:
-    """(C, H, W) grid as (H*W, C) rows."""
-    return grid.reshape(grid.shape[0], -1).T
-
-
-def _grid(rows: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Inverse of :func:`_rows`."""
-    return rows.T.reshape(-1, height, width)
-
-
 @dataclass(frozen=True)
 class FusionCache:
     """What a fusion block's backward needs from its forward, as (M, C) rows."""
@@ -269,7 +254,9 @@ class FusionCache:
 
 
 def _fuse_forward(x_aux: np.ndarray, x_main: np.ndarray, layers):
-    """Shared fusion core on row-major features: relu(L2(cat(relu(L1(aux)), main)))."""
+    """Shared fusion core on (M, C) rows: relu(L2(cat(relu(L1(aux)), main)))."""
+    if x_aux.shape[0] != x_main.shape[0]:
+        raise ShapeError(f"{x_aux.shape[0]} auxiliary rows for {x_main.shape[0]} main rows")
     l1, l2 = layers
     pre1 = _linear(l1, x_aux)
     cat = np.concatenate([_relu(pre1), x_main], axis=1)
@@ -288,31 +275,24 @@ def _fuse_backward(grad_out: np.ndarray, cache: FusionCache):
 def fuse_p2i(
     scattered: np.ndarray, image: np.ndarray, layers: tuple[DenseLayer, DenseLayer]
 ):
-    """Refine a scattered point-feature map and merge it with image features.
+    """Refine scattered point features and merge them with image features.
 
-    Both inputs are (C, H, W); the merge is pixel-wise:
+    Both inputs are (H*W, C) pixel rows; the merge is pixel-wise:
     relu(L2(cat(relu(L1(scattered)), image))).  Returns (output, cache) for
     the matching backward.
     """
-    if scattered.shape[1:] != image.shape[1:]:
-        raise ShapeError("grids must share spatial dimensions")
-    out, cache = _fuse_forward(_rows(scattered), _rows(image), layers)
-    return _grid(out, *image.shape[1:]), cache
+    return _fuse_forward(scattered, image, layers)
 
 
 def fuse_p2i_backward(grad_out: np.ndarray, cache: FusionCache):
     """Gradients of fuse_p2i w.r.t. (scattered, image, layer parameters)."""
-    h, w = grad_out.shape[1:]
-    d_aux, d_main, g_layers = _fuse_backward(_rows(grad_out), cache)
-    return _grid(d_aux, h, w), _grid(d_main, h, w), g_layers
+    return _fuse_backward(grad_out, cache)
 
 
 def fuse_i2p(
     gathered: np.ndarray, points: np.ndarray, layers: tuple[DenseLayer, DenseLayer]
 ):
     """Point-wise analogue of :func:`fuse_p2i` on (N, C) features."""
-    if gathered.shape[0] != points.shape[0]:
-        raise ShapeError("point counts must match")
     return _fuse_forward(gathered, points, layers)
 
 

@@ -16,6 +16,7 @@ from nlcdet.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from nlcdet.kitti_io import (
     KittiCalib, emit_calib, emit_labels, lidar_box_to_label, parse_calib, write_velodyne,
 )
+from nlcdet.propagation import ProjectionPlan
 
 
 def make_fixture(tmp_path, rng):
@@ -209,8 +210,10 @@ class TestGradcheckCommand:
     def test_zero_trials_usage_error(self):
         assert main(["gradcheck", "--trials", "0"]) == EXIT_USAGE
 
-    def test_perturbed_backward_exit_3(self, capsys):
-        code = main(["gradcheck", "--trials", "2", "--self-test-perturb"])
+    def test_perturbed_backward_exit_3(self, capsys, monkeypatch):
+        true_grad = ProjectionPlan.scatter_grad
+        monkeypatch.setattr(ProjectionPlan, "scatter_grad", lambda plan, g: 2.0 * true_grad(plan, g))
+        code = main(["gradcheck", "--trials", "2"])
         assert code == EXIT_CHECK
         assert "FAIL" in capsys.readouterr().out
 
@@ -253,6 +256,25 @@ class TestTrainAndAblation:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nope = 1\n")
         assert main(["train", "--config", str(cfg)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("command, line", [
+        ("train", "train_scenes = 0"),
+        ("train", "point_channels = 0"),
+        ("train", "huber_delta = 0"),
+        ("train", "epochs = -3"),
+        ("ablation", "val_scenes = 0"),
+    ])
+    def test_bad_config_value_exit_2(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(self.CONFIG + line + "\n")
+        assert main([command, "--config", str(cfg)]) == EXIT_DATA
+        assert "error: bad config:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["0", "a,b", "0,-1", "0,,1"])
+    def test_bad_seeds_usage_error(self, tmp_path, seeds):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(self.CONFIG)
+        assert main(["ablation", "--config", str(cfg), "--seeds", seeds]) == EXIT_USAGE
 
     def test_ablation_report(self, tmp_path):
         cfg = tmp_path / "train.cfg"

@@ -3,6 +3,7 @@
 import numpy as np
 
 from nlcdet import gradcheck as gc
+from nlcdet.propagation import ProjectionPlan
 
 
 def test_all_checks_under_thresholds():
@@ -12,9 +13,11 @@ def test_all_checks_under_thresholds():
         assert err < gc.THRESHOLDS[name], f"{name}: {err}"
 
 
-def test_perturbed_backward_detected():
-    # negative control: a corrupted result must trip its threshold
-    results = gc.run_all(trials=2, seed=0, perturb=True)
+def test_perturbed_backward_detected(monkeypatch):
+    # negative control: a scatter backward off by a factor of two must trip its threshold
+    true_grad = ProjectionPlan.scatter_grad
+    monkeypatch.setattr(ProjectionPlan, "scatter_grad", lambda plan, g: 2.0 * true_grad(plan, g))
+    results = gc.run_all(trials=2, seed=0)
     assert results["point_to_pixel"] > gc.THRESHOLDS["point_to_pixel"]
 
 

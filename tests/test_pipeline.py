@@ -129,6 +129,32 @@ class TestConfigParsing:
             parse_train_config("enable_p2i = maybe")
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("train_scenes", 0),
+        ("val_scenes", 0),
+        ("point_channels", 0),
+        ("image_channels", 0),
+        ("epochs", -3),
+        ("huber_delta", 0.0),
+        ("huber_delta", float("inf")),
+        ("huber_delta", float("nan")),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("-inf")),
+        ("seed", -1),
+        ("data_seed", -1),
+    ])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            parse_train_config(f"{field} = {value}")
+
+    def test_edge_values_accepted(self):
+        cfg = TrainConfig(epochs=0, train_scenes=1, val_scenes=1, learning_rate=0.0, huber_delta=1e-9)
+        assert cfg.epochs == 0
+
+
 class TestForwardBackward:
     def test_output_shapes(self):
         scene = generate_scene(5)
@@ -284,6 +310,10 @@ class TestTraining:
     def test_no_scenes_rejected(self):
         with pytest.raises(ValueError):
             train(TINY, train_scenes=[], val_scenes=[])
+
+    def test_empty_train_list_is_not_replaced_by_generated_scenes(self):
+        with pytest.raises(ValueError, match="training scene"):
+            train(TINY, train_scenes=[], val_scenes=None)
 
 
 class TestAblation:

@@ -1,7 +1,9 @@
 """Point/pixel propagation operators, fusion blocks, and their backwards."""
 
+import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from nlcdet import (
     point_to_pixel_backward,
     project_points,
 )
+from nlcdet import geometry, kitti_io
 from nlcdet.propagation import (
     ProjectionPlan, _canonical_order, fuse_i2p_backward, fuse_p2i_backward,
 )
@@ -238,7 +241,7 @@ class TestProjectionPlan:
 
 
     def test_matrices_built_on_first_use(self, rng):
-        matrices = {"scatter_matrix", "scatter_matrix_t", "gather_matrix", "gather_matrix_t"}
+        matrices = {"scatter_matrix", "gather_matrix"}
         coords = rng.uniform(0, 5, size=(20, 2))
         plan = ProjectionPlan(coords, 5, 5)
         assert not matrices & set(vars(plan))
@@ -250,7 +253,8 @@ class TestProjectionPlan:
         assert "gather_matrix" not in vars(plan)
         assert matrices & set(vars(plan)) == {"scatter_matrix"}
         plan.gather_grad(np.ones((20, 1)))
-        assert matrices & set(vars(plan)) == {"scatter_matrix", "gather_matrix", "gather_matrix_t"}
+        # a backward applies a transposed view of its forward matrix and keeps no other
+        assert {k for k, v in vars(plan).items() if hasattr(v, "nnz")} == matrices
 
 
 def test_behind_camera_point_does_not_share_its_mirrors_pixel():
@@ -312,6 +316,53 @@ class TestOneShotReference:
             )
 
 
+def reference_backward(plan, method, payload):
+    """A plan backward as first written: a CSR copy of the forward matrix's transpose."""
+    if method == "scatter_grad":
+        c = payload.shape[0]
+        return plan.scatter_matrix.T.tocsr() @ payload.reshape(c, -1).T
+    out = plan.gather_matrix.T.tocsr() @ payload
+    return out.T.reshape(-1, plan.height, plan.width)
+
+
+def _assert_backwards_match_reference(plan, rng, channels):
+    grid = rng.normal(size=(channels, plan.height, plan.width))
+    points = rng.normal(size=(plan.count, channels))
+    assert np.array_equal(plan.scatter_grad(grid), reference_backward(plan, "scatter_grad", grid))
+    assert np.array_equal(plan.gather_grad(points), reference_backward(plan, "gather_grad", points))
+
+
+class TestTransposeViewReference:
+    """The backwards apply a CSC view of the forward matrix; no bit may change
+    against the CSR transpose copy they applied before."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_and_awkward_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        h, w = 5, 7
+        coords = np.column_stack(
+            [rng.uniform(-1, w + 1, size=60), rng.uniform(-1, h + 1, size=60)]
+        )
+        _assert_backwards_match_reference(ProjectionPlan(coords, h, w), rng, 3)
+        # border, NaN, +-inf and huge rows, signed zeros and exact duplicates
+        coords, _ = _awkward_rows(rng, h, w, 3)
+        for p in [np.arange(len(coords)), rng.permutation(len(coords))]:
+            _assert_backwards_match_reference(ProjectionPlan(coords[p], h, w), rng, 3)
+
+    def test_kitti_frame(self, rng, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
+        spec = importlib.util.spec_from_file_location("perfbench_synth", path)
+        synth = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, synth)  # its dataclasses look it up
+        spec.loader.exec_module(synth)
+        p2, r0, tr = synth.kitti_camera(0)
+        calib = kitti_io.to_calibration(kitti_io.KittiCalib(P2=p2, R0_rect=r0, Tr_velo_to_cam=tr))
+        xyz = synth.kitti_frame(0, 0).points[:, :3].astype(float)
+        u, v, _ = geometry.project_points(xyz, calib)
+        plan = ProjectionPlan(np.column_stack([u, v]), synth.IMG_H, synth.IMG_W)
+        _assert_backwards_match_reference(plan, rng, 2)
+
+
 def test_import_leaves_scipy_sparse_unloaded(src_env):
     # scipy.sparse costs about 20 MB of resident memory; only a plan needs it
     code = "import sys, nlcdet, nlcdet.cli; print('scipy.sparse' in sys.modules)"
@@ -352,12 +403,13 @@ def test_composition_gradient(rng):
 class TestFusion:
     def test_constant_bias_configuration(self):
         # zero both layers' weights: the output is relu of the second bias
-        c, h, w = 2, 3, 3
+        c, pixels = 2, 9
         l1 = DenseLayer(weights=np.zeros((c, c)), bias=np.zeros(c))
         l2 = DenseLayer(weights=np.zeros((c, 2 * c)), bias=np.array([1.5, -2.0]))
-        out, _ = fuse_p2i(np.ones((c, h, w)), np.ones((c, h, w)), (l1, l2))
-        assert np.all(out[0] == 1.5)
-        assert np.all(out[1] == 0.0)
+        out, _ = fuse_p2i(np.ones((pixels, c)), np.ones((pixels, c)), (l1, l2))
+        assert out.shape == (pixels, c)
+        assert np.all(out[:, 0] == 1.5)
+        assert np.all(out[:, 1] == 0.0)
 
     def test_passthrough_of_main_input(self, rng):
         # L2 = [0 | I] ignores the refined auxiliary path entirely
@@ -373,8 +425,9 @@ class TestFusion:
 
     def test_shape_guards(self, rng):
         l = DenseLayer(weights=np.zeros((2, 2)), bias=np.zeros(2))
+        # equal channels, unequal pixel counts
         with pytest.raises(ShapeError):
-            fuse_p2i(np.zeros((2, 3, 3)), np.zeros((2, 4, 4)), (l, l))
+            fuse_p2i(np.zeros((9, 2)), np.zeros((16, 2)), (l, l))
         with pytest.raises(ShapeError):
             fuse_i2p(np.zeros((3, 2)), np.zeros((4, 2)), (l, l))
 
@@ -392,17 +445,20 @@ class TestFusion:
         assert g1.weights.shape == l1.weights.shape
         assert g2.bias.shape == l2.bias.shape
 
-    def test_grid_and_row_variants_agree(self, rng):
-        c, h, w = 3, 4, 5
+    def test_p2i_and_i2p_agree_on_the_same_rows(self, rng):
+        c, rows = 3, 20
         l1 = DenseLayer(weights=rng.normal(size=(c, c)), bias=rng.normal(size=c))
         l2 = DenseLayer(weights=rng.normal(size=(c, 2 * c)), bias=rng.normal(size=c))
-        aux = rng.normal(size=(c, h, w))
-        main = rng.normal(size=(c, h, w))
-        grid_out, grid_cache = fuse_p2i(aux, main, (l1, l2))
-        rows_out, _ = fuse_i2p(
-            aux.reshape(c, -1).T, main.reshape(c, -1).T, (l1, l2)
-        )
-        assert np.array_equal(grid_out, rows_out.T.reshape(c, h, w))
-        cot = rng.normal(size=(c, h, w))
-        d_aux, d_main, _ = fuse_p2i_backward(cot, grid_cache)
-        assert d_aux.shape == aux.shape and d_main.shape == main.shape
+        aux = rng.normal(size=(rows, c))
+        main = rng.normal(size=(rows, c))
+        p2i_out, p2i_cache = fuse_p2i(aux, main, (l1, l2))
+        i2p_out, i2p_cache = fuse_i2p(aux, main, (l1, l2))
+        assert np.array_equal(p2i_out, i2p_out)
+        cot = rng.normal(size=(rows, c))
+        d_p2i = fuse_p2i_backward(cot, p2i_cache)
+        d_i2p = fuse_i2p_backward(cot, i2p_cache)
+        assert np.array_equal(d_p2i[0], d_i2p[0]) and np.array_equal(d_p2i[1], d_i2p[1])
+        assert d_p2i[0].shape == aux.shape and d_p2i[1].shape == main.shape
+        for g_p2i, g_i2p in zip(d_p2i[2], d_i2p[2]):
+            assert np.array_equal(g_p2i.weights, g_i2p.weights)
+            assert np.array_equal(g_p2i.bias, g_i2p.bias)
