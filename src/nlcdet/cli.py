@@ -150,9 +150,6 @@ def _noise_sweep(corrs: np.ndarray, seed: int, sigmas=(0.005, 0.01, 0.02, 0.05),
 
 
 def cmd_gradcheck(args) -> int:
-    if args.trials <= 0:
-        print("error: --trials must be positive", file=sys.stderr)
-        return EXIT_USAGE
     results = gc.run_all(args.trials, args.seed)
     op_map = {
         "p2i": ("point_to_pixel", "adjoint_point_to_pixel"),
@@ -252,10 +249,25 @@ def _iou_threshold(text: str) -> float:
     return value
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer flag whose value must be at least ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is less than {low}")
+        return value
+
+    return integer
+
+
+_positive_int, _non_negative_int = _int_at_least(1), _int_at_least(0)
+
+
 def _seed_list(text: str) -> tuple[int, ...]:
     """argparse type for ``--seeds``: at least two comma-separated non-negative integers."""
-    seeds = tuple(int(s) for s in text.split(","))
-    if len(seeds) < 2 or min(seeds) < 0:
+    seeds = tuple(_non_negative_int(s) for s in text.split(","))
+    if len(seeds) < 2:
         raise argparse.ArgumentTypeError(f"{text!r} must hold at least two non-negative seeds")
     return seeds
 
@@ -270,15 +282,15 @@ def build_parser() -> _Parser:
     p.add_argument("--velodyne", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", default=None)
-    p.add_argument("--height", type=int, default=375)
-    p.add_argument("--width", type=int, default=1242)
+    p.add_argument("--height", type=_positive_int, default=375)
+    p.add_argument("--width", type=_positive_int, default=1242)
     p.set_defaults(func=cmd_nlcmap)
 
     p = sub.add_parser("solve", help="recover a 7-DOF box from correspondences")
     p.add_argument("--corrs", required=True, help="CSV: x,y,z,x_nlc,y_nlc,z_nlc")
     p.add_argument("--init", default=None, help="JSON with center/l/w/h/yaw")
     p.add_argument("--noise-report", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of backward passes")
@@ -286,8 +298,8 @@ def build_parser() -> _Parser:
         "--op", default="all",
         choices=["all", "p2i", "i2p", "fuse", "losses", "model", "point_to_pixel", "pixel_to_point"],
     )
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_positive_int, default=20)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train", help="train the synthetic-scene toy network")

@@ -179,8 +179,8 @@ def _min_preactivation(cache) -> float:
         for fusion in (st.i2p, st.p2i):
             if fusion is not None:
                 pres += [fusion.pre1, fusion.pre2]
-        vals += [np.abs(p).min() for p in pres if p is not None]
-    return min(vals) if vals else np.inf
+        vals += [np.abs(p).min() for p in pres]
+    return min(vals)
 
 
 def check_full_model(rng: np.random.Generator, directions: int = 5) -> float:

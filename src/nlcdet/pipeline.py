@@ -4,8 +4,9 @@ a deterministic training loop, and the fusion ablation experiment.
 The network is deliberately tiny: two per-point stages, two pixel-wise image
 stages, one bidirectional propagation block per stage, and four heads
 (image-side NLC map and 2-class semantics, point-side 2-class semantics and
-center offsets).  Everything runs in double precision with hand-written
-backward passes so the whole model is finite-difference checkable.
+center offsets).  Both branches always run; the ablation's ``none`` row, with
+no fusion, is the LiDAR-only control.  Everything runs in double precision with
+hand-written backward passes so the whole model is finite-difference checkable.
 """
 
 from __future__ import annotations
@@ -81,8 +82,6 @@ class SyntheticScene:
     point_owner: np.ndarray  # (N,) containing box index, -1 for background
     gt_nlc_points: np.ndarray  # (N, 3), zeros for background
     gt_centers: np.ndarray  # (N, 3) offsets to owning box center, zeros for bg
-    sem2d_labels: np.ndarray  # (H*W,) 0/1
-    sem3d_labels: np.ndarray  # (N,) 0/1
 
     @property
     def point_inputs(self) -> np.ndarray:
@@ -205,8 +204,6 @@ def generate_scene(seed: int, params: SceneParams = SceneParams()) -> SyntheticS
         point_owner=owner,
         gt_nlc_points=gt_nlc_points,
         gt_centers=gt_centers,
-        sem2d_labels=gt_map.mask.astype(int).ravel(),
-        sem3d_labels=fg_mask.astype(int),
     )
 
 
@@ -224,7 +221,6 @@ class TrainConfig:
     data_seed: int = 1234
     point_channels: int = 16
     image_channels: int = 16
-    point_only: bool = False
 
     def __post_init__(self):
         for name, low in (("seed", 0), ("data_seed", 0), ("epochs", 0), ("train_scenes", 1),
@@ -355,13 +351,12 @@ _HEADS = (
 
 @dataclass
 class StageCache:
-    """What one stage's backward needs from its forward; image entries are
-    (H*W, C) rows and stay None when the image branch is off."""
+    """What one stage's backward needs from its forward; image entries are (H*W, C) rows."""
 
     points_in: np.ndarray
     pre_points: np.ndarray
-    image_in: np.ndarray | None = None
-    pre_image: np.ndarray | None = None
+    image_in: np.ndarray
+    pre_image: np.ndarray
     i2p: FusionCache | None = None
     p2i: FusionCache | None = None
 
@@ -375,21 +370,18 @@ def forward(model: ToyModel, scene: SyntheticScene, config: TrainConfig):
     L = model.layers
     h, w = scene.image.shape[1:]
     plan = scene.plan
-    image_on = not config.point_only
     g = scene.point_inputs
-    f = _rows(scene.image) if image_on else None
+    f = _rows(scene.image)
     stages = []
     for point, image, i2p, p2i in _STAGES:
-        st = StageCache(points_in=g, pre_points=_linear(L[point], g))
-        g = _relu(st.pre_points)
-        if image_on:
-            st.image_in, st.pre_image = f, _linear(L[image], f)
-            f = _relu(st.pre_image)
+        st = StageCache(points_in=g, pre_points=_linear(L[point], g),
+                        image_in=f, pre_image=_linear(L[image], f))
+        g, f = _relu(st.pre_points), _relu(st.pre_image)
         g_out = g
-        if config.enable_i2p and image_on:
+        if config.enable_i2p:
             gathered = plan.gather(_grid(f, h, w))
             g_out, st.i2p = fuse_i2p(gathered, g, (L[i2p[0]], L[i2p[1]]))
-        if config.enable_p2i and image_on:
+        if config.enable_p2i:
             scattered = _rows(plan.scatter(g))
             f, st.p2i = fuse_p2i(scattered, f, (L[p2i[0]], L[p2i[1]]))
         g = g_out
@@ -398,11 +390,10 @@ def forward(model: ToyModel, scene: SyntheticScene, config: TrainConfig):
     outputs = {
         "sem3d_logits": _linear(L["head_sem3d"], g),
         "ctr_pred": _linear(L["head_ctr"], g),
+        "nlc_map": _grid(_linear(L["head_nlc"], f), h, w),
+        "sem2d_logits": _linear(L["head_sem2d"], f),
     }
-    if image_on:
-        outputs["nlc_map"] = _grid(_linear(L["head_nlc"], f), h, w)
-        outputs["sem2d_logits"] = _linear(L["head_sem2d"], f)
-        outputs["nlc_at_points"] = plan.gather(outputs["nlc_map"])
+    outputs["nlc_at_points"] = plan.gather(outputs["nlc_map"])
     return outputs, {"stages": stages, "points": g, "image": f}
 
 
@@ -412,21 +403,16 @@ def compute_losses(outputs: dict, scene: SyntheticScene, config: TrainConfig):
     losses["ctr"], grads["ctr"] = center_loss(
         outputs["ctr_pred"], scene.gt_centers, scene.fg_mask, config.huber_delta
     )
-    losses["sem3d"], grads["sem3d"] = cross_entropy(
-        outputs["sem3d_logits"], scene.sem3d_labels
+    losses["sem3d"], grads["sem3d"] = cross_entropy(outputs["sem3d_logits"], scene.fg_mask)
+    losses["nlc"], grads["nlc"] = nlc_loss(
+        outputs["nlc_at_points"],
+        scene.gt_nlc_points,
+        scene.fg_mask,
+        config.huber_delta,
     )
-    if "nlc_map" in outputs:
-        losses["nlc"], grads["nlc"] = nlc_loss(
-            outputs["nlc_at_points"],
-            scene.gt_nlc_points,
-            scene.fg_mask,
-            config.huber_delta,
-        )
-        losses["sem2d"], grads["sem2d"] = cross_entropy(
-            outputs["sem2d_logits"], scene.sem2d_labels
-        )
-    else:
-        losses["nlc"] = losses["sem2d"] = 0.0
+    losses["sem2d"], grads["sem2d"] = cross_entropy(
+        outputs["sem2d_logits"], scene.gt_nlc_map.mask.ravel()
+    )
     losses["total"] = total_loss(
         0.0, 0.0, losses["nlc"], losses["sem2d"], losses["sem3d"], losses["ctr"], config.weights
     )
@@ -439,9 +425,8 @@ def backward(
     config: TrainConfig,
     cache: dict,
     head_grads: dict,
-    components: tuple[str, ...] = ("nlc", "sem2d", "sem3d", "ctr"),
 ):
-    """Backpropagate the weighted sum of the selected loss components.
+    """Backpropagate the weighted sum of the losses whose gradients ``head_grads`` holds.
 
     Returns the parameter gradients as a model of the same shape, so a layer
     that got no gradient reads zero.
@@ -450,26 +435,24 @@ def backward(
     grads = {}
     h, w = scene.image.shape[1:]
     plan = scene.plan
-    image_on = not config.point_only
 
     # heads: gradients w.r.t. the last stage's point and image outputs
-    d = {k: np.zeros_like(cache[k]) for k in ("points", "image") if cache[k] is not None}
+    d = {k: np.zeros_like(cache[k]) for k in ("points", "image")}
     for comp, head, branch in _HEADS:
         weight = getattr(config.weights, comp)
-        if comp not in components or weight == 0.0 or comp not in head_grads:
+        if weight == 0.0 or comp not in head_grads:
             continue
         d_out = weight * head_grads[comp]
         if comp == "nlc":
             d_out = _rows(plan.gather_grad(d_out))
         d_in, grads[head] = _linear_backward(L[head], cache[branch], d_out)
         d[branch] += d_in
-    d_g, d_f = d["points"], d.get("image")
+    d_g, d_f = d["points"], d["image"]
 
     for (point, image, i2p, p2i), st in zip(reversed(_STAGES), reversed(cache["stages"])):
         # fusion, back to the outputs of the stage's dense layers
         d_g_layer = np.zeros_like(st.pre_points)
-        if image_on:
-            d_f_layer = np.zeros_like(st.pre_image)
+        d_f_layer = np.zeros_like(st.pre_image)
         if st.i2p is not None:
             d_gathered, d_part, (grads[i2p[0]], grads[i2p[1]]) = fuse_i2p_backward(d_g, st.i2p)
             d_g_layer += d_part
@@ -480,15 +463,14 @@ def backward(
             d_scattered, d_part, (grads[p2i[0]], grads[p2i[1]]) = fuse_p2i_backward(d_f, st.p2i)
             d_f_layer += d_part
             d_g_layer += plan.scatter_grad(_grid(d_scattered, h, w))
-        elif image_on:
+        else:
             d_f_layer += d_f
 
         # the stage's dense layers, back to the stage inputs
         d_pre = d_g_layer * (st.pre_points > 0)
         d_g, grads[point] = _linear_backward(L[point], st.points_in, d_pre)
-        if image_on:
-            d_pre = d_f_layer * (st.pre_image > 0)
-            d_f, grads[image] = _linear_backward(L[image], st.image_in, d_pre)
+        d_pre = d_f_layer * (st.pre_image > 0)
+        d_f, grads[image] = _linear_backward(L[image], st.image_in, d_pre)
     out = ToyModel(model.c_point, model.c_image)
     for name, grad in grads.items():
         out.layers[name].weights[...] = grad.weights
@@ -533,12 +515,11 @@ def evaluate_model(model: ToyModel, scenes, config: TrainConfig) -> dict:
         losses, _ = compute_losses(outputs, scene, config)
         for key in sums:
             sums[key] += losses[key]
-        if "nlc_map" in outputs:
-            pix = object_pixel_sets(scene.object_ids, len(scene.boxes))
-            pred = np.moveaxis(outputs["nlc_map"], 0, -1)
-            (vals, skip) = mmae(scene.gt_nlc_map, pred, pix)
-            mmae_vals.append(vals)
-            skipped += skip
+        pix = object_pixel_sets(scene.object_ids, len(scene.boxes))
+        pred = np.moveaxis(outputs["nlc_map"], 0, -1)
+        (vals, skip) = mmae(scene.gt_nlc_map, pred, pix)
+        mmae_vals.append(vals)
+        skipped += skip
     n = max(len(scenes), 1)
     out = {key: val / n for key, val in sums.items()}
     if mmae_vals:
@@ -589,22 +570,17 @@ def train(
         if diverged:
             break
         # image-objective gradient reaching the point branch (telemetry)
-        img_to_point = 0.0
-        if not config.point_only:
-            outputs, cache = forward(model, train_scenes[0], config)
-            _, head_grads = compute_losses(outputs, train_scenes[0], config)
-            g_img = backward(
-                model, train_scenes[0], config, cache, head_grads,
-                components=("nlc", "sem2d"),
-            )
-            img_to_point = _grad_norm(g_img, POINT_BRANCH_LAYERS)
+        outputs, cache = forward(model, train_scenes[0], config)
+        _, head_grads = compute_losses(outputs, train_scenes[0], config)
+        image_grads = {c: head_grads[c] for c in ("nlc", "sem2d")}
+        g_img = backward(model, train_scenes[0], config, cache, image_grads)
         epochs_log.append(
             {
                 "epoch": epoch,
                 "train_total": total / len(train_scenes),
                 "point_grad_norm": float(np.sqrt(pn)),
                 "image_grad_norm": float(np.sqrt(inorm)),
-                "image_to_point_grad_norm": img_to_point,
+                "image_to_point_grad_norm": _grad_norm(g_img, POINT_BRANCH_LAYERS),
             }
         )
 

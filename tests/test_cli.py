@@ -257,6 +257,12 @@ class TestTrainAndAblation:
         cfg.write_text("nope = 1\n")
         assert main(["train", "--config", str(cfg)]) == EXIT_DATA
 
+    def test_removed_point_only_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(self.CONFIG + "point_only = true\n")
+        assert main(["train", "--config", str(cfg)]) == EXIT_DATA
+        assert "unknown key 'point_only'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, line", [
         ("train", "train_scenes = 0"),
         ("train", "point_channels = 0"),
@@ -419,6 +425,27 @@ class TestUsage:
         assert _run_on_csvs(tmp_path, {"dets": DETS, "gts": GTS}) == EXIT_OK
         argv = ["eval", "--dets", str(tmp_path / "dets.csv"), "--gts", str(tmp_path / "gts.csv")]
         assert main(argv + ["--iou", "1"]) == EXIT_OK
+
+    @pytest.mark.parametrize("command, flags", [
+        ("nlcmap", ["--height", "0"]),
+        ("nlcmap", ["--height", "-5"]),
+        ("nlcmap", ["--width", "0"]),
+        ("gradcheck", ["--seed", "-1"]),
+        ("gradcheck", ["--trials", "0"]),
+        ("solve", ["--noise-report", "--seed", "-1"]),
+    ])
+    def test_numeric_flag_out_of_range(self, tmp_path, rng, capsys, command, flags):
+        # real input files, so only the flag value can make the run fail
+        calib, label, velo, _ = make_fixture(tmp_path, rng)
+        inputs = {
+            "nlcmap": ["--calib", str(calib), "--label", str(label), "--velodyne", str(velo),
+                       "--out", str(tmp_path / "map.nlcm")],
+            "gradcheck": [],
+            "solve": ["--corrs", str(tmp_path / "corrs.csv")],
+        }
+        (tmp_path / "corrs.csv").write_text(_corrs_text())
+        assert main([command, *inputs[command], *flags]) == EXIT_USAGE
+        assert "usage" in capsys.readouterr().err.lower()
 
     def test_help_available(self, capsys):
         for cmd in ("nlcmap", "solve", "gradcheck", "train", "ablation", "eval"):

@@ -1,4 +1,5 @@
-"""Every module-level import in the library is used or re-exported."""
+"""Every module-level import in the library is used or re-exported, and every
+module-level private definition is read somewhere in the library."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,56 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level private functions, classes and assigned names (not dunders)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names += [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each private definition that no module reads.
+
+    A read is a loaded name, an attribute of that name, or a ``from``-import
+    of it; the definition itself and assignments to it are not reads.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in read
+    ]
+
+
+def test_checker_flags_an_unread_private_definition():
+    a = (
+        "import m\n_USED, _DEAD = 1, 2\n_PEER: int = 3\n__version__ = '1'\n"
+        "def _helper(): return _USED\ndef _dead(): pass\nclass _Gone: pass\n"
+        "def public(): return _helper()\n_dead = None\n"
+    )
+    b = "from a import _PEER\nprint(_PEER)\n"
+    assert unread_private_names({"a": a, "b": b}) == ["a._DEAD", "a._dead", "a._Gone", "a._dead"]
+    assert unread_private_names({"a": "_X = 1\n", "b": "import a\na._X\n"}) == []
+
+
+def test_no_unread_private_definitions():
+    sources = {p.stem: p.read_text() for p in SRC_DIR.glob("*.py")}
+    assert unread_private_names(sources) == []

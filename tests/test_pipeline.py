@@ -20,6 +20,7 @@ from nlcdet.pipeline import (
     compute_losses,
     forward,
     generate_scene,
+    make_scenes,
     parse_train_config,
     train,
 )
@@ -69,14 +70,6 @@ class TestSceneGeneration:
         expected = np.where(np.isfinite(nearest), nearest / _DEPTH_NORM, 0.0)
         assert np.array_equal(scene.image[0], expected.reshape(h, w))
 
-    def test_labels_consistent_with_masks(self):
-        scene = generate_scene(11)
-        assert np.array_equal(scene.sem3d_labels == 1, scene.fg_mask)
-        assert np.array_equal(
-            scene.sem2d_labels.reshape(scene.gt_nlc_map.mask.shape),
-            scene.gt_nlc_map.mask.astype(int),
-        )
-
     def test_center_offsets_reconstruct_centers(self):
         scene = generate_scene(13)
         for bi, box in enumerate(scene.boxes):
@@ -101,7 +94,7 @@ class TestConfigParsing:
         learning_rate = 0.02
         lambda_nlc = 0.5
         enable_p2i = false
-        point_only = true
+        enable_i2p = false
         """
         cfg = parse_train_config(text)
         assert cfg.seed == 3
@@ -110,7 +103,7 @@ class TestConfigParsing:
         assert cfg.weights.nlc == 0.5
         assert cfg.weights.ctr == 1.0
         assert not cfg.enable_p2i
-        assert cfg.point_only
+        assert not cfg.enable_i2p
 
     def test_defaults(self):
         cfg = parse_train_config("")
@@ -119,6 +112,10 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             parse_train_config("bogus = 1")
+
+    def test_removed_point_only_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown key 'point_only'"):
+            parse_train_config("point_only = true")
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
@@ -168,22 +165,14 @@ class TestForwardBackward:
         assert outputs["sem2d_logits"].shape == (h * w, 2)
         assert outputs["nlc_at_points"].shape == (n, 3)
 
-    def test_point_only_omits_image_heads(self):
-        scene = generate_scene(5)
-        cfg = replace(TINY, point_only=True)
-        outputs, _ = forward(ToyModel.init(0, 6, 6), scene, cfg)
-        assert "nlc_map" not in outputs
-        losses, _ = compute_losses(outputs, scene, cfg)
-        assert losses["nlc"] == 0.0 and losses["sem2d"] == 0.0
-
     def test_no_p2i_means_no_image_to_point_gradient(self):
         scene = generate_scene(5)
         cfg = replace(TINY, enable_p2i=False)
         model = ToyModel.init(0, 6, 6)
         outputs, cache = forward(model, scene, cfg)
         _, head_grads = compute_losses(outputs, scene, cfg)
-        grads = backward(model, scene, cfg, cache, head_grads,
-                         components=("nlc", "sem2d"))
+        image_grads = {c: head_grads[c] for c in ("nlc", "sem2d")}
+        grads = backward(model, scene, cfg, cache, image_grads)
         for name in POINT_BRANCH_LAYERS:
             assert np.all(grads.layers[name].weights == 0.0)
             assert np.all(grads.layers[name].bias == 0.0)
@@ -194,8 +183,8 @@ class TestForwardBackward:
         cfg = replace(TINY, enable_i2p=False)
         outputs, cache = forward(model, scene, cfg)
         _, head_grads = compute_losses(outputs, scene, cfg)
-        grads = backward(model, scene, cfg, cache, head_grads,
-                         components=("nlc", "sem2d"))
+        image_grads = {c: head_grads[c] for c in ("nlc", "sem2d")}
+        grads = backward(model, scene, cfg, cache, image_grads)
         total = sum(float(np.abs(grads.layers[n].weights).sum()) for n in ("point1", "point2"))
         assert total > 0.0
 
@@ -204,8 +193,8 @@ class TestForwardBackward:
         model = ToyModel.init(0, 6, 6)
         outputs, cache = forward(model, scene, TINY)
         _, head_grads = compute_losses(outputs, scene, TINY)
-        grads = backward(model, scene, TINY, cache, head_grads,
-                         components=("sem3d", "ctr"))
+        point_grads = {c: head_grads[c] for c in ("sem3d", "ctr")}
+        grads = backward(model, scene, TINY, cache, point_grads)
         # i2p feeds points from the image branch, so image1/2 may receive
         # gradient; the image-side heads must not
         for name in ("head_nlc", "head_sem2d"):
@@ -289,15 +278,21 @@ class TestTraining:
         assert report.parameter_count > 0
         assert "mmae" in report.final_val
 
-    def test_fusion_off_equals_point_only_on_point_branch(self):
-        scenes = None
-        cfg_off = replace(TINY, enable_p2i=False, enable_i2p=False)
-        cfg_po = replace(TINY, point_only=True)
-        m_off, _ = train(cfg_off)
-        m_po, _ = train(cfg_po)
+    @pytest.mark.parametrize("row, isolated", [("none", True), ("p2i", False)])
+    def test_point_branch_reads_the_image_only_through_p2i(self, row, isolated):
+        # the same scenes with a blank image: without fusion the point branch
+        # trains bit-identically; with p2i, image objectives reach it
+        cfg = replace(TINY, **ABLATION_ROWS[row])
+        scenes = make_scenes(cfg)
+        blank = [[replace(s, image=np.zeros_like(s.image)) for s in part] for part in scenes]
+        m_image, r_image = train(cfg, *scenes)
+        m_blank, r_blank = train(cfg, *blank)
+        same = []
         for name in ("point1", "point2", "head_sem3d", "head_ctr"):
-            assert np.array_equal(m_off.layers[name].weights, m_po.layers[name].weights)
-            assert np.array_equal(m_off.layers[name].bias, m_po.layers[name].bias)
+            a, b = m_image.layers[name], m_blank.layers[name]
+            same.append(np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias))
+        same += [np.array_equal(r_image.final_val[k], r_blank.final_val[k]) for k in ("ctr", "sem3d")]
+        assert all(same) if isolated else not any(same)
 
     def test_report_serializes(self):
         _, report = train(TINY)
