@@ -19,7 +19,6 @@ from .errors import (
 from .geometry import (
     Box3D,
     Calibration,
-    augment_global,
     box_corners,
     iou_3d,
     normalize_angle,

@@ -50,6 +50,37 @@ def _emit_json(obj, path=None):
         print(text)
 
 
+def _numbers(values) -> list[float]:
+    """``values`` as floats, or ValueError unless each is a number within +-``MAX_ABS_VALUE``."""
+    vals = [float(x) for x in values]
+    if not np.all(np.abs(vals) <= MAX_ABS_VALUE):
+        raise ValueError(f"values must be numbers within +-{MAX_ABS_VALUE:g}")
+    return vals
+
+
+def _class_id(value: float) -> int:
+    """``value`` as an int, or ValueError unless it is integral."""
+    if not value.is_integer():
+        raise ValueError(f"class {value!r} is not an integer")
+    return int(value)
+
+
+def _read_init(path: str) -> Box3D:
+    """The box of a ``solve --init`` file, JSON ``{"center": [x, y, z], "l", "w", "h", "yaw"}``
+    with numbers within +-``MAX_ABS_VALUE`` and positive sizes; anything else raises ParseError."""
+    try:
+        spec = json.loads(Path(path).read_text())
+        center = list(spec["center"])
+        if len(center) != 3:
+            raise ValueError(f"center must hold 3 values, not {len(center)}")
+        values = center + [spec["l"], spec["w"], spec["h"], spec["yaw"]]
+        if not all(type(v) in (int, float) for v in values):  # no strings or booleans
+            raise ValueError("values must be JSON numbers")
+        return _box(_numbers(values))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad init file: {exc}") from None
+
+
 def _read_csv(path: str, columns: int, header: tuple[str, ...], parse) -> list:
     """``parse`` applied to the values of every data row of a UTF-8 numeric CSV file.
 
@@ -78,10 +109,7 @@ def _read_csv(path: str, columns: int, header: tuple[str, ...], parse) -> list:
                     f"line {line_no}: expected {columns} columns, got {len(row)}", line=line_no
                 )
             try:
-                vals = [float(x) for x in row]
-                if not np.all(np.abs(vals) <= MAX_ABS_VALUE):
-                    raise ValueError(f"values must be numbers within +-{MAX_ABS_VALUE:g}")
-                out.append(parse(vals))
+                out.append(parse(_numbers(row)))
             except ValueError as exc:
                 raise ParseError(f"line {line_no}: {exc}", line=line_no) from None
     except csv.Error as exc:  # such as a field over the csv module's size limit
@@ -114,17 +142,7 @@ def cmd_nlcmap(args) -> int:
 
 def cmd_solve(args) -> int:
     corrs = np.array(_read_csv(args.corrs, 6, ("x", "x_l"), list)).reshape(-1, 6)
-    init = None
-    if args.init:
-        try:
-            spec = json.loads(Path(args.init).read_text())
-            init = Box3D(
-                center=np.array(spec["center"]),
-                l=spec["l"], w=spec["w"], h=spec["h"], yaw=spec["yaw"],
-            )
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: bad init file: {exc}", file=sys.stderr)
-            return EXIT_DATA
+    init = _read_init(args.init) if args.init else None
     out = solve_box(corrs, init=init, opts=SolveOptions()).to_dict()
     if args.noise_report:
         out["noise_sweep"] = _noise_sweep(corrs, args.seed)
@@ -149,22 +167,23 @@ def _noise_sweep(corrs: np.ndarray, seed: int, sigmas=(0.005, 0.01, 0.02, 0.05),
     return sweep
 
 
+# gradcheck --op choice -> the checks it reports; every choice runs them all,
+# since the checks draw from one generator
+GRADCHECK_OPS = {
+    "all": tuple(gc.THRESHOLDS),
+    "p2i": ("point_to_pixel", "adjoint_point_to_pixel"),
+    "i2p": ("pixel_to_point", "adjoint_pixel_to_point"),
+    "fuse": ("fuse_p2i", "fuse_i2p"),
+    "losses": ("losses",),
+    "model": ("full_model",),
+}
+
+
 def cmd_gradcheck(args) -> int:
     results = gc.run_all(args.trials, args.seed)
-    op_map = {
-        "p2i": ("point_to_pixel", "adjoint_point_to_pixel"),
-        "point_to_pixel": ("point_to_pixel", "adjoint_point_to_pixel"),
-        "i2p": ("pixel_to_point", "adjoint_pixel_to_point"),
-        "pixel_to_point": ("pixel_to_point", "adjoint_pixel_to_point"),
-        "fuse": ("fuse_p2i", "fuse_i2p"),
-        "losses": ("losses",),
-        "model": ("full_model",),
-    }
-    selected = results if args.op == "all" else {
-        k: results[k] for k in op_map[args.op]
-    }
     failed = False
-    for name, err in selected.items():
+    for name in GRADCHECK_OPS[args.op]:
+        err = results[name]
         status = "ok" if err < gc.THRESHOLDS[name] else "FAIL"
         if status == "FAIL":
             failed = True
@@ -224,9 +243,9 @@ def _box(vals: list[float]) -> Box3D:
 def cmd_eval(args) -> int:
     dets = _read_csv(
         args.dets, 9, ("x",),
-        lambda v: Detection(box=_box(v), score=v[7], class_id=int(v[8])),
+        lambda v: Detection(box=_box(v), score=v[7], class_id=_class_id(v[8])),
     )
-    gts = _read_csv(args.gts, 8, ("x",), lambda v: (_box(v), int(v[7])))
+    gts = _read_csv(args.gts, 8, ("x",), lambda v: (_box(v), _class_id(v[7])))
     recall_positions = 11 if args.r11 else 40
     classes = sorted({d.class_id for d in dets} | {c for _, c in gts})
     result = {}
@@ -294,10 +313,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of backward passes")
-    p.add_argument(
-        "--op", default="all",
-        choices=["all", "p2i", "i2p", "fuse", "losses", "model", "point_to_pixel", "pixel_to_point"],
-    )
+    p.add_argument("--op", default="all", choices=list(GRADCHECK_OPS))
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_gradcheck)

@@ -8,7 +8,7 @@ x-axis, normalized to (-pi, pi].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "box_corners",
     "points_in_box",
     "iou_3d",
-    "augment_global",
 ]
 
 
@@ -280,54 +279,3 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     inter = area * dz
     return float(min(max(inter / (a.volume + b.volume - inter), 0.0), 1.0))
 
-
-def augment_global(
-    points: np.ndarray,
-    boxes: list[Box3D],
-    seed: int,
-    flip_prob: float = 0.5,
-    scale_range: tuple[float, float] = (0.95, 1.05),
-    rot_range: tuple[float, float] = (-np.pi / 4, np.pi / 4),
-):
-    """Global scene augmentation: random flip about the x-z plane, uniform
-    scaling, and rotation about +z, applied consistently to points and boxes.
-
-    Flip fires with probability ``flip_prob``; scaling and rotation each fire
-    independently with probability 0.5, drawing uniformly from their ranges.
-    Deterministic given ``seed``.  Returns (points, boxes, record) where
-    ``record`` documents exactly which transforms were applied.
-    """
-    if not (scale_range[0] <= scale_range[1] and rot_range[0] <= rot_range[1]):
-        raise ValueError("ranges must be well-ordered")
-    rng = np.random.default_rng(seed)
-    pts = np.array(points, dtype=float, copy=True)
-    out_boxes = list(boxes)
-    record = {"flip": False, "scale": None, "rotation": None}
-
-    if rng.random() < flip_prob:
-        record["flip"] = True
-        pts[:, 1] = -pts[:, 1]
-        out_boxes = [
-            replace(b, center=b.center * np.array([1.0, -1.0, 1.0]), yaw=-b.yaw)
-            for b in out_boxes
-        ]
-
-    if rng.random() < 0.5:
-        s = float(rng.uniform(*scale_range))
-        record["scale"] = s
-        pts[:, :3] *= s
-        out_boxes = [
-            replace(b, center=b.center * s, l=b.l * s, w=b.w * s, h=b.h * s)
-            for b in out_boxes
-        ]
-
-    if rng.random() < 0.5:
-        phi = float(rng.uniform(*rot_range))
-        record["rotation"] = phi
-        rot = rot_z(phi)
-        pts[:, :3] = pts[:, :3] @ rot.T
-        out_boxes = [
-            replace(b, center=rot @ b.center, yaw=b.yaw + phi) for b in out_boxes
-        ]
-
-    return pts, out_boxes, record

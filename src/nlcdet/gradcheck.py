@@ -20,17 +20,7 @@ from .propagation import (
     fuse_p2i_backward,
 )
 
-__all__ = [
-    "check_point_to_pixel",
-    "check_pixel_to_point",
-    "check_adjoint_point_to_pixel",
-    "check_adjoint_pixel_to_point",
-    "check_fuse_p2i",
-    "check_fuse_i2p",
-    "check_losses",
-    "check_full_model",
-    "run_all",
-]
+__all__ = ["check_losses", "check_full_model", "run_all"]
 
 _EPS = 1e-6
 
@@ -38,15 +28,6 @@ _EPS = 1e-6
 def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     denom = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)), 1e-12)
     return float(np.linalg.norm(a - b)) / denom
-
-
-def _random_instance(rng, n=7, c=3, h=5, w=6):
-    """Point features and the plan over their coordinates, some outside the grid."""
-    feats = rng.normal(size=(n, c))
-    coords = np.column_stack(
-        [rng.uniform(-1.5, w + 1.5, size=n), rng.uniform(-1.5, h + 1.5, size=n)]
-    )
-    return feats, ProjectionPlan(coords, h, w)
 
 
 def _fd_grad(f, x: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
@@ -60,39 +41,31 @@ def _fd_grad(f, x: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
     return fd / (2 * _EPS)
 
 
-def check_point_to_pixel(rng: np.random.Generator) -> float:
-    """FD check of the scatter-average backward w.r.t. point features."""
-    feats, plan = _random_instance(rng)
-    cotangent = rng.normal(size=(feats.shape[1], plan.height, plan.width))
-    analytic = plan.scatter_grad(cotangent)
-    return _rel_err(analytic, _fd_grad(plan.scatter, feats, cotangent))
+def _random_operator(rng, op: str, n=7, c=3, h=5, w=6):
+    """Input, forward, backward and output cotangent of the plan operator ``op``
+    ("scatter" or "gather") on a random plan over ``n`` points, some outside the grid."""
+    feats = rng.normal(size=(n, c))
+    coords = np.column_stack(
+        [rng.uniform(-1.5, w + 1.5, size=n), rng.uniform(-1.5, h + 1.5, size=n)]
+    )
+    plan = ProjectionPlan(coords, h, w)
+    if op == "scatter":
+        x, out_shape = feats, (c, h, w)
+    else:
+        x, out_shape = rng.normal(size=(c, h, w)), (plan.count, c)
+    return x, getattr(plan, op), getattr(plan, op + "_grad"), rng.normal(size=out_shape)
 
 
-def check_pixel_to_point(rng: np.random.Generator) -> float:
-    """FD check of the bilinear-gather backward w.r.t. grid features."""
-    feats, plan = _random_instance(rng)
-    grid = rng.normal(size=(feats.shape[1], plan.height, plan.width))
-    cotangent = rng.normal(size=(plan.count, grid.shape[0]))
-    analytic = plan.gather_grad(cotangent)
-    return _rel_err(analytic, _fd_grad(plan.gather, grid, cotangent))
+def _check_plan_fd(rng, op: str) -> float:
+    """FD check of a plan operator's backward w.r.t. its input."""
+    x, forward_fn, backward_fn, cotangent = _random_operator(rng, op)
+    return _rel_err(backward_fn(cotangent), _fd_grad(forward_fn, x, cotangent))
 
 
-def check_adjoint_point_to_pixel(rng: np.random.Generator) -> float:
-    """<scatter(g), t> must equal <g, scatter_backward(t)> (transpose identity)."""
-    feats, plan = _random_instance(rng)
-    t = rng.normal(size=(feats.shape[1], plan.height, plan.width))
-    lhs = float(np.sum(plan.scatter(feats) * t))
-    rhs = float(np.sum(feats * plan.scatter_grad(t)))
-    return abs(lhs - rhs)
-
-
-def check_adjoint_pixel_to_point(rng: np.random.Generator) -> float:
-    feats, plan = _random_instance(rng)
-    grid = rng.normal(size=(feats.shape[1], plan.height, plan.width))
-    t = rng.normal(size=(plan.count, grid.shape[0]))
-    lhs = float(np.sum(plan.gather(grid) * t))
-    rhs = float(np.sum(grid * plan.gather_grad(t)))
-    return abs(lhs - rhs)
+def _check_plan_adjoint(rng, op: str) -> float:
+    """<op(x), t> must equal <x, op_grad(t)> (transpose identity)."""
+    x, forward_fn, backward_fn, t = _random_operator(rng, op)
+    return abs(float(np.sum(forward_fn(x) * t)) - float(np.sum(x * backward_fn(t))))
 
 
 def _random_fuse_layers(rng, c_aux, c_mid, c_main, c_out):
@@ -136,14 +109,6 @@ def _check_fuse(rng, forward_fn, backward_fn, aux_shape, main_shape) -> float:
         )
         return _rel_err(analytic, _fd_grad(fused, flat, cot))
     raise RuntimeError("could not sample a kink-safe fusion instance")
-
-
-def check_fuse_p2i(rng: np.random.Generator) -> float:
-    return _check_fuse(rng, fuse_p2i, fuse_p2i_backward, (12, 3), (12, 3))
-
-
-def check_fuse_i2p(rng: np.random.Generator) -> float:
-    return _check_fuse(rng, fuse_i2p, fuse_i2p_backward, (10, 3), (10, 3))
 
 
 def check_losses(rng: np.random.Generator) -> float:
@@ -205,12 +170,12 @@ def check_full_model(rng: np.random.Generator, directions: int = 5) -> float:
         raise RuntimeError("could not sample a kink-safe model instance")
 
     def loss_at(vec):
-        model.unpack(vec)
+        model.params[...] = vec
         outputs, _ = forward(model, scene, config)
         losses, _ = compute_losses(outputs, scene, config)
         return losses["total"]
 
-    base = model.pack()
+    base = model.params.copy()
     outputs, cache = forward(model, scene, config)
     _, head_grads = compute_losses(outputs, scene, config)
     grad_vec = backward(model, scene, config, cache, head_grads).params
@@ -227,38 +192,30 @@ def check_full_model(rng: np.random.Generator, directions: int = 5) -> float:
         worst = max(
             worst, abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-10)
         )
-    model.unpack(base)
+    model.params[...] = base
     return worst
 
 
+# name -> (check drawing one random instance, largest error that passes)
+_CHECKS = {
+    "point_to_pixel": (lambda rng: _check_plan_fd(rng, "scatter"), 1e-6),
+    "pixel_to_point": (lambda rng: _check_plan_fd(rng, "gather"), 1e-6),
+    "adjoint_point_to_pixel": (lambda rng: _check_plan_adjoint(rng, "scatter"), 1e-10),
+    "adjoint_pixel_to_point": (lambda rng: _check_plan_adjoint(rng, "gather"), 1e-10),
+    "fuse_p2i": (lambda rng: _check_fuse(rng, fuse_p2i, fuse_p2i_backward, (12, 3), (12, 3)), 1e-6),
+    "fuse_i2p": (lambda rng: _check_fuse(rng, fuse_i2p, fuse_i2p_backward, (10, 3), (10, 3)), 1e-6),
+    "losses": (check_losses, 1e-6),
+    "full_model": (check_full_model, 1e-5),
+}
+THRESHOLDS = {name: threshold for name, (_, threshold) in _CHECKS.items()}
+
+
 def run_all(trials: int, seed: int) -> dict[str, float]:
-    """Run every operator check ``trials`` times; returns max error per check."""
+    """Run every check ``trials`` times, the full-model check ``trials // 20``
+    times but at least once, all from one generator; returns the max error per check."""
     rng = np.random.default_rng(seed)
     results = {}
-    checks = {
-        "point_to_pixel": check_point_to_pixel,
-        "pixel_to_point": check_pixel_to_point,
-        "adjoint_point_to_pixel": check_adjoint_point_to_pixel,
-        "adjoint_pixel_to_point": check_adjoint_pixel_to_point,
-        "fuse_p2i": check_fuse_p2i,
-        "fuse_i2p": check_fuse_i2p,
-        "losses": check_losses,
-    }
-    for name, fn in checks.items():
-        results[name] = max(fn(rng) for _ in range(trials))
-    results["full_model"] = max(
-        check_full_model(rng) for _ in range(max(1, trials // 20))
-    )
+    for name, (check, _) in _CHECKS.items():
+        runs = max(1, trials // 20) if name == "full_model" else trials
+        results[name] = max(check(rng) for _ in range(runs))
     return results
-
-
-THRESHOLDS = {
-    "point_to_pixel": 1e-6,
-    "pixel_to_point": 1e-6,
-    "adjoint_point_to_pixel": 1e-10,
-    "adjoint_pixel_to_point": 1e-10,
-    "fuse_p2i": 1e-6,
-    "fuse_i2p": 1e-6,
-    "losses": 1e-6,
-    "full_model": 1e-5,
-}

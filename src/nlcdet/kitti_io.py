@@ -102,6 +102,15 @@ def _parse_float(token: str, line_no: int, col: int) -> float:
     return value
 
 
+def _parse_int(token: str, line_no: int, col: int) -> int:
+    value = _parse_float(token, line_no, col)
+    if not value.is_integer():
+        raise ParseError(
+            f"line {line_no}, column {col}: {token!r} is not an integer", line=line_no, column=col
+        )
+    return int(value)
+
+
 _CALIB_SHAPES = {"P2": (3, 4), "R0_rect": (3, 3), "Tr_velo_to_cam": (3, 4)}
 
 
@@ -153,15 +162,15 @@ def parse_labels(text) -> list[KittiLabel]:
                 line=line_no,
             )
 
-        def num(i):
+        def num(i, parse=_parse_float):
             col, tok = fields[i]
-            return _parse_float(tok, line_no, col)
+            return parse(tok, line_no, col)
 
         labels.append(
             KittiLabel(
                 type=fields[0][1],
                 truncated=num(1),
-                occluded=int(num(2)),
+                occluded=num(2, _parse_int),
                 alpha=num(3),
                 bbox2d=(num(4), num(5), num(6), num(7)),
                 h=num(8),

@@ -96,20 +96,15 @@ def cross_entropy(logits, labels):
 
 
 def total_loss(
-    l_rpn: float,
-    l_rcnn: float,
     l_nlc: float,
     l_sem2d: float,
     l_sem3d: float,
     l_ctr: float,
     weights: LossWeights = LossWeights(),
 ) -> float:
-    """Weighted sum of all objectives; the RPN/RCNN terms arrive as externally
-    supplied scalars."""
+    """Weighted sum of the four auxiliary objectives."""
     return (
-        l_rpn
-        + l_rcnn
-        + weights.nlc * l_nlc
+        weights.nlc * l_nlc
         + weights.sem2d * l_sem2d
         + weights.sem3d * l_sem3d
         + weights.ctr * l_ctr

@@ -318,12 +318,6 @@ class ToyModel:
             layer.weights[...] = rng.normal(0.0, scale, size=layer.weights.shape)
         return model
 
-    def pack(self) -> np.ndarray:
-        return self.params.copy()
-
-    def unpack(self, vec: np.ndarray) -> None:
-        self.params[...] = vec
-
 
 def _rows(grid: np.ndarray) -> np.ndarray:
     """(C, H, W) grid as (H*W, C) rows, the image branch's layout."""
@@ -414,7 +408,7 @@ def compute_losses(outputs: dict, scene: SyntheticScene, config: TrainConfig):
         outputs["sem2d_logits"], scene.gt_nlc_map.mask.ravel()
     )
     losses["total"] = total_loss(
-        0.0, 0.0, losses["nlc"], losses["sem2d"], losses["sem3d"], losses["ctr"], config.weights
+        losses["nlc"], losses["sem2d"], losses["sem3d"], losses["ctr"], config.weights
     )
     return losses, grads
 

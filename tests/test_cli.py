@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlcdet import Box3D, nlc_to_lidar, read_nlc_map
-from nlcdet.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from nlcdet import gradcheck as gc
+from nlcdet.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, GRADCHECK_OPS, main
 from nlcdet.kitti_io import (
     KittiCalib, emit_calib, emit_labels, lidar_box_to_label, parse_calib, write_velodyne,
 )
@@ -190,6 +191,23 @@ class TestSolve:
         assert [s["sigma"] for s in sweep] == [0.005, 0.01, 0.02, 0.05]
         assert all(np.isfinite(s["median_center_error"]) for s in sweep)
 
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '{"center": [10, -3, 0.5], "l": "x", "w": 2, "h": 1.4, "yaw": 0.7}',
+        '{"center": [10, -3, 0.5], "l": "4", "w": true, "h": 1.4, "yaw": 0.7}',
+        '{"center": [10, -3, 0.5], "l": 1e400, "w": 2, "h": 1.4, "yaw": 0.7}',
+        '{"center": [10, -3, 0.5], "l": 1%s, "w": 2, "h": 1.4, "yaw": 0.7}' % ("0" * 400),
+        '{"center": [10, -3], "l": 4, "w": 2, "h": 1.4, "yaw": 0.7}',
+    ])
+    def test_bad_init_exit_2(self, tmp_path, capsys, text):
+        (tmp_path / "init.json").write_text(text)
+        inputs = ["--corrs", str(tmp_path / "corrs.csv"), "--init", str(tmp_path / "init.json")]
+        (tmp_path / "corrs.csv").write_text(_corrs_text())
+        assert main(["solve", *inputs]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: bad init file: ")
+
     def test_too_few_rows_exit_2(self, tmp_path, rng):
         box = Box3D(center=np.zeros(3), l=4, w=2, h=1.5, yaw=0.0)
         path = self._corrs_csv(tmp_path, rng, box, n=2)
@@ -221,6 +239,15 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--op", "losses", "--trials", "2"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "losses" in out and "full_model" not in out
+
+    def test_op_choices_partition_the_checks(self):
+        chosen = [name for op, names in GRADCHECK_OPS.items() if op != "all" for name in names]
+        assert sorted(chosen) == sorted(gc.THRESHOLDS)
+        assert GRADCHECK_OPS["all"] == tuple(gc.THRESHOLDS)
+
+    @pytest.mark.parametrize("op", ["point_to_pixel", "pixel_to_point"])
+    def test_removed_op_names_usage_error(self, op):
+        assert main(["gradcheck", "--op", op]) == EXIT_USAGE
 
 
 class TestTrainAndAblation:
@@ -351,6 +378,8 @@ class TestCsvInputs:
         ("dets", "nan,0,0,4,2,1.5,0,0.8,0", 5),
         ("dets", "20,0,0,4,2,1.5,0,0.8,inf", 5),
         ("corrs", "10,-3,nan,0.5,0.5,0.5", 15),
+        ("dets", "10,0,0,4,2,1.5,0,0.8,1.7", 5),
+        ("gts", "20,0,0,4,2,1.5,0,0.5", 3),
     ])
     def test_bad_row_exit_2_naming_its_line(self, tmp_path, capsys, name, row, line):
         inputs = {"corrs": _corrs_text()} if name == "corrs" else {"dets": DETS, "gts": GTS}
@@ -534,8 +563,32 @@ def _kitti_bytes():
     )
 
 
+def _init_bytes():
+    """A ``solve --init`` file: a box with some entries replaced or missing, other JSON, or bytes."""
+    bad = st.sampled_from([
+        "1e400", "-1e400", "NaN", "Infinity", "0", "-1.5", "true", "null", '"x"', '"4"', "[1, 2]",
+        "[1e400, 0, 0]", "{}", "1" + "0" * 400,
+    ])
+    size = st.floats(0.1, 6.0).map(repr)
+    fields = st.fixed_dictionaries({
+        "center": st.lists(st.floats(-50.0, 50.0).map(repr), min_size=3, max_size=3).map(
+            lambda v: "[" + ", ".join(v) + "]"
+        ),
+        "l": size, "w": size, "h": size, "yaw": st.floats(-4.0, 4.0).map(repr),
+    })
+    edits = st.one_of(st.just({}), st.dictionaries(
+        st.sampled_from(["center", "l", "w", "h", "yaw"]), st.one_of(bad, st.none()), max_size=2
+    ))
+    box = st.tuples(fields, edits).map(lambda t: "{" + ", ".join(
+        f'"{k}": {t[1].get(k, v)}' for k, v in t[0].items() if t[1].get(k, v) is not None
+    ) + "}")
+    return st.one_of(st.one_of(box, bad).map(str.encode), st.binary(max_size=32))
+
+
 _COMMANDS = st.one_of(
     st.tuples(st.just("solve"), st.fixed_dictionaries({"corrs": _csv_bytes(6)})),
+    st.tuples(st.just("solve"), st.fixed_dictionaries(
+        {"corrs": st.just(_corrs_text().encode()), "init": _init_bytes()})),
     st.tuples(st.just("eval"), st.fixed_dictionaries(
         {"dets": _csv_bytes(9, box_rows=True), "gts": _csv_bytes(8, box_rows=True)})),
     st.tuples(st.just("nlcmap"), _kitti_bytes().map(

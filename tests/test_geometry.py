@@ -1,4 +1,4 @@
-"""Frames, projection, box containment, rotated-box IoU, and augmentation."""
+"""Frames, projection, box containment, and rotated-box IoU."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from nlcdet import (
     BehindCamera,
     Box3D,
     Calibration,
-    augment_global,
     box_corners,
     iou_3d,
     normalize_angle,
@@ -21,14 +20,6 @@ from nlcdet import (
 from nlcdet.geometry import _bev_corners, _shoelace_area
 
 from conftest import random_box
-
-
-def boxes_equal(xs, ys):
-    return len(xs) == len(ys) and all(
-        np.array_equal(a.center, b.center)
-        and (a.l, a.w, a.h, a.yaw) == (b.l, b.w, b.h, b.yaw)
-        for a, b in zip(xs, ys)
-    )
 
 
 def identity_calib():
@@ -416,63 +407,3 @@ class TestIouReference:
             huge = _placed([0.0, 0.0, 0.0], [1e150, 4.0, 1.5], yaw)
             assert iou_3d(small, huge) == iou_3d(huge, small) == pytest.approx(2e-150, rel=1e-12)
 
-
-class TestAugmentGlobal:
-    def _scene(self, rng):
-        boxes = [random_box(rng, center_scale=10.0) for _ in range(3)]
-        pts = np.vstack(
-            [
-                b.center
-                + ((rng.uniform(0.05, 0.95, size=(40, 3)) - 0.5) * b.dims)
-                @ rot_z(b.yaw).T
-                for b in boxes
-            ]
-        )
-        return pts, boxes
-
-    def test_identity_record_returns_exact_input(self, rng):
-        pts, boxes = self._scene(rng)
-        # seed 3 draws all three gate probabilities above their thresholds
-        for seed in range(200):
-            out_pts, out_boxes, record = augment_global(pts, boxes, seed=seed)
-            if not record["flip"] and record["scale"] is None and record["rotation"] is None:
-                assert np.array_equal(out_pts, pts)
-                assert boxes_equal(out_boxes, boxes)
-                return
-        pytest.fail("no identity draw in 200 seeds")
-
-    def test_flip_algebra(self, rng):
-        pts = np.array([[1.0, 2.0, 3.0]])
-        boxes = [Box3D(center=np.array([4.0, 5.0, 6.0]), l=2, w=1, h=1, yaw=0.7)]
-        for seed in range(200):
-            out_pts, out_boxes, record = augment_global(pts, boxes, seed=seed, flip_prob=1.0)
-            if record["scale"] is None and record["rotation"] is None:
-                assert record["flip"]
-                assert np.array_equal(out_pts[0], [1.0, -2.0, 3.0])
-                assert np.allclose(out_boxes[0].center, [4.0, -5.0, 6.0])
-                assert np.isclose(out_boxes[0].yaw, -0.7)
-                return
-        pytest.fail("no flip-only draw in 200 seeds")
-
-    def test_containment_preserved(self, rng):
-        for trial in range(50):
-            pts, boxes = self._scene(rng)
-            out_pts, out_boxes, _ = augment_global(pts, boxes, seed=trial)
-            offset = 0
-            for box in out_boxes:
-                idx = points_in_box(out_pts[offset : offset + 40], box, margin=1e-9)
-                assert len(idx) == 40
-                offset += 40
-
-    def test_seeded_reproducibility(self, rng):
-        pts, boxes = self._scene(rng)
-        a = augment_global(pts, boxes, seed=17)
-        b = augment_global(pts, boxes, seed=17)
-        assert np.array_equal(a[0], b[0])
-        assert boxes_equal(a[1], b[1])
-        assert a[2] == b[2]
-
-    def test_bad_ranges_rejected(self, rng):
-        pts, boxes = self._scene(rng)
-        with pytest.raises(ValueError):
-            augment_global(pts, boxes, seed=0, scale_range=(1.1, 0.9))

@@ -1,12 +1,14 @@
-"""Every module-level import in the library is used or re-exported, and every
-module-level private definition is read somewhere in the library."""
+"""Every module-level import in the library is used or re-exported, every
+module-level private definition is read somewhere in the library, and every
+public name is read outside the package's re-exports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC_DIR = Path(__file__).resolve().parents[1] / "src" / "nlcdet"
+ROOT = Path(__file__).resolve().parents[1]
+SRC_DIR = ROOT / "src" / "nlcdet"
 MODULES = sorted(p for p in SRC_DIR.glob("*.py") if p.name != "__init__.py")
 
 
@@ -20,13 +22,17 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [a.asname or a.name for a in node.names]
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    exported = set()
+    return [name for name in bound if name not in read | set(_exported(tree))]
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    """The names a module lists in ``__all__``."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            exported = set(ast.literal_eval(node.value))
-    return [name for name in bound if name not in read | exported]
+            return ast.literal_eval(node.value)
+    return []
 
 
 def test_checker_flags_an_unused_import():
@@ -60,8 +66,19 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     of it; the definition itself and assignments to it are not reads.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = _reads(trees.values())
+    return [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in read
+    ]
+
+
+def _reads(trees) -> set[str]:
+    """Loaded names, attribute names and ``from``-imported names of ``trees``."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -69,12 +86,7 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(a.name for a in node.names)
-    return [
-        f"{module}.{name}"
-        for module, tree in trees.items()
-        for name in _private_definitions(tree)
-        if name not in read
-    ]
+    return read
 
 
 def test_checker_flags_an_unread_private_definition():
@@ -91,3 +103,30 @@ def test_checker_flags_an_unread_private_definition():
 def test_no_unread_private_definitions():
     sources = {p.stem: p.read_text() for p in SRC_DIR.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def unread_public_names(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.name`` for each ``__all__`` name of ``modules`` that no source in
+    ``callers`` reads, a read being as in :func:`unread_private_names`."""
+    read = _reads(ast.parse(source) for source in callers)
+    return [
+        f"{module}.{name}"
+        for module, source in modules.items()
+        for name in _exported(ast.parse(source))
+        if name not in read
+    ]
+
+
+def test_checker_flags_an_unread_public_name():
+    a = "__all__ = ['used', 'dead', 'attr']\ndef used(): pass\ndef dead(): pass\nattr = 1\n"
+    b = "from a import used\nimport a\na.attr\n"
+    assert unread_public_names({"a": a}, [a, b]) == ["a.dead"]
+
+
+def test_no_public_name_that_only_unit_tests_read():
+    # __init__ re-exports every public name, so its imports are not reads
+    modules = {p.stem: p.read_text() for p in MODULES}
+    callers = [*modules.values(), (ROOT / "tests" / "test_acceptance.py").read_text()]
+    for directory in ("demos", "perfbench"):
+        callers += [p.read_text() for p in sorted((ROOT / directory).rglob("*.py"))]
+    assert unread_public_names(modules, callers) == []

@@ -381,6 +381,7 @@ class TestErrorColumns:
         (parse_labels, "Car 0 0 0 a 1 1 1 1 1 1 1 1 1 1", 1, 11, "a"),
         (parse_labels, CAR_LINE + "\n\n  " + CAR_LINE.replace(" ", "\t", 1)[:-5] + "C", 3, 66, "C"),
         (parse_labels, CAR_LINE.replace("Car", "Van")[:-5] + "an", 1, 64, "an"),
+        (parse_labels, CAR_LINE.replace(" 0 ", " 1.5 ", 1), 1, 10, "1.5"),
         (parse_calib, "P2: 1 0 0 0 0 1 0 0 0 0 1 P", 1, 27, "P"),
         (parse_calib, IDENTITY_CALIB_TEXT.replace("R0_rect: 1 0 0 0 1", "R0_rect: 1 0 0 0 R0"),
          2, 18, "R0"),

@@ -138,14 +138,14 @@ class TestCrossEntropy:
 
 class TestTotalLoss:
     def test_all_zero(self):
-        assert total_loss(0, 0, 0, 0, 0, 0) == 0.0
+        assert total_loss(0, 0, 0, 0) == 0.0
 
     def test_unit_terms_default_weights(self):
-        assert total_loss(1, 1, 1, 1, 1, 1) == 6.0
+        assert total_loss(1, 1, 1, 1) == 4.0
 
     def test_weighted_example(self):
         w = LossWeights(nlc=2.0, sem2d=0.0, sem3d=0.0, ctr=0.0)
-        assert total_loss(1, 1, 1, 1, 1, 1, w) == 4.0
+        assert total_loss(1, 1, 1, 1, w) == 2.0
 
     @given(
         lam=st.floats(0.0, 10.0),
@@ -153,6 +153,6 @@ class TestTotalLoss:
     )
     @settings(max_examples=50, deadline=None)
     def test_weight_scales_linearly(self, lam, term):
-        base = total_loss(0, 0, 0, 0, 0, 0, LossWeights(ctr=lam))
-        with_term = total_loss(0, 0, 0, 0, 0, term, LossWeights(ctr=lam))
+        base = total_loss(0, 0, 0, 0, LossWeights(ctr=lam))
+        with_term = total_loss(0, 0, 0, term, LossWeights(ctr=lam))
         assert abs((with_term - base) - lam * term) < 1e-9
