@@ -3,7 +3,7 @@ weighted total, each returning its analytic gradient."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,12 +21,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Weights for the auxiliary loss terms; all default to 1."""
+    """Weights for the auxiliary loss terms; all default to 1.  Each must be a
+    finite number >= 0: a negative weight would train its head to raise its loss."""
 
     nlc: float = 1.0
     sem2d: float = 1.0
     sem3d: float = 1.0
     ctr: float = 1.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"loss weight {f.name} (lambda_{f.name}) must be a finite number >= 0, got {value}"
+                )
 
 
 def huber(r, delta: float = 1.0):
@@ -51,10 +60,10 @@ def _masked_huber(pred, target, foreground, delta):
     n_pos = int(fg.sum())
     if n_pos == 0:
         raise EmptyForeground("masked loss undefined with zero foreground points")
-    diff = pred - target
-    loss = float(huber(diff[fg], delta).sum()) / n_pos
+    diff = (pred - target)[fg]
+    loss = float(huber(diff, delta).sum()) / n_pos
     grad = np.zeros_like(pred)
-    grad[fg] = _huber_grad(diff[fg], delta) / n_pos
+    grad[fg] = _huber_grad(diff, delta) / n_pos
     return loss, grad
 
 
@@ -86,8 +95,17 @@ def cross_entropy(logits, labels):
         raise ValueError("need at least 2 classes")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         raise LabelError(f"labels must lie in [0, {k})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
+    # the row max and the row sum column by column: with few classes this
+    # is faster than an axis-1 reduction, and adds in the same order
+    row_max = logits[:, 0].copy()
+    for j in range(1, k):
+        np.maximum(row_max, logits[:, j], out=row_max)
+    shifted = logits - row_max[:, None]
+    exp = np.exp(shifted)
+    row_sum = exp[:, 0].copy()
+    for j in range(1, k):
+        row_sum += exp[:, j]
+    log_z = np.log(row_sum)
     loss = float(np.mean(log_z - shifted[np.arange(m), labels]))
     softmax = np.exp(shifted - log_z[:, None])
     grad = softmax

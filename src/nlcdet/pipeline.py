@@ -12,7 +12,7 @@ hand-written backward passes so the whole model is finite-difference checkable.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .propagation import (
     ProjectionPlan,
     _linear,
     _linear_backward,
+    _param_grad,
     _relu,
     fuse_i2p,
     fuse_i2p_backward,
@@ -229,8 +230,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if not (np.isfinite(self.huber_delta) and self.huber_delta > 0):
             raise ValueError(f"huber_delta must be a positive number, got {self.huber_delta}")
-        if not np.isfinite(self.learning_rate):
-            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be a finite number >= 0, got {self.learning_rate}")
 
 
 # each TrainConfig field by the type of its default, and the loss weights
@@ -296,7 +297,11 @@ IMAGE_BRANCH_LAYERS = tuple(n for n, (branch, _, _) in _LAYERS.items() if branch
 class ToyModel:
     """All layers of the two-branch toy network, keyed by name: views into the
     one float64 vector ``params`` (zeros when new), each layer's weights then
-    bias in packing order, so updating ``params`` in place updates every layer."""
+    bias in packing order, so updating ``params`` in place updates every layer.
+
+    Each layer's weights are stored (in, out), the layout the dense products
+    run fastest on; ``DenseLayer.weights`` is the (out, in) transposed view.
+    """
 
     def __init__(self, c_point: int = 16, c_image: int = 16):
         shapes = _layer_shapes(c_point, c_image)
@@ -304,7 +309,7 @@ class ToyModel:
         self.params = np.zeros(sum((i + 1) * o for _, i, o in shapes.values()))
         self.layers, off = {}, 0
         for name, (_, i, o) in shapes.items():
-            weights = self.params[off : off + o * i].reshape(o, i)
+            weights = self.params[off : off + o * i].reshape(i, o).T
             self.layers[name] = DenseLayer(weights, self.params[off + o * i : off + (i + 1) * o])
             off += (i + 1) * o
 
@@ -423,10 +428,12 @@ def backward(
     """Backpropagate the weighted sum of the losses whose gradients ``head_grads`` holds.
 
     Returns the parameter gradients as a model of the same shape, so a layer
-    that got no gradient reads zero.
+    that got no gradient reads zero; each layer's gradient is written straight
+    into it.
     """
     L = model.layers
-    grads = {}
+    out = ToyModel(model.c_point, model.c_image)
+    grads = out.layers
     h, w = scene.image.shape[1:]
     plan = scene.plan
 
@@ -439,8 +446,7 @@ def backward(
         d_out = weight * head_grads[comp]
         if comp == "nlc":
             d_out = _rows(plan.gather_grad(d_out))
-        d_in, grads[head] = _linear_backward(L[head], cache[branch], d_out)
-        d[branch] += d_in
+        d[branch] += _linear_backward(L[head], cache[branch], d_out, grads[head])[0]
     d_g, d_f = d["points"], d["image"]
 
     for (point, image, i2p, p2i), st in zip(reversed(_STAGES), reversed(cache["stages"])):
@@ -448,35 +454,44 @@ def backward(
         d_g_layer = np.zeros_like(st.pre_points)
         d_f_layer = np.zeros_like(st.pre_image)
         if st.i2p is not None:
-            d_gathered, d_part, (grads[i2p[0]], grads[i2p[1]]) = fuse_i2p_backward(d_g, st.i2p)
+            d_gathered, d_part, _ = fuse_i2p_backward(d_g, st.i2p, (grads[i2p[0]], grads[i2p[1]]))
             d_g_layer += d_part
             d_f_layer += _rows(plan.gather_grad(d_gathered))
         else:
             d_g_layer += d_g
         if st.p2i is not None:
-            d_scattered, d_part, (grads[p2i[0]], grads[p2i[1]]) = fuse_p2i_backward(d_f, st.p2i)
+            d_scattered, d_part, _ = fuse_p2i_backward(d_f, st.p2i, (grads[p2i[0]], grads[p2i[1]]))
             d_f_layer += d_part
             d_g_layer += plan.scatter_grad(_grid(d_scattered, h, w))
         else:
             d_f_layer += d_f
 
-        # the stage's dense layers, back to the stage inputs
-        d_pre = d_g_layer * (st.pre_points > 0)
-        d_g, grads[point] = _linear_backward(L[point], st.points_in, d_pre)
-        d_pre = d_f_layer * (st.pre_image > 0)
-        d_f, grads[image] = _linear_backward(L[image], st.image_in, d_pre)
-    out = ToyModel(model.c_point, model.c_image)
-    for name, grad in grads.items():
-        out.layers[name].weights[...] = grad.weights
-        out.layers[name].bias[...] = grad.bias
+        # the stage's dense layers, back to the stage inputs; nothing reads
+        # the gradient of the network's own inputs, so stage one skips it
+        d_pre_points = d_g_layer * (st.pre_points > 0)
+        d_pre_image = d_f_layer * (st.pre_image > 0)
+        if st is cache["stages"][0]:
+            _param_grad(st.points_in, d_pre_points, grads[point])
+            _param_grad(st.image_in, d_pre_image, grads[image])
+        else:
+            d_g = _linear_backward(L[point], st.points_in, d_pre_points, grads[point])[0]
+            d_f = _linear_backward(L[image], st.image_in, d_pre_image, grads[image])[0]
     return out
 
 
-def _grad_norm(grads: ToyModel, names) -> float:
-    total = 0.0
-    for layer in (grads.layers[name] for name in names):
-        total += float(np.sum(layer.weights ** 2) + np.sum(layer.bias ** 2))
-    return float(np.sqrt(total))
+@cache
+def _entries(c_point: int, c_image: int, names: tuple[str, ...]) -> np.ndarray:
+    """Positions in ``params`` of the named layers' weights and biases."""
+    probe = ToyModel(c_point, c_image)
+    for name in names:
+        probe.layers[name].weights[...] = 1.0
+        probe.layers[name].bias[...] = 1.0
+    return np.flatnonzero(probe.params)
+
+
+def _grad_norm(grads: ToyModel, names: tuple[str, ...]) -> float:
+    v = grads.params[_entries(grads.c_point, grads.c_image, names)]
+    return float(np.sqrt(v @ v))
 
 
 @dataclass

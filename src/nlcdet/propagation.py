@@ -50,7 +50,9 @@ __all__ = [
 @dataclass(frozen=True)
 class DenseLayer:
     """Shared per-point linear map / 1x1 convolution: y = W x + b.  Frozen, so
-    arrays that view a larger parameter vector stay bound to it."""
+    arrays that view a larger parameter vector stay bound to it.  ``weights``
+    may be a transposed view: the toy network stores them (in, out), the
+    layout the forward product runs fastest on."""
 
     weights: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
@@ -70,13 +72,33 @@ def _linear(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"layer expects {layer.in_channels} channels, got {x.shape[1]}"
         )
-    return x @ layer.weights.T + layer.bias
+    y = x @ layer.weights.T
+    y += layer.bias
+    return y
 
 
-def _linear_backward(layer: DenseLayer, x: np.ndarray, d_out: np.ndarray):
-    """Gradients of :func:`_linear` w.r.t. its input rows and its parameters."""
-    grad = DenseLayer(weights=d_out.T @ x, bias=d_out.sum(axis=0))
-    return d_out @ layer.weights, grad
+def _param_grad(x: np.ndarray, d_out: np.ndarray, grad: DenseLayer) -> DenseLayer:
+    """Write the parameter gradients of :func:`_linear` into ``grad``'s arrays.
+
+    The bias gradient, the column sums of ``d_out``, is one product with a
+    ones vector, which is several times faster than ``d_out.sum(axis=0)``.
+    """
+    np.matmul(x.T, d_out, out=grad.weights.T)
+    np.matmul(np.ones(len(d_out)), d_out, out=grad.bias)
+    return grad
+
+
+def _linear_backward(layer: DenseLayer, x: np.ndarray, d_out: np.ndarray, grad=None):
+    """Gradients of :func:`_linear` w.r.t. its input rows and its parameters;
+    the parameter gradients go into ``grad`` when given, else into new arrays.
+
+    The input gradient reads a C-contiguous (out, in) copy of the weights: on
+    these shapes BLAS runs that product about twice as fast as on the
+    transposed view of (in, out) storage, and the copy is a few hundred values.
+    """
+    if grad is None:
+        grad = DenseLayer(np.empty_like(layer.weights), np.empty_like(layer.bias))
+    return d_out @ np.ascontiguousarray(layer.weights), _param_grad(x, d_out, grad)
 
 
 def _near_image(uv: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -120,9 +142,10 @@ class ProjectionPlan:
     scene costs one sparse product per call instead of re-binning every call.
     Each backward applies the transpose of its forward matrix, a CSC view
     that shares its arrays, so the adjoint identity holds by construction.
-    Each matrix is built on first use and then kept, so a plan that only
-    scatters never builds the gather matrix; the plan keeps its own copy of
-    the coordinates they are built from.
+    Each matrix and each view is built on first use and then kept (a new
+    view per call costs more than the product on a training scene), so a
+    plan that only scatters never builds the gather matrix; the plan keeps
+    its own copy of the coordinates they are built from.
     """
 
     def __init__(self, coords: np.ndarray, height: int, width: int):
@@ -150,20 +173,28 @@ class ProjectionPlan:
         rows, cells, weights = _bilinear_weights(self.uv, h, w)
         return sparse.csr_matrix((weights, (rows, cells)), shape=(self.count, h * w))
 
+    @cached_property
+    def _scatter_matrix_t(self):
+        return self.scatter_matrix.T
+
+    @cached_property
+    def _gather_matrix_t(self):
+        return self.gather_matrix.T
+
     def scatter(self, features: np.ndarray) -> np.ndarray:
         out = self.scatter_matrix @ features
         return out.T.reshape(-1, self.height, self.width)
 
     def scatter_grad(self, grad_output: np.ndarray) -> np.ndarray:
         c = grad_output.shape[0]
-        return self.scatter_matrix.T @ grad_output.reshape(c, -1).T
+        return self._scatter_matrix_t @ grad_output.reshape(c, -1).T
 
     def gather(self, grid: np.ndarray) -> np.ndarray:
         c = grid.shape[0]
         return self.gather_matrix @ grid.reshape(c, -1).T
 
     def gather_grad(self, grad_points: np.ndarray) -> np.ndarray:
-        out = self.gather_matrix.T @ grad_points
+        out = self._gather_matrix_t @ grad_points
         return out.T.reshape(-1, self.height, self.width)
 
 
@@ -264,11 +295,12 @@ def _fuse_forward(x_aux: np.ndarray, x_main: np.ndarray, layers):
     return _relu(pre2), FusionCache(x_aux, pre1, cat, pre2, layers)
 
 
-def _fuse_backward(grad_out: np.ndarray, cache: FusionCache):
+def _fuse_backward(grad_out: np.ndarray, cache: FusionCache, grads):
     l1, l2 = cache.layers
-    d_cat, g_l2 = _linear_backward(l2, cache.cat, grad_out * (cache.pre2 > 0))
+    g1, g2 = grads
+    d_cat, g_l2 = _linear_backward(l2, cache.cat, grad_out * (cache.pre2 > 0), g2)
     k = l1.out_channels
-    d_aux, g_l1 = _linear_backward(l1, cache.x_aux, d_cat[:, :k] * (cache.pre1 > 0))
+    d_aux, g_l1 = _linear_backward(l1, cache.x_aux, d_cat[:, :k] * (cache.pre1 > 0), g1)
     return d_aux, d_cat[:, k:], (g_l1, g_l2)
 
 
@@ -284,9 +316,13 @@ def fuse_p2i(
     return _fuse_forward(scattered, image, layers)
 
 
-def fuse_p2i_backward(grad_out: np.ndarray, cache: FusionCache):
-    """Gradients of fuse_p2i w.r.t. (scattered, image, layer parameters)."""
-    return _fuse_backward(grad_out, cache)
+def fuse_p2i_backward(grad_out: np.ndarray, cache: FusionCache, grads=(None, None)):
+    """Gradients of fuse_p2i w.r.t. (scattered, image, layer parameters).
+
+    The parameter gradients are written into ``grads``, a pair of layers
+    shaped like the block's, where given, else into new arrays.
+    """
+    return _fuse_backward(grad_out, cache, grads)
 
 
 def fuse_i2p(
@@ -296,6 +332,7 @@ def fuse_i2p(
     return _fuse_forward(gathered, points, layers)
 
 
-def fuse_i2p_backward(grad_out: np.ndarray, cache: FusionCache):
-    """Gradients of fuse_i2p w.r.t. (gathered, points, layer parameters)."""
-    return _fuse_backward(grad_out, cache)
+def fuse_i2p_backward(grad_out: np.ndarray, cache: FusionCache, grads=(None, None)):
+    """Gradients of fuse_i2p w.r.t. (gathered, points, layer parameters);
+    ``grads`` as in :func:`fuse_p2i_backward`."""
+    return _fuse_backward(grad_out, cache, grads)

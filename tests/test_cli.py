@@ -295,7 +295,9 @@ class TestTrainAndAblation:
         ("train", "point_channels = 0"),
         ("train", "huber_delta = 0"),
         ("train", "epochs = -3"),
+        ("train", "learning_rate = -0.05"),
         ("ablation", "val_scenes = 0"),
+        ("ablation", "lambda_nlc = -1"),
     ])
     def test_bad_config_value_exit_2(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "bad.cfg"

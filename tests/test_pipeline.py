@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nlcdet.geometry import project_points
+from nlcdet.losses import LossWeights
 from nlcdet.nlc import build_gt_nlc_map
 from nlcdet.pipeline import (
     ABLATION_ROWS,
@@ -138,12 +139,20 @@ class TestConfigValidation:
         ("huber_delta", float("nan")),
         ("learning_rate", float("nan")),
         ("learning_rate", float("-inf")),
+        ("learning_rate", -0.05),
         ("seed", -1),
         ("data_seed", -1),
+        ("lambda_nlc", -1.0),
+        ("lambda_sem2d", float("nan")),
+        ("lambda_sem3d", float("inf")),
+        ("lambda_ctr", float("-inf")),
     ])
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
-            TrainConfig(**{field: value})
+            if field.startswith("lambda_"):
+                TrainConfig(weights=LossWeights(**{field[len("lambda_"):]: value}))
+            else:
+                TrainConfig(**{field: value})
         with pytest.raises(ValueError, match=field):
             parse_train_config(f"{field} = {value}")
 
@@ -221,6 +230,32 @@ class TestParameterVector:
         after, _ = forward(model, scene, TINY)
         for key in before:
             assert not np.array_equal(before[key], after[key])
+
+    # float.hex of ToyModel.init(0)'s (out, in) weights at [0, -1], [-1, 0]
+    # and [1, 1], recorded before the weights were stored (in, out)
+    INIT_0_HEX = {
+        "point1": ("0x1.2fd2bcc3dc7a9p-4", "-0x1.3c034bbf1fe19p-2", "0x1.05d2a22a3225dp-2"),
+        "image1": ("-0x1.1d146365a4401p-1", "-0x1.8772a1725d428p+0", "0x1.34f510490e4fcp-2"),
+        "i2p1b": ("-0x1.5c1ff74f0d334p-3", "0x1.0bc56a687b9f6p-2", "-0x1.1cec1af0b851ep-3"),
+        "p2i2a": ("0x1.bbd21f76feb5fp-4", "0x1.a19bc3dac4b34p-1", "0x1.297a26b8a5c03p-3"),
+        "head_nlc": ("0x1.707b6c0e1e4bap-2", "0x1.288bff6f09aa7p-3", "-0x1.e03a89bae783ap-5"),
+        "head_ctr": ("-0x1.70480e5ee0a34p-2", "0x1.d1939b55d9cfap-4", "-0x1.3d9275a680dc9p-4"),
+    }
+
+    def test_weights_stored_in_out_and_init_draws_kept(self):
+        model = ToyModel.init(0)
+        rng = np.random.default_rng(0)
+        for name, layer in model.layers.items():
+            # the products read the (in, out) storage, which is C-contiguous
+            assert layer.weights.T.flags.c_contiguous, name
+            assert np.shares_memory(layer.weights, model.params)
+            assert np.shares_memory(layer.bias, model.params)
+            # He-normal (out, in) draws in packing order, whatever the storage
+            expected = rng.normal(0.0, np.sqrt(2.0 / layer.in_channels), size=layer.weights.shape)
+            assert np.array_equal(layer.weights, expected), name
+        for name, pinned in self.INIT_0_HEX.items():
+            w = model.layers[name].weights
+            assert (w[0, -1].hex(), w[-1, 0].hex(), w[1, 1].hex()) == pinned
 
     def test_layer_arrays_cannot_be_rebound(self):
         layer = ToyModel.init(0, 6, 6).layers["point1"]

@@ -22,7 +22,7 @@ from nlcdet import (
 )
 from nlcdet import geometry, kitti_io
 from nlcdet.propagation import (
-    ProjectionPlan, _canonical_order, fuse_i2p_backward, fuse_p2i_backward,
+    ProjectionPlan, _canonical_order, _linear_backward, fuse_i2p_backward, fuse_p2i_backward,
 )
 
 
@@ -253,8 +253,19 @@ class TestProjectionPlan:
         assert "gather_matrix" not in vars(plan)
         assert matrices & set(vars(plan)) == {"scatter_matrix"}
         plan.gather_grad(np.ones((20, 1)))
-        # a backward applies a transposed view of its forward matrix and keeps no other
-        assert {k for k, v in vars(plan).items() if hasattr(v, "nnz")} == matrices
+        plan.scatter_grad(np.ones((1, 5, 5)))
+        # a backward applies a transposed view of its forward matrix: every other
+        # sparse object the plan keeps shares all its arrays with one forward matrix
+        sparse_objects = {k: v for k, v in vars(plan).items() if hasattr(v, "nnz")}
+        assert matrices <= set(sparse_objects)
+        for name, obj in sparse_objects.items():
+            if name in matrices:
+                continue
+            assert any(
+                all(np.shares_memory(getattr(obj, a), getattr(vars(plan)[m], a))
+                    for a in ("data", "indices", "indptr"))
+                for m in matrices
+            ), name
 
 
 def test_behind_camera_point_does_not_share_its_mirrors_pixel():
@@ -328,13 +339,15 @@ def reference_backward(plan, method, payload):
 def _assert_backwards_match_reference(plan, rng, channels):
     grid = rng.normal(size=(channels, plan.height, plan.width))
     points = rng.normal(size=(plan.count, channels))
-    assert np.array_equal(plan.scatter_grad(grid), reference_backward(plan, "scatter_grad", grid))
-    assert np.array_equal(plan.gather_grad(points), reference_backward(plan, "gather_grad", points))
+    # twice on one plan: the first call builds the kept view, the second reuses it
+    for _ in range(2):
+        assert np.array_equal(plan.scatter_grad(grid), reference_backward(plan, "scatter_grad", grid))
+        assert np.array_equal(plan.gather_grad(points), reference_backward(plan, "gather_grad", points))
 
 
 class TestTransposeViewReference:
-    """The backwards apply a CSC view of the forward matrix; no bit may change
-    against the CSR transpose copy they applied before."""
+    """The backwards apply a kept CSC view of the forward matrix; no bit may
+    change against the CSR transpose copy they applied before."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_and_awkward_rows(self, seed):
@@ -398,6 +411,33 @@ def composition_gradient_check(rng):
 
 def test_composition_gradient(rng):
     assert composition_gradient_check(rng) < 1e-6
+
+
+class TestDenseLayer:
+    @pytest.mark.parametrize("rows, c_in, c_out", [(768, 16, 16), (1000, 16, 3)])
+    def test_bias_gradient_is_the_column_sum(self, rng, rows, c_in, c_out):
+        # the bias gradient is one product with a ones vector, not d_out.sum(axis=0)
+        layer = DenseLayer(weights=rng.normal(size=(c_out, c_in)), bias=rng.normal(size=c_out))
+        x, d_out = rng.normal(size=(rows, c_in)), rng.normal(size=(rows, c_out))
+        _, grad = _linear_backward(layer, x, d_out)
+        assert np.allclose(grad.bias, d_out.sum(axis=0), rtol=1e-12, atol=0.0)
+        assert np.allclose(grad.weights, d_out.T @ x, rtol=1e-12, atol=1e-12)
+
+    def test_fusion_gradients_written_into_given_layers(self, rng):
+        c, rows = 3, 20
+        l1 = DenseLayer(weights=rng.normal(size=(c, c)), bias=rng.normal(size=c))
+        l2 = DenseLayer(weights=rng.normal(size=(c, 2 * c)), bias=rng.normal(size=c))
+        _, cache = fuse_p2i(rng.normal(size=(rows, c)), rng.normal(size=(rows, c)), (l1, l2))
+        cot = rng.normal(size=(rows, c))
+        *_, fresh = fuse_p2i_backward(cot, cache)
+        given = tuple(
+            DenseLayer(np.full(l.weights.shape, np.nan), np.full(l.bias.shape, np.nan))
+            for l in (l1, l2)
+        )
+        *_, written = fuse_p2i_backward(cot, cache, given)
+        for a, b, g in zip(fresh, written, given):
+            assert b is g
+            assert np.array_equal(a.weights, g.weights) and np.array_equal(a.bias, g.bias)
 
 
 class TestFusion:
