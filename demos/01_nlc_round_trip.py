@@ -46,7 +46,7 @@ calib = Calibration(
     R=np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]),
 )
 inside = nlc_to_lidar(rng.uniform(0, 1, size=(400, 3)), box)
-gt_map = build_gt_nlc_map(inside, [box], calib, height=96, width=128)
+gt_map, _ = build_gt_nlc_map(inside, [box], calib, height=96, width=128)
 print(f"\nGT NLC map: {gt_map.mask.sum()} foreground pixels out of "
       f"{gt_map.mask.size}")
 print("nearest foreground pixel depth:", f"{gt_map.depth.min():.3f} m")

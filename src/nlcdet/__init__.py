@@ -48,6 +48,6 @@ from .propagation import (
     point_to_pixel,
     point_to_pixel_backward,
 )
-from .solver import SolveOptions, SolveReport, dof_analysis, solve_box
+from .solver import SolveReport, dof_analysis, solve_box
 
 __version__ = "0.1.0"

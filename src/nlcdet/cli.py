@@ -24,7 +24,7 @@ from .kitti_io import (
 from .metrics import Detection, evaluate
 from .nlc import build_gt_nlc_map, nlc_map_to_csv, write_nlc_map
 from .pipeline import ablation, parse_train_config, train
-from .solver import SolveOptions, solve_box
+from .solver import solve_box
 from . import gradcheck as gc
 
 EXIT_OK = 0
@@ -126,9 +126,7 @@ def cmd_nlcmap(args) -> int:
     boxes = [
         label_to_lidar_box(lb, calib) for lb in labels if not lb.is_dont_care
     ]
-    nlc_map, obj_ids = build_gt_nlc_map(
-        points, boxes, cal, args.height, args.width, return_object_ids=True
-    )
+    nlc_map, obj_ids = build_gt_nlc_map(points, boxes, cal, args.height, args.width)
     with open(args.out, "wb") as fh:
         fh.write(write_nlc_map(nlc_map))
     if args.csv:
@@ -143,7 +141,7 @@ def cmd_nlcmap(args) -> int:
 def cmd_solve(args) -> int:
     corrs = np.array(_read_csv(args.corrs, 6, ("x", "x_l"), list)).reshape(-1, 6)
     init = _read_init(args.init) if args.init else None
-    out = solve_box(corrs, init=init, opts=SolveOptions()).to_dict()
+    out = solve_box(corrs, init=init).to_dict()
     if args.noise_report:
         out["noise_sweep"] = _noise_sweep(corrs, args.seed)
     _emit_json(out)
@@ -204,14 +202,11 @@ def _load_config(path: str):
     try:
         return parse_train_config(Path(path).read_text())
     except (OSError, ValueError) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return None
+        raise ParseError(f"bad config: {exc}") from None
 
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
-    if config is None:
-        return EXIT_DATA
     _, report = train(config)
     if args.curves:
         _write_curves_csv(args.curves, report.epochs)
@@ -224,8 +219,6 @@ def cmd_train(args) -> int:
 
 def cmd_ablation(args) -> int:
     config = _load_config(args.config)
-    if config is None:
-        return EXIT_DATA
     report = ablation(config, seeds=args.seeds)
     _emit_json(report, args.out)
     if any(

@@ -54,6 +54,10 @@ class Box3D:
             raise ValueError("box center must be finite")
         if not (self.l > 0 and self.w > 0 and self.h > 0):
             raise ValueError("box dimensions must be strictly positive")
+        if not (math.isfinite(self.l) and math.isfinite(self.w) and math.isfinite(self.h)):
+            raise ValueError("box dimensions must be finite")
+        if not math.isfinite(self.yaw):
+            raise ValueError("box yaw must be finite")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "yaw", float(normalize_angle(self.yaw)))
 
@@ -194,15 +198,10 @@ def box_corners(box: Box3D) -> np.ndarray:
     return _from_box_frame(_CORNER_NLC, box)
 
 
-def points_in_box(points: np.ndarray, box: Box3D, margin: float = 0.0) -> np.ndarray:
-    """Indices of points whose normalized box coordinates lie in [-margin, 1+margin]^3.
-
-    ``margin`` is expressed in normalized (box-relative) units.
-    """
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
+def points_in_box(points: np.ndarray, box: Box3D) -> np.ndarray:
+    """Indices of points inside the closed box: normalized box coordinates in [0, 1]^3."""
     n = _to_box_frame(points, box)
-    inside = np.all((n >= -margin) & (n <= 1.0 + margin), axis=1)
+    inside = np.all((n >= 0.0) & (n <= 1.0), axis=1)
     return np.nonzero(inside)[0]
 
 

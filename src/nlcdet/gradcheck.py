@@ -93,7 +93,10 @@ def _check_fuse(rng, forward_fn, backward_fn, aux_shape, main_shape) -> float:
         if not _kink_safe(cache):
             continue
         cot = rng.normal(size=out.shape)
-        d_aux, d_main, (g1, g2) = backward_fn(cot, cache)
+        g1, g2 = (
+            DenseLayer(np.empty_like(layer.weights), np.empty_like(layer.bias)) for layer in layers
+        )
+        d_aux, d_main = backward_fn(cot, cache, (g1, g2))
         blocks = [aux, main, layers[0].weights, layers[0].bias, layers[1].weights, layers[1].bias]
         ends = np.cumsum([b.size for b in blocks])[:-1]
 
@@ -148,8 +151,9 @@ def _min_preactivation(cache) -> float:
     return min(vals)
 
 
-def check_full_model(rng: np.random.Generator, directions: int = 5) -> float:
-    """Directional FD check of the end-to-end toy-model loss gradient."""
+def check_full_model(rng: np.random.Generator) -> float:
+    """Directional FD check of the end-to-end toy-model loss gradient along
+    five random unit directions."""
     scene = generate_scene(
         int(rng.integers(1 << 31)),
         SceneParams(max_boxes=1, min_points_per_box=20, max_points_per_box=30,
@@ -181,7 +185,7 @@ def check_full_model(rng: np.random.Generator, directions: int = 5) -> float:
     grad_vec = backward(model, scene, config, cache, head_grads).params
 
     worst = 0.0
-    for _ in range(directions):
+    for _ in range(5):
         d = rng.normal(size=base.size)
         d /= np.linalg.norm(d)
         step = 1e-6

@@ -321,13 +321,13 @@ def lidar_box_to_label(
     )
 
 
-def filter_detection_range(points: np.ndarray, ranges=DETECTION_RANGE) -> np.ndarray:
-    """Keep points inside the closed detection-range intervals, order preserved."""
+def filter_detection_range(points: np.ndarray) -> np.ndarray:
+    """Keep points inside the closed ``DETECTION_RANGE`` intervals, order preserved."""
     pts = np.asarray(points)
     if pts.size == 0:
         return pts.reshape(0, pts.shape[-1] if pts.ndim > 1 else 4)
     keep = np.ones(len(pts), dtype=bool)
-    for axis, (lo, hi) in enumerate(ranges):
+    for axis, (lo, hi) in enumerate(DETECTION_RANGE):
         keep &= (pts[:, axis] >= lo) & (pts[:, axis] <= hi)
     return pts[keep]
 

@@ -80,19 +80,18 @@ def build_gt_nlc_map(
     calib: Calibration,
     height: int,
     width: int,
-    return_object_ids: bool = False,
-):
+) -> tuple[NlcMap, np.ndarray]:
     """Construct the ground-truth NLC map by projecting foreground points.
 
-    A point inside some box (zero margin) whose projection lands in
+    A point inside some box whose projection lands in
     [0, W) x [0, H) with positive depth writes its NLC at pixel
     (floor(v), floor(u)).  Conflicts resolve deterministically: the
     nearest-depth point wins a pixel (ties broken by lexicographic point
     coordinates), and a point inside several boxes belongs to the box whose
     center is nearest (ties broken by box index).
 
-    With ``return_object_ids`` also returns an (H, W) int array giving the
-    claiming box index per mask-true pixel (-1 elsewhere).
+    Returns the map and an (H, W) int array of per-pixel object ids: the
+    claiming box index per mask-true pixel, -1 elsewhere.
     """
     if height <= 0 or width <= 0:
         raise ValueError("map dimensions must be positive")
@@ -119,7 +118,7 @@ def build_gt_nlc_map(
             r = 0.5 * np.hypot(box.l, box.w) * (1.0 + 1e-9)
             cx, cy = box.center[:2]
             near = np.nonzero((np.abs(x - cx) <= r) & (np.abs(y - cy) <= r))[0]
-            idx = near[points_in_box(xyz[near], box, margin=0.0)]
+            idx = near[points_in_box(xyz[near], box)]
             if len(idx) == 0:
                 continue
             d = np.linalg.norm(xyz[idx] - box.center, axis=1)
@@ -138,8 +137,7 @@ def build_gt_nlc_map(
             sel = win_owner == bi
             values.reshape(-1, 3)[cells[sel]] = lidar_to_nlc(xyz[fg[win[sel]]], boxes[bi])
 
-    result = NlcMap(values=values, mask=mask, depth=depth)
-    return (result, obj_ids) if return_object_ids else result
+    return NlcMap(values=values, mask=mask, depth=depth), obj_ids
 
 
 def mmae(gt: NlcMap, pred: np.ndarray, object_pixels: list[np.ndarray]):

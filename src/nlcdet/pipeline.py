@@ -184,7 +184,7 @@ def generate_scene(seed: int, params: SceneParams = SceneParams()) -> SyntheticS
 
     u, v, d = project_points(xyz, calib)
     coords = np.column_stack([u, v])
-    gt_map, obj_ids = build_gt_nlc_map(points, boxes, calib, h, w, return_object_ids=True)
+    gt_map, obj_ids = build_gt_nlc_map(points, boxes, calib, h, w)
 
     depth_plane = np.zeros(h * w)
     nearest, cells = _nearest_per_pixel(xyz, u, v, d, h, w)
@@ -446,7 +446,7 @@ def backward(
         d_out = weight * head_grads[comp]
         if comp == "nlc":
             d_out = _rows(plan.gather_grad(d_out))
-        d[branch] += _linear_backward(L[head], cache[branch], d_out, grads[head])[0]
+        d[branch] += _linear_backward(L[head], cache[branch], d_out, grads[head])
     d_g, d_f = d["points"], d["image"]
 
     for (point, image, i2p, p2i), st in zip(reversed(_STAGES), reversed(cache["stages"])):
@@ -454,13 +454,13 @@ def backward(
         d_g_layer = np.zeros_like(st.pre_points)
         d_f_layer = np.zeros_like(st.pre_image)
         if st.i2p is not None:
-            d_gathered, d_part, _ = fuse_i2p_backward(d_g, st.i2p, (grads[i2p[0]], grads[i2p[1]]))
+            d_gathered, d_part = fuse_i2p_backward(d_g, st.i2p, (grads[i2p[0]], grads[i2p[1]]))
             d_g_layer += d_part
             d_f_layer += _rows(plan.gather_grad(d_gathered))
         else:
             d_g_layer += d_g
         if st.p2i is not None:
-            d_scattered, d_part, _ = fuse_p2i_backward(d_f, st.p2i, (grads[p2i[0]], grads[p2i[1]]))
+            d_scattered, d_part = fuse_p2i_backward(d_f, st.p2i, (grads[p2i[0]], grads[p2i[1]]))
             d_f_layer += d_part
             d_g_layer += plan.scatter_grad(_grid(d_scattered, h, w))
         else:
@@ -474,8 +474,8 @@ def backward(
             _param_grad(st.points_in, d_pre_points, grads[point])
             _param_grad(st.image_in, d_pre_image, grads[image])
         else:
-            d_g = _linear_backward(L[point], st.points_in, d_pre_points, grads[point])[0]
-            d_f = _linear_backward(L[image], st.image_in, d_pre_image, grads[image])[0]
+            d_g = _linear_backward(L[point], st.points_in, d_pre_points, grads[point])
+            d_f = _linear_backward(L[image], st.image_in, d_pre_image, grads[image])
     return out
 
 
@@ -516,7 +516,8 @@ def make_scenes(config: TrainConfig):
 
 
 def evaluate_model(model: ToyModel, scenes, config: TrainConfig) -> dict:
-    """Mean per-component validation losses plus the NLC-map mMAE."""
+    """Mean per-component validation losses plus the NLC-map mMAE over a
+    non-empty list of scenes."""
     sums = {"nlc": 0.0, "sem2d": 0.0, "sem3d": 0.0, "ctr": 0.0, "total": 0.0}
     mmae_vals, skipped = [], 0
     for scene in scenes:
@@ -529,11 +530,9 @@ def evaluate_model(model: ToyModel, scenes, config: TrainConfig) -> dict:
         (vals, skip) = mmae(scene.gt_nlc_map, pred, pix)
         mmae_vals.append(vals)
         skipped += skip
-    n = max(len(scenes), 1)
-    out = {key: val / n for key, val in sums.items()}
-    if mmae_vals:
-        mx, my, mz = np.mean(mmae_vals, axis=0)
-        out["mmae"] = {"x": float(mx), "y": float(my), "z": float(mz), "skipped": skipped}
+    out = {key: val / len(scenes) for key, val in sums.items()}
+    mx, my, mz = np.mean(mmae_vals, axis=0)
+    out["mmae"] = {"x": float(mx), "y": float(my), "z": float(mz), "skipped": skipped}
     return out
 
 
@@ -548,6 +547,7 @@ def train(
     image-branch parameter gradients, plus the norm of the point-branch
     gradient produced by image-branch objectives alone (measured on the
     first scene) to expose the gradient path through point-to-pixel scatter.
+    Either scene list, when given, must be non-empty.
     """
     if train_scenes is None or val_scenes is None:
         generated_train, generated_val = make_scenes(config)
@@ -555,6 +555,8 @@ def train(
         val_scenes = generated_val if val_scenes is None else val_scenes
     if not train_scenes:
         raise ValueError("need at least one training scene")
+    if not val_scenes:
+        raise ValueError("need at least one validation scene")
 
     model = ToyModel.init(
         config.seed, c_point=config.point_channels, c_image=config.image_channels
@@ -593,7 +595,7 @@ def train(
             }
         )
 
-    final_val = evaluate_model(model, val_scenes, config) if val_scenes else {}
+    final_val = evaluate_model(model, val_scenes, config)
     report = TrainingReport(
         config=config,
         epochs=epochs_log,

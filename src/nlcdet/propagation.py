@@ -77,7 +77,7 @@ def _linear(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _param_grad(x: np.ndarray, d_out: np.ndarray, grad: DenseLayer) -> DenseLayer:
+def _param_grad(x: np.ndarray, d_out: np.ndarray, grad: DenseLayer) -> None:
     """Write the parameter gradients of :func:`_linear` into ``grad``'s arrays.
 
     The bias gradient, the column sums of ``d_out``, is one product with a
@@ -85,20 +85,18 @@ def _param_grad(x: np.ndarray, d_out: np.ndarray, grad: DenseLayer) -> DenseLaye
     """
     np.matmul(x.T, d_out, out=grad.weights.T)
     np.matmul(np.ones(len(d_out)), d_out, out=grad.bias)
-    return grad
 
 
-def _linear_backward(layer: DenseLayer, x: np.ndarray, d_out: np.ndarray, grad=None):
-    """Gradients of :func:`_linear` w.r.t. its input rows and its parameters;
-    the parameter gradients go into ``grad`` when given, else into new arrays.
+def _linear_backward(layer: DenseLayer, x: np.ndarray, d_out: np.ndarray, grad: DenseLayer):
+    """Gradient of :func:`_linear` w.r.t. its input rows; the parameter
+    gradients are written into ``grad``, a layer shaped like ``layer``.
 
     The input gradient reads a C-contiguous (out, in) copy of the weights: on
     these shapes BLAS runs that product about twice as fast as on the
     transposed view of (in, out) storage, and the copy is a few hundred values.
     """
-    if grad is None:
-        grad = DenseLayer(np.empty_like(layer.weights), np.empty_like(layer.bias))
-    return d_out @ np.ascontiguousarray(layer.weights), _param_grad(x, d_out, grad)
+    _param_grad(x, d_out, grad)
+    return d_out @ np.ascontiguousarray(layer.weights)
 
 
 def _near_image(uv: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -298,10 +296,10 @@ def _fuse_forward(x_aux: np.ndarray, x_main: np.ndarray, layers):
 def _fuse_backward(grad_out: np.ndarray, cache: FusionCache, grads):
     l1, l2 = cache.layers
     g1, g2 = grads
-    d_cat, g_l2 = _linear_backward(l2, cache.cat, grad_out * (cache.pre2 > 0), g2)
+    d_cat = _linear_backward(l2, cache.cat, grad_out * (cache.pre2 > 0), g2)
     k = l1.out_channels
-    d_aux, g_l1 = _linear_backward(l1, cache.x_aux, d_cat[:, :k] * (cache.pre1 > 0), g1)
-    return d_aux, d_cat[:, k:], (g_l1, g_l2)
+    d_aux = _linear_backward(l1, cache.x_aux, d_cat[:, :k] * (cache.pre1 > 0), g1)
+    return d_aux, d_cat[:, k:]
 
 
 def fuse_p2i(
@@ -316,11 +314,11 @@ def fuse_p2i(
     return _fuse_forward(scattered, image, layers)
 
 
-def fuse_p2i_backward(grad_out: np.ndarray, cache: FusionCache, grads=(None, None)):
-    """Gradients of fuse_p2i w.r.t. (scattered, image, layer parameters).
+def fuse_p2i_backward(grad_out: np.ndarray, cache: FusionCache, grads):
+    """Gradients of fuse_p2i w.r.t. (scattered, image).
 
-    The parameter gradients are written into ``grads``, a pair of layers
-    shaped like the block's, where given, else into new arrays.
+    The layer parameter gradients are written into ``grads``, a pair of
+    layers shaped like the block's.
     """
     return _fuse_backward(grad_out, cache, grads)
 
@@ -332,7 +330,7 @@ def fuse_i2p(
     return _fuse_forward(gathered, points, layers)
 
 
-def fuse_i2p_backward(grad_out: np.ndarray, cache: FusionCache, grads=(None, None)):
-    """Gradients of fuse_i2p w.r.t. (gathered, points, layer parameters);
-    ``grads`` as in :func:`fuse_p2i_backward`."""
+def fuse_i2p_backward(grad_out: np.ndarray, cache: FusionCache, grads):
+    """Gradients of fuse_i2p w.r.t. (gathered, points); the layer parameter
+    gradients are written into ``grads`` as in :func:`fuse_p2i_backward`."""
     return _fuse_backward(grad_out, cache, grads)

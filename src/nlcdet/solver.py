@@ -14,14 +14,12 @@ import numpy as np
 from .errors import Underdetermined
 from .geometry import Box3D, normalize_angle, rot_z
 
-__all__ = ["SolveOptions", "SolveReport", "solve_box", "dof_analysis"]
+__all__ = ["SolveReport", "solve_box", "dof_analysis"]
 
-
-@dataclass(frozen=True)
-class SolveOptions:
-    max_iterations: int = 100
-    tol: float = 1e-10
-    lm_damping_init: float = 1e-3
+# Levenberg-Marquardt: iteration cap, RMS-decrease convergence test, initial damping
+_MAX_ITERATIONS = 100
+_TOL = 1e-10
+_LM_DAMPING_INIT = 1e-3
 
 
 @dataclass
@@ -102,11 +100,11 @@ def _jacobian(parts) -> np.ndarray:
     return jac.reshape(3 * npts, 7)
 
 
-def _default_init(pts: np.ndarray, nlcs: np.ndarray | None = None) -> Box3D:
+def _default_init(pts: np.ndarray, nlcs: np.ndarray) -> Box3D:
     """Heuristic start: centroid, PCA-aligned extents, principal BEV axis.
 
-    The PCA axis is only defined up to sign; when NLC targets are available
-    the sign is chosen so the axis points toward increasing x_nlc.
+    The PCA axis is only defined up to sign; the sign is chosen so the axis
+    points toward increasing x_nlc.
     """
     centroid = pts.mean(axis=0)
     centered = pts - centroid
@@ -114,10 +112,9 @@ def _default_init(pts: np.ndarray, nlcs: np.ndarray | None = None) -> Box3D:
     cov = xy.T @ xy / max(len(pts), 1)
     evals, evecs = np.linalg.eigh(cov)
     axis = evecs[:, np.argmax(evals)]
-    if nlcs is not None:
-        alignment = float((xy @ axis) @ (nlcs[:, 0] - 0.5))
-        if alignment < 0:
-            axis = -axis
+    alignment = float((xy @ axis) @ (nlcs[:, 0] - 0.5))
+    if alignment < 0:
+        axis = -axis
     theta = float(np.arctan2(axis[1], axis[0]))
     rot = rot_z(theta)
     aligned = centered @ rot
@@ -126,17 +123,16 @@ def _default_init(pts: np.ndarray, nlcs: np.ndarray | None = None) -> Box3D:
     return Box3D(center=centroid, l=extents[0], w=extents[1], h=extents[2], yaw=theta)
 
 
-def solve_box(
-    correspondences: np.ndarray,
-    init: Box3D | None = None,
-    opts: SolveOptions = SolveOptions(),
-) -> SolveReport:
+def solve_box(correspondences: np.ndarray, init: Box3D | None = None) -> SolveReport:
     """Least-squares fit of a 7-DOF box to (point, NLC) correspondences.
 
     ``correspondences`` is (N, 6): LiDAR xyz followed by the NLC triple.
     Minimizes the summed squared NLC residual by Levenberg-Marquardt with an
-    analytic Jacobian; dimensions stay positive through a log
-    parameterization.  Accepted steps never increase the residual.
+    analytic Jacobian, starting from ``init`` or, without it, from a
+    centroid-and-PCA estimate; dimensions stay positive through a log
+    parameterization.  Accepted steps never increase the residual.  The fit
+    stops after 100 iterations, or as converged once an accepted step lowers
+    the RMS residual by less than 1e-10.
     """
     corrs = np.asarray(correspondences, dtype=float).reshape(-1, 6)
     if len(corrs) < 3:
@@ -150,10 +146,10 @@ def solve_box(
     res, parts = _residuals(q, pts, nlcs)
     jac = _jacobian(parts)
     cost = float(res @ res)
-    lam = opts.lm_damping_init
+    lam = _LM_DAMPING_INIT
     converged = False
     iterations = 0
-    for iterations in range(1, opts.max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         jtj = jac.T @ jac
         jtr = jac.T @ res
         # Marquardt scaling, floored so unobservable parameters stay damped
@@ -175,7 +171,7 @@ def solve_box(
             rms_new = np.sqrt(cost_new / len(res))
             q, res, jac, cost = q_new, res_new, _jacobian(parts), cost_new
             lam *= 0.5
-            if rms_old - rms_new < opts.tol:
+            if rms_old - rms_new < _TOL:
                 converged = True
                 break
         else:
@@ -199,28 +195,16 @@ def solve_box(
     )
 
 
-def dof_analysis(
-    correspondences: np.ndarray, at: Box3D | None = None
-) -> dict:
+def dof_analysis(correspondences: np.ndarray, at: Box3D) -> dict:
     """Observability audit: equation count and numeric Jacobian rank.
 
-    The Jacobian is evaluated at ``at`` when given, otherwise at a
-    least-squares estimate (falling back to the default initializer when a
-    solve is not possible).  Rank counts singular values above
+    The Jacobian is evaluated at ``at``.  Rank counts singular values above
     1e-10 x sigma_max.
     """
     corrs = np.asarray(correspondences, dtype=float).reshape(-1, 6)
     if len(corrs) < 1:
         raise Underdetermined("need at least 1 correspondence")
     pts, nlcs = corrs[:, :3], corrs[:, 3:]
-    if at is None:
-        if len(corrs) >= 3:
-            try:
-                at = solve_box(corrs).box
-            except np.linalg.LinAlgError:
-                at = _default_init(pts, nlcs)
-        else:
-            at = _default_init(pts, nlcs)
     _, parts = _residuals(_params_from_box(at), pts, nlcs)
     sv = np.linalg.svd(_jacobian(parts), compute_uv=False)
     rank = int(np.sum(sv > 1e-10 * sv[0])) if sv[0] > 0 else 0

@@ -264,7 +264,7 @@ def test_criterion_9_mmae():
     ]
     pts = np.vstack([nlc_to_lidar(rng.uniform(0, 1, size=(400, 3)), b) for b in boxes])
     calib = default_calibration()
-    gt, obj = build_gt_nlc_map(pts, boxes, calib, 24, 32, return_object_ids=True)
+    gt, obj = build_gt_nlc_map(pts, boxes, calib, 24, 32)
     pix = object_pixel_sets(obj, len(boxes))
 
     zero_vals, _ = mmae(gt, gt.values, pix)

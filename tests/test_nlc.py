@@ -91,7 +91,7 @@ def simple_calib():
 
 class TestGtMap:
     def test_empty_cloud(self):
-        m = build_gt_nlc_map(np.zeros((0, 3)), [], simple_calib(), 10, 12)
+        m, _ = build_gt_nlc_map(np.zeros((0, 3)), [], simple_calib(), 10, 12)
         assert not m.mask.any()
         assert np.all(m.values == 0.0)
         assert np.all(np.isinf(m.depth))
@@ -99,7 +99,7 @@ class TestGtMap:
     def test_single_interior_point(self):
         box = Box3D(center=np.array([10.0, 0, 0]), l=4, w=4, h=4, yaw=0.0)
         p = np.array([[10.0, 0.5, 0.5]])
-        m = build_gt_nlc_map(p, [box], simple_calib(), 48, 64)
+        m, _ = build_gt_nlc_map(p, [box], simple_calib(), 48, 64)
         assert m.mask.sum() == 1
         r, c = np.argwhere(m.mask)[0]
         assert np.allclose(m.values[r, c], lidar_to_nlc(p[0], box))
@@ -109,8 +109,8 @@ class TestGtMap:
         box = Box3D(center=np.array([7.0, 0, 0]), l=8, w=2, h=2, yaw=0.0)
         near = np.array([5.0, 0.0, 0.0])
         far = np.array([8.0, 0.0, 0.0])
-        m1 = build_gt_nlc_map(np.vstack([near, far]), [box], simple_calib(), 48, 64)
-        m2 = build_gt_nlc_map(np.vstack([far, near]), [box], simple_calib(), 48, 64)
+        m1, _ = build_gt_nlc_map(np.vstack([near, far]), [box], simple_calib(), 48, 64)
+        m2, _ = build_gt_nlc_map(np.vstack([far, near]), [box], simple_calib(), 48, 64)
         r, c = np.argwhere(m1.mask)[0]
         assert np.allclose(m1.values[r, c], lidar_to_nlc(near, box))
         assert np.array_equal(m1.values, m2.values)
@@ -124,8 +124,8 @@ class TestGtMap:
         pts = np.vstack(
             [nlc_to_lidar(rng.uniform(0, 1, size=(200, 3)), b) for b in boxes]
         )
-        base = build_gt_nlc_map(pts, boxes, simple_calib(), 48, 64)
-        perm = build_gt_nlc_map(pts[rng.permutation(len(pts))], boxes, simple_calib(), 48, 64)
+        base, _ = build_gt_nlc_map(pts, boxes, simple_calib(), 48, 64)
+        perm, _ = build_gt_nlc_map(pts[rng.permutation(len(pts))], boxes, simple_calib(), 48, 64)
         assert np.array_equal(base.values, perm.values)
         assert np.array_equal(base.mask, perm.mask)
         assert np.array_equal(base.depth, perm.depth)
@@ -133,7 +133,7 @@ class TestGtMap:
     def test_mask_false_pixels_are_sentinel(self, rng):
         box = Box3D(center=np.array([12.0, 0, 0]), l=4, w=2, h=2, yaw=0.0)
         pts = nlc_to_lidar(rng.uniform(0, 1, size=(100, 3)), box)
-        m = build_gt_nlc_map(pts, [box], simple_calib(), 48, 64)
+        m, _ = build_gt_nlc_map(pts, [box], simple_calib(), 48, 64)
         assert np.all(m.values[~m.mask] == 0.0)
         assert np.all(np.isinf(m.depth[~m.mask]))
         assert np.all(np.isfinite(m.values[m.mask]))
@@ -143,7 +143,7 @@ class TestGtMap:
         a = Box3D(center=np.array([10.0, 0, 0]), l=6, w=6, h=4, yaw=0.0)
         b = Box3D(center=np.array([12.0, 0, 0]), l=6, w=6, h=4, yaw=0.0)
         p = np.array([[11.8, 0.2, 0.1]])
-        _, obj = build_gt_nlc_map(p, [a, b], simple_calib(), 48, 64, return_object_ids=True)
+        _, obj = build_gt_nlc_map(p, [a, b], simple_calib(), 48, 64)
         claimed = obj[obj >= 0]
         assert list(claimed) == [1]
 
@@ -157,7 +157,7 @@ def reference_gt_map(xyz, boxes, calib, height, width):
     owner = np.full(len(xyz), -1, dtype=int)
     owner_dist = np.full(len(xyz), np.inf)
     for bi, box in enumerate(boxes):
-        idx = points_in_box(xyz, box, margin=0.0)
+        idx = points_in_box(xyz, box)
         d = np.linalg.norm(xyz[idx] - box.center, axis=1)
         better = d < owner_dist[idx]
         owner[idx[better]] = bi
@@ -235,7 +235,7 @@ class TestGtMapReference:
     )
     def test_matches_per_point_loop(self, case, seed):
         pts, boxes = _gt_case(case, np.random.default_rng(seed))
-        m, obj = build_gt_nlc_map(pts, boxes, simple_calib(), 48, 64, return_object_ids=True)
+        m, obj = build_gt_nlc_map(pts, boxes, simple_calib(), 48, 64)
         values, mask, depth, obj_ids = reference_gt_map(pts, boxes, simple_calib(), 48, 64)
         assert np.array_equal(m.values, values)
         assert np.array_equal(m.mask, mask)
@@ -253,7 +253,7 @@ class TestMmae:
         pts = np.vstack(
             [nlc_to_lidar(rng.uniform(0, 1, size=(300, 3)), b) for b in boxes]
         )
-        gt, obj = build_gt_nlc_map(pts, boxes, simple_calib(), 48, 64, return_object_ids=True)
+        gt, obj = build_gt_nlc_map(pts, boxes, simple_calib(), 48, 64)
         pix = object_pixel_sets(obj, len(boxes))
         return gt, pix
 

@@ -52,10 +52,11 @@ class TestSceneGeneration:
 
     def test_gt_map_matches_recomputation(self):
         scene = generate_scene(7)
-        rebuilt = build_gt_nlc_map(
+        rebuilt, obj_ids = build_gt_nlc_map(
             scene.points, scene.boxes, scene.calib,
             scene.image.shape[1], scene.image.shape[2],
         )
+        assert np.array_equal(obj_ids, scene.object_ids)
         assert np.array_equal(rebuilt.values, scene.gt_nlc_map.values)
         assert np.array_equal(rebuilt.mask, scene.gt_nlc_map.mask)
         assert np.array_equal(rebuilt.depth, scene.gt_nlc_map.depth)
@@ -338,6 +339,10 @@ class TestTraining:
     def test_no_scenes_rejected(self):
         with pytest.raises(ValueError):
             train(TINY, train_scenes=[], val_scenes=[])
+
+    def test_no_validation_scenes_rejected(self):
+        with pytest.raises(ValueError, match="validation scene"):
+            train(TINY, train_scenes=[generate_scene(0)], val_scenes=[])
 
     def test_empty_train_list_is_not_replaced_by_generated_scenes(self):
         with pytest.raises(ValueError, match="training scene"):

@@ -413,15 +413,26 @@ def test_composition_gradient(rng):
     assert composition_gradient_check(rng) < 1e-6
 
 
+def nan_layers(*layers):
+    """Gradient layers shaped like ``layers``, filled with NaN so that an entry
+    a backward does not write shows."""
+    return tuple(
+        DenseLayer(np.full(l.weights.shape, np.nan), np.full(l.bias.shape, np.nan))
+        for l in layers
+    )
+
+
 class TestDenseLayer:
     @pytest.mark.parametrize("rows, c_in, c_out", [(768, 16, 16), (1000, 16, 3)])
     def test_bias_gradient_is_the_column_sum(self, rng, rows, c_in, c_out):
         # the bias gradient is one product with a ones vector, not d_out.sum(axis=0)
         layer = DenseLayer(weights=rng.normal(size=(c_out, c_in)), bias=rng.normal(size=c_out))
         x, d_out = rng.normal(size=(rows, c_in)), rng.normal(size=(rows, c_out))
-        _, grad = _linear_backward(layer, x, d_out)
+        (grad,) = nan_layers(layer)
+        d_x = _linear_backward(layer, x, d_out, grad)
         assert np.allclose(grad.bias, d_out.sum(axis=0), rtol=1e-12, atol=0.0)
         assert np.allclose(grad.weights, d_out.T @ x, rtol=1e-12, atol=1e-12)
+        assert np.allclose(d_x, d_out @ layer.weights, rtol=1e-12, atol=1e-12)
 
     def test_fusion_gradients_written_into_given_layers(self, rng):
         c, rows = 3, 20
@@ -429,15 +440,19 @@ class TestDenseLayer:
         l2 = DenseLayer(weights=rng.normal(size=(c, 2 * c)), bias=rng.normal(size=c))
         _, cache = fuse_p2i(rng.normal(size=(rows, c)), rng.normal(size=(rows, c)), (l1, l2))
         cot = rng.normal(size=(rows, c))
-        *_, fresh = fuse_p2i_backward(cot, cache)
-        given = tuple(
-            DenseLayer(np.full(l.weights.shape, np.nan), np.full(l.bias.shape, np.nan))
-            for l in (l1, l2)
-        )
-        *_, written = fuse_p2i_backward(cot, cache, given)
-        for a, b, g in zip(fresh, written, given):
-            assert b is g
-            assert np.array_equal(a.weights, g.weights) and np.array_equal(a.bias, g.bias)
+        given = nan_layers(l1, l2)
+        d_aux, d_main = fuse_p2i_backward(cot, cache, given)
+        # the direct products: each layer's output gradient, then d_out.T @ x
+        # and the column sums of d_out
+        d2 = cot * (cache.pre2 > 0)
+        d_cat = d2 @ l2.weights
+        d1 = d_cat[:, :c] * (cache.pre1 > 0)
+        for g, x, d_out in zip(given, (cache.x_aux, cache.cat), (d1, d2)):
+            assert np.all(np.isfinite(g.weights)) and np.all(np.isfinite(g.bias))
+            assert np.allclose(g.weights, d_out.T @ x, rtol=1e-12, atol=1e-12)
+            assert np.allclose(g.bias, d_out.sum(axis=0), rtol=1e-12, atol=1e-12)
+        assert np.allclose(d_aux, d1 @ l1.weights, rtol=1e-12, atol=1e-12)
+        assert np.allclose(d_main, d_cat[:, c:], rtol=1e-12, atol=1e-12)
 
 
 class TestFusion:
@@ -479,11 +494,9 @@ class TestFusion:
         )
         aux, main = rng.normal(size=(10, c_aux)), rng.normal(size=(10, c_main))
         out, cache = fuse_i2p(aux, main, (l1, l2))
-        d_aux, d_main, (g1, g2) = fuse_i2p_backward(np.ones_like(out), cache)
+        d_aux, d_main = fuse_i2p_backward(np.ones_like(out), cache, nan_layers(l1, l2))
         assert d_aux.shape == aux.shape
         assert d_main.shape == main.shape
-        assert g1.weights.shape == l1.weights.shape
-        assert g2.bias.shape == l2.bias.shape
 
     def test_p2i_and_i2p_agree_on_the_same_rows(self, rng):
         c, rows = 3, 20
@@ -495,10 +508,11 @@ class TestFusion:
         i2p_out, i2p_cache = fuse_i2p(aux, main, (l1, l2))
         assert np.array_equal(p2i_out, i2p_out)
         cot = rng.normal(size=(rows, c))
-        d_p2i = fuse_p2i_backward(cot, p2i_cache)
-        d_i2p = fuse_i2p_backward(cot, i2p_cache)
+        g_p2i_layers, g_i2p_layers = nan_layers(l1, l2), nan_layers(l1, l2)
+        d_p2i = fuse_p2i_backward(cot, p2i_cache, g_p2i_layers)
+        d_i2p = fuse_i2p_backward(cot, i2p_cache, g_i2p_layers)
         assert np.array_equal(d_p2i[0], d_i2p[0]) and np.array_equal(d_p2i[1], d_i2p[1])
         assert d_p2i[0].shape == aux.shape and d_p2i[1].shape == main.shape
-        for g_p2i, g_i2p in zip(d_p2i[2], d_i2p[2]):
+        for g_p2i, g_i2p in zip(g_p2i_layers, g_i2p_layers):
             assert np.array_equal(g_p2i.weights, g_i2p.weights)
             assert np.array_equal(g_p2i.bias, g_i2p.bias)
