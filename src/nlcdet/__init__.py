@@ -6,6 +6,7 @@ from .errors import (
     BehindCamera,
     DegenerateCalib,
     EmptyForeground,
+    InvalidValue,
     KittiIOError,
     LabelError,
     MalformedMatrix,

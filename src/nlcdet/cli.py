@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NlcdetError, ParseError
-from .geometry import Box3D
+from .geometry import Box3D, _require_bounded
 from .kitti_io import (
-    MAX_ABS_VALUE, label_to_lidar_box, parse_calib, parse_labels, read_velodyne, to_calibration,
+    label_to_lidar_box, parse_calib, parse_labels, read_velodyne, to_calibration,
 )
 from .metrics import Detection, evaluate
 from .nlc import build_gt_nlc_map, nlc_map_to_csv, write_nlc_map
@@ -51,10 +51,10 @@ def _emit_json(obj, path=None):
 
 
 def _numbers(values) -> list[float]:
-    """``values`` as floats, or ValueError unless each is a number within +-``MAX_ABS_VALUE``."""
+    """``values`` as floats, or ValueError unless each is a number within
+    +-``geometry.MAX_ABS_VALUE``."""
     vals = [float(x) for x in values]
-    if not np.all(np.abs(vals) <= MAX_ABS_VALUE):
-        raise ValueError(f"values must be numbers within +-{MAX_ABS_VALUE:g}")
+    _require_bounded(vals, "values")
     return vals
 
 
@@ -67,7 +67,7 @@ def _class_id(value: float) -> int:
 
 def _read_init(path: str) -> Box3D:
     """The box of a ``solve --init`` file, JSON ``{"center": [x, y, z], "l", "w", "h", "yaw"}``
-    with numbers within +-``MAX_ABS_VALUE`` and positive sizes; anything else raises ParseError."""
+    with numbers within +-``geometry.MAX_ABS_VALUE`` and positive sizes; anything else raises ParseError."""
     try:
         spec = json.loads(Path(path).read_text())
         center = list(spec["center"])
@@ -86,7 +86,7 @@ def _read_csv(path: str, columns: int, header: tuple[str, ...], parse) -> list:
 
     Blank lines, ``#`` comments and a header row (first field in ``header``)
     are skipped.  Every other row must hold ``columns`` numbers within
-    +-``MAX_ABS_VALUE`` that ``parse`` accepts; a bad row, or bytes that are
+    +-``geometry.MAX_ABS_VALUE`` that ``parse`` accepts; a bad row, or bytes that are
     not UTF-8, raise ParseError with their line number.
     """
     data = Path(path).read_bytes()

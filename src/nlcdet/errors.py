@@ -9,6 +9,10 @@ class BehindCamera(NlcdetError):
     """Point projects at or behind the camera plane (depth <= 1e-9)."""
 
 
+class InvalidValue(NlcdetError, ValueError):
+    """An input value is NaN, infinite or beyond +-``geometry.MAX_ABS_VALUE``."""
+
+
 class ShapeError(NlcdetError):
     """Tensor or layer shapes are inconsistent."""
 

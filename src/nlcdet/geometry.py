@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BehindCamera
+from .errors import BehindCamera, InvalidValue
 
 __all__ = [
     "Box3D",
@@ -25,6 +25,19 @@ __all__ = [
     "points_in_box",
     "iou_3d",
 ]
+
+
+# Largest magnitude of a value the library reads as input: a file entry, a
+# calibration entry or a correspondence.  No real value comes close, and the
+# bound keeps the squares and products formed from such values finite.
+MAX_ABS_VALUE = 1e100
+
+
+def _require_bounded(values, what: str) -> None:
+    """Raise InvalidValue unless every entry of ``values`` is a number within
+    +-``MAX_ABS_VALUE``; NaN and +-inf are not."""
+    if not np.all(np.abs(values) <= MAX_ABS_VALUE):
+        raise InvalidValue(f"{what} must be numbers within +-{MAX_ABS_VALUE:g}")
 
 
 def normalize_angle(theta: float) -> float:
@@ -91,6 +104,8 @@ class Calibration:
         K = np.asarray(self.K, dtype=float).reshape(3, 3)
         R = np.asarray(self.R, dtype=float).reshape(3, 3)
         T = np.asarray(self.T, dtype=float).reshape(3)
+        _require_bounded(K, "K")
+        _require_bounded(T, "T")
         if not (K[1, 0] == 0 and K[2, 0] == 0 and K[2, 1] == 0):
             raise ValueError("K must be upper-triangular")
         if not np.all(np.diag(K) > 0):

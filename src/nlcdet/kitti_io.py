@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     TruncatedFile,
 )
-from .geometry import Box3D, Calibration, _is_rotation, normalize_angle
+from .geometry import MAX_ABS_VALUE, Box3D, Calibration, _is_rotation, normalize_angle
 
 __all__ = [
     "KittiCalib",
@@ -80,12 +80,6 @@ _TOKEN = re.compile(r"\S+")  # \S is the complement of str.isspace, as in str.sp
 def _tokens(line: str, start: int = 0) -> list[tuple[int, str]]:
     """The ``str.split()`` tokens of ``line[start:]``, each with its 1-based column in ``line``."""
     return [(m.start() + 1, m.group()) for m in _TOKEN.finditer(line, start)]
-
-
-# Largest magnitude of a value read from an input file.  No real calibration
-# entry, size or coordinate comes close, and the bound keeps the squares and
-# products formed from such values finite.
-MAX_ABS_VALUE = 1e100
 
 
 def _parse_float(token: str, line_no: int, col: int) -> float:
@@ -253,8 +247,6 @@ def to_calibration(calib: KittiCalib) -> Calibration:
         R = _composed_rotation(calib)
         T = calib.R0_rect @ calib.Tr_velo_to_cam[:, 3] + np.linalg.solve(K, p4)
         try:
-            if not np.all(np.isfinite(T)):
-                raise ValueError("translation must be finite")
             return Calibration(K=K, R=R, T=T)
         except ValueError as exc:
             raise DegenerateCalib(f"not a pinhole camera: {exc}") from None

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Underdetermined
-from .geometry import Box3D, normalize_angle, rot_z
+from .geometry import Box3D, _require_bounded, normalize_angle, rot_z
 
 __all__ = ["SolveReport", "solve_box", "dof_analysis"]
 
@@ -132,11 +132,13 @@ def solve_box(correspondences: np.ndarray, init: Box3D | None = None) -> SolveRe
     centroid-and-PCA estimate; dimensions stay positive through a log
     parameterization.  Accepted steps never increase the residual.  The fit
     stops after 100 iterations, or as converged once an accepted step lowers
-    the RMS residual by less than 1e-10.
+    the RMS residual by less than 1e-10.  A correspondence value that is NaN,
+    infinite or beyond +-``geometry.MAX_ABS_VALUE`` raises InvalidValue.
     """
     corrs = np.asarray(correspondences, dtype=float).reshape(-1, 6)
     if len(corrs) < 3:
         raise Underdetermined(f"need at least 3 correspondences, got {len(corrs)}")
+    _require_bounded(corrs, "correspondences")
     # canonical input order: the result is invariant to relabeling
     order = np.lexsort(tuple(corrs[:, k] for k in range(5, -1, -1)))
     corrs = corrs[order]
@@ -199,11 +201,12 @@ def dof_analysis(correspondences: np.ndarray, at: Box3D) -> dict:
     """Observability audit: equation count and numeric Jacobian rank.
 
     The Jacobian is evaluated at ``at``.  Rank counts singular values above
-    1e-10 x sigma_max.
+    1e-10 x sigma_max.  Correspondences are checked as in :func:`solve_box`.
     """
     corrs = np.asarray(correspondences, dtype=float).reshape(-1, 6)
     if len(corrs) < 1:
         raise Underdetermined("need at least 1 correspondence")
+    _require_bounded(corrs, "correspondences")
     pts, nlcs = corrs[:, :3], corrs[:, 3:]
     _, parts = _residuals(_params_from_box(at), pts, nlcs)
     sv = np.linalg.svd(_jacobian(parts), compute_uv=False)

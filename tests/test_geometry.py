@@ -9,6 +9,7 @@ from nlcdet import (
     BehindCamera,
     Box3D,
     Calibration,
+    InvalidValue,
     box_corners,
     iou_3d,
     normalize_angle,
@@ -85,6 +86,17 @@ class TestProjection:
             Calibration(K=np.diag([1.0, -1.0, 1.0]))
         with pytest.raises(ValueError):
             Calibration(K=np.eye(3), R=2 * np.eye(3))
+
+    @pytest.mark.parametrize("entry", ["K00", "K01", "K22", "T0", "T2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e101])
+    def test_non_finite_or_huge_calibration_rejected(self, entry, value):
+        K, T = np.array([[700.0, 0.0, 600.0], [0.0, 700.0, 180.0], [0.0, 0.0, 1.0]]), np.zeros(3)
+        if entry[0] == "K":
+            K[int(entry[1]), int(entry[2])] = value
+        else:
+            T[int(entry[1])] = value
+        with pytest.raises(InvalidValue):
+            Calibration(K=K, T=T)
 
     def test_rotation_checked_to_1e9_on_the_diagonal_too(self):
         # R @ R.T and det are off by about 1e-5 here, all of it on the diagonal

@@ -21,8 +21,10 @@ from nlcdet import (
     project_points,
 )
 from nlcdet import geometry, kitti_io
+from nlcdet.pipeline import _grid, _rows
 from nlcdet.propagation import (
-    ProjectionPlan, _canonical_order, _linear_backward, fuse_i2p_backward, fuse_p2i_backward,
+    ProjectionPlan, _bilinear_weights, _canonical_order, _linear_backward, fuse_i2p_backward,
+    fuse_p2i_backward,
 )
 
 
@@ -241,31 +243,102 @@ class TestProjectionPlan:
 
 
     def test_matrices_built_on_first_use(self, rng):
-        matrices = {"scatter_matrix", "gather_matrix"}
         coords = rng.uniform(0, 5, size=(20, 2))
         plan = ProjectionPlan(coords, 5, 5)
-        assert not matrices & set(vars(plan))
+        assert _kept_sparse(plan) == []
         # the plan keeps its own coordinates, so a later change to the
         # caller's array cannot reach a matrix built after it
         coords[:] = -10.0
         out = plan.scatter(np.ones((20, 1)))
         assert np.sum(out) > 0
-        assert "gather_matrix" not in vars(plan)
-        assert matrices & set(vars(plan)) == {"scatter_matrix"}
+        assert {name for name, _ in _kept_sparse(plan)} == {"_scatter"}
         plan.gather_grad(np.ones((20, 1)))
         plan.scatter_grad(np.ones((1, 5, 5)))
-        # a backward applies a transposed view of its forward matrix: every other
-        # sparse object the plan keeps shares all its arrays with one forward matrix
-        sparse_objects = {k: v for k, v in vars(plan).items() if hasattr(v, "nnz")}
-        assert matrices <= set(sparse_objects)
-        for name, obj in sparse_objects.items():
-            if name in matrices:
-                continue
-            assert any(
-                all(np.shares_memory(getattr(obj, a), getattr(vars(plan)[m], a))
-                    for a in ("data", "indices", "indptr"))
-                for m in matrices
-            ), name
+        # each direction keeps its matrix and the transposed view its backward
+        # applies, which shares all its arrays with that matrix and none with
+        # the other direction's
+        directions = {"_scatter", "_gather"}
+        kept = _kept_sparse(plan)
+        assert {name for name, _ in kept} == directions
+        for name, obj in kept:
+            (other,) = directions - {name}
+            own, foreign = vars(plan)[name].matrix, vars(plan)[other].matrix
+            for a in ("data", "indices", "indptr"):
+                assert np.shares_memory(getattr(obj, a), getattr(own, a)), (name, a)
+                assert not np.shares_memory(getattr(obj, a), getattr(foreign, a)), (name, a)
+
+    @pytest.mark.parametrize("layout", ["c_contiguous", "rows_view"])
+    def test_few_points_in_a_corner_of_a_large_grid(self, rng, layout):
+        n, c, h, w = 12, 3, 300, 400
+        coords = np.column_stack([rng.uniform(-1.5, 6, size=n), rng.uniform(-1.5, 4, size=n)])
+        coords[:2] = [[-0.5, 2.25], [3.0, -0.75]]  # outside, with a bilinear neighbor inside
+        far = np.full((n, 2), -5.0)
+        for uv in (coords, far):
+            plan = ProjectionPlan(uv, h, w)
+            feats = rng.normal(size=(n, c))
+            grid = rng.normal(size=(c, h, w))
+            if layout == "rows_view":  # the training path's grids view (H*W, C) rows
+                grid = _grid(np.ascontiguousarray(_rows(grid)), h, w)
+            for method, payload in (("scatter", feats), ("scatter_grad", grid),
+                                    ("gather", grid), ("gather_grad", feats)):
+                out = getattr(plan, method)(payload)
+                expected = reference_method(uv, h, w, method, payload)
+                assert out.shape == expected.shape and out.strides == expected.strides, method
+                assert np.array_equal(out, expected), method
+            # each direction holds only the pixels its points touch
+            assert len(plan._scatter.pixels) <= n and len(plan._gather.pixels) <= 4 * n
+            assert plan._gather.matrix.shape == (n, len(plan._gather.pixels))
+
+    def test_grid_of_another_size_rejected(self, rng):
+        # the reading products index the grid's rows, so a larger grid would
+        # otherwise be read silently
+        plan = ProjectionPlan(rng.uniform(0, 4, size=(6, 2)), 5, 5)
+        for grid in (np.ones((2, 5, 6)), np.ones((2, 4, 5))):
+            with pytest.raises(ShapeError):
+                plan.gather(grid)
+            with pytest.raises(ShapeError):
+                plan.scatter_grad(grid)
+
+
+def _kept_sparse(plan):
+    """(attribute, object) for each sparse object a plan keeps, directly or
+    in a per-direction tuple."""
+    return [
+        (name, obj)
+        for name, value in vars(plan).items()
+        for obj in (value if isinstance(value, tuple) else (value,))
+        if hasattr(obj, "nnz")
+    ]
+
+
+def full_grid_operators(coords, height, width):
+    """The scatter-average (H*W x N) and bilinear gather (N x H*W) matrices
+    over every pixel, built from the binning and sampling rules alone."""
+    from scipy import sparse
+
+    uv = np.asarray(coords, dtype=float).reshape(-1, 2)
+    size = height * width
+    cells, inside = geometry._pixel_cells(uv[:, 0], uv[:, 1], height, width)
+    cells = cells[inside]
+    counts = np.bincount(cells, minlength=size).astype(float)
+    scatter = sparse.csr_matrix(
+        (1.0 / counts[cells], (cells, np.flatnonzero(inside))), shape=(size, len(uv))
+    )
+    rows, cells, weights = _bilinear_weights(uv, height, width)
+    gather = sparse.csr_matrix((weights, (rows, cells)), shape=(len(uv), size))
+    return scatter, gather
+
+
+def reference_method(coords, height, width, method, payload):
+    """A plan method through the full-grid operators; each backward applies
+    a CSR copy of its forward matrix's transpose, and grids are read through
+    their whole (H*W, C) view."""
+    scatter, gather = full_grid_operators(coords, height, width)
+    if method in ("scatter_grad", "gather"):
+        rows = payload.reshape(payload.shape[0], -1).T
+        return (scatter.T.tocsr() if method == "scatter_grad" else gather) @ rows
+    out = (scatter if method == "scatter" else gather.T.tocsr()) @ payload
+    return out.T.reshape(-1, height, width)
 
 
 def test_behind_camera_point_does_not_share_its_mirrors_pixel():
@@ -327,27 +400,20 @@ class TestOneShotReference:
             )
 
 
-def reference_backward(plan, method, payload):
-    """A plan backward as first written: a CSR copy of the forward matrix's transpose."""
-    if method == "scatter_grad":
-        c = payload.shape[0]
-        return plan.scatter_matrix.T.tocsr() @ payload.reshape(c, -1).T
-    out = plan.gather_matrix.T.tocsr() @ payload
-    return out.T.reshape(-1, plan.height, plan.width)
-
-
 def _assert_backwards_match_reference(plan, rng, channels):
     grid = rng.normal(size=(channels, plan.height, plan.width))
     points = rng.normal(size=(plan.count, channels))
+    args = (plan.uv, plan.height, plan.width)
     # twice on one plan: the first call builds the kept view, the second reuses it
     for _ in range(2):
-        assert np.array_equal(plan.scatter_grad(grid), reference_backward(plan, "scatter_grad", grid))
-        assert np.array_equal(plan.gather_grad(points), reference_backward(plan, "gather_grad", points))
+        assert np.array_equal(plan.scatter_grad(grid), reference_method(*args, "scatter_grad", grid))
+        assert np.array_equal(plan.gather_grad(points), reference_method(*args, "gather_grad", points))
 
 
 class TestTransposeViewReference:
-    """The backwards apply a kept CSC view of the forward matrix; no bit may
-    change against the CSR transpose copy they applied before."""
+    """The backwards apply a kept CSC view of the forward matrix over the
+    touched pixels; no bit may change against a CSR copy of the full-grid
+    matrix's transpose."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_and_awkward_rows(self, seed):

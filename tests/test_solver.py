@@ -7,6 +7,8 @@ import pytest
 
 from nlcdet import (
     Box3D,
+    InvalidValue,
+    NlcdetError,
     SolveReport,
     Underdetermined,
     dof_analysis,
@@ -107,6 +109,24 @@ class TestRobustness:
         corrs = make_instance(rng, box, 2)
         with pytest.raises(Underdetermined):
             solve_box(corrs)
+
+    @pytest.mark.parametrize("column", [0, 4])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200, -1.0000000000000002e100])
+    def test_non_finite_or_huge_correspondence_rejected(self, rng, value, column):
+        box = random_box(rng, dim_lo=1.0)
+        corrs = make_instance(rng, box, 12)
+        corrs[5, column] = value
+        with pytest.raises(InvalidValue) as info:
+            solve_box(corrs)
+        assert isinstance(info.value, NlcdetError) and isinstance(info.value, ValueError)
+        with pytest.raises(InvalidValue):
+            dof_analysis(corrs, at=box)
+
+    @pytest.mark.parametrize("value", [1e100, -1e100])
+    def test_correspondence_at_the_bound_solves(self, rng, value):
+        corrs = make_instance(rng, random_box(rng, dim_lo=1.0), 12)
+        corrs[5, 0] = value
+        assert np.isfinite(solve_box(corrs).rms_residual)
 
     def test_all_points_at_center_degenerate(self, rng):
         box = random_box(rng, dim_lo=1.0)
