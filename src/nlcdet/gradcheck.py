@@ -151,14 +151,15 @@ def _min_preactivation(cache) -> float:
     return min(vals)
 
 
+# small enough for finite differences; the camera follows the image size
+_FULL_MODEL_SCENE = SceneParams(max_boxes=1, min_points_per_box=20, max_points_per_box=30,
+                                background_points=20, image_height=6, image_width=8)
+
+
 def check_full_model(rng: np.random.Generator) -> float:
     """Directional FD check of the end-to-end toy-model loss gradient along
     five random unit directions."""
-    scene = generate_scene(
-        int(rng.integers(1 << 31)),
-        SceneParams(max_boxes=1, min_points_per_box=20, max_points_per_box=30,
-                    background_points=20, image_height=6, image_width=8),
-    )
+    scene = generate_scene(int(rng.integers(1 << 31)), _FULL_MODEL_SCENE)
     config = TrainConfig(point_channels=4, image_channels=4)
     # resample until every pre-activation is clear of the ReLU kink
     for _ in range(50):

@@ -23,10 +23,12 @@ from .propagation import (
     DenseLayer,
     FusionCache,
     ProjectionPlan,
+    _grid,
     _linear,
     _linear_backward,
     _param_grad,
     _relu,
+    _rows,
     fuse_i2p,
     fuse_i2p_backward,
     fuse_p2i,
@@ -45,7 +47,7 @@ __all__ = [
     "parse_train_config",
 ]
 
-# fixed synthetic camera: LiDAR x-forward maps to optical axis
+# synthetic camera: LiDAR x-forward maps to the optical axis
 _IMG_H, _IMG_W = 24, 32
 _FOCAL = 30.0
 _CAM_R = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
@@ -53,21 +55,23 @@ _DEPTH_NORM = 50.0
 _GROUND_Z = -1.7
 
 
-def default_calibration() -> Calibration:
-    K = np.array(
-        [[_FOCAL, 0.0, _IMG_W / 2.0], [0.0, _FOCAL, _IMG_H / 2.0], [0.0, 0.0, 1.0]]
-    )
-    return Calibration(K=K, R=_CAM_R, T=np.zeros(3))
-
-
 @dataclass(frozen=True)
 class SceneParams:
+    """Sizes of a synthetic scene; the image size also sets its camera."""
+
     max_boxes: int = 4
     min_points_per_box: int = 50
     max_points_per_box: int = 500
     background_points: int = 300
     image_height: int = _IMG_H
     image_width: int = _IMG_W
+
+
+def default_calibration(params: SceneParams = SceneParams()) -> Calibration:
+    """The camera of scenes drawn with ``params``, centred on their image."""
+    w, h = params.image_width, params.image_height
+    K = np.array([[_FOCAL, 0.0, w / 2.0], [0.0, _FOCAL, h / 2.0], [0.0, 0.0, 1.0]])
+    return Calibration(K=K, R=_CAM_R, T=np.zeros(3))
 
 
 @dataclass
@@ -105,7 +109,7 @@ def _sample_boxes(rng: np.random.Generator, params: SceneParams) -> list[Box3D]:
     while len(boxes) < n_boxes and attempts < 200:
         attempts += 1
         x = rng.uniform(10.0, 40.0)
-        half_width = x * (_IMG_W / 2.0 - 3.0) / _FOCAL
+        half_width = x * (params.image_width / 2.0 - 3.0) / _FOCAL
         y = rng.uniform(-0.6, 0.6) * half_width
         h = rng.uniform(1.3, 1.8)
         # objects stand on a common ground plane, as road scenes do
@@ -143,7 +147,7 @@ def _sample_surface_points(
 def generate_scene(seed: int, params: SceneParams = SceneParams()) -> SyntheticScene:
     """Deterministically generate one synthetic scene with exact ground truth."""
     rng = np.random.default_rng(seed)
-    calib = default_calibration()
+    calib = default_calibration(params)
     h, w = params.image_height, params.image_width
     boxes = _sample_boxes(rng, params)
 
@@ -160,7 +164,7 @@ def generate_scene(seed: int, params: SceneParams = SceneParams()) -> SyntheticS
     while len(bg) < params.background_points:
         need = params.background_points - len(bg)
         x = rng.uniform(5.0, 60.0, size=need)
-        y = rng.uniform(-0.9, 0.9, size=need) * x * (_IMG_W / 2.0 - 1.0) / _FOCAL
+        y = rng.uniform(-0.9, 0.9, size=need) * x * (params.image_width / 2.0 - 1.0) / _FOCAL
         z = rng.uniform(-2.5, 0.8, size=need)
         cand = np.column_stack([x, y, z])
         keep = np.ones(need, dtype=bool)
@@ -322,16 +326,6 @@ class ToyModel:
             scale = np.sqrt(2.0 / layer.in_channels)
             layer.weights[...] = rng.normal(0.0, scale, size=layer.weights.shape)
         return model
-
-
-def _rows(grid: np.ndarray) -> np.ndarray:
-    """(C, H, W) grid as (H*W, C) rows, the image branch's layout."""
-    return grid.reshape(grid.shape[0], -1).T
-
-
-def _grid(rows: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Inverse of :func:`_rows`, the layout of the plan's grids."""
-    return rows.T.reshape(-1, height, width)
 
 
 # per stage: point layer, image layer, i2p fusion layers, p2i fusion layers
@@ -536,50 +530,23 @@ def evaluate_model(model: ToyModel, scenes, config: TrainConfig) -> dict:
     return out
 
 
-def train(
-    config: TrainConfig,
-    train_scenes=None,
-    val_scenes=None,
-) -> tuple[ToyModel, TrainingReport]:
-    """Plain gradient descent over the synthetic scenes; fully deterministic.
-
-    Per epoch, records the mean total loss and the L2 norms of the point- and
-    image-branch parameter gradients, plus the norm of the point-branch
-    gradient produced by image-branch objectives alone (measured on the
-    first scene) to expose the gradient path through point-to-pixel scatter.
-    Either scene list, when given, must be non-empty.
-    """
-    if train_scenes is None or val_scenes is None:
-        generated_train, generated_val = make_scenes(config)
-        train_scenes = generated_train if train_scenes is None else train_scenes
-        val_scenes = generated_val if val_scenes is None else val_scenes
-    if not train_scenes:
-        raise ValueError("need at least one training scene")
-    if not val_scenes:
-        raise ValueError("need at least one validation scene")
-
-    model = ToyModel.init(
-        config.seed, c_point=config.point_channels, c_image=config.image_channels
-    )
-    lr = config.learning_rate
+def _descend(model: ToyModel, train_scenes, config: TrainConfig) -> tuple[list[dict], bool]:
+    """Run ``train``'s epochs on ``model`` in place; returns the epoch log and
+    whether a step's loss or gradient norm was not finite, which ends the run."""
     epochs_log = []
-    diverged = False
     for epoch in range(config.epochs):
         total = 0.0
         pn = inorm = 0.0
         for scene in train_scenes:
             outputs, cache = forward(model, scene, config)
             losses, head_grads = compute_losses(outputs, scene, config)
-            if not np.isfinite(losses["total"]):
-                diverged = True
-                break
-            total += losses["total"]
             grads = backward(model, scene, config, cache, head_grads)
+            total += losses["total"]
             pn += _grad_norm(grads, POINT_BRANCH_LAYERS) ** 2
             inorm += _grad_norm(grads, IMAGE_BRANCH_LAYERS) ** 2
-            model.params -= lr * grads.params
-        if diverged:
-            break
+            if not np.isfinite(total + pn + inorm):
+                return epochs_log, True
+            model.params -= config.learning_rate * grads.params
         # image-objective gradient reaching the point branch (telemetry)
         outputs, cache = forward(model, train_scenes[0], config)
         _, head_grads = compute_losses(outputs, train_scenes[0], config)
@@ -594,8 +561,39 @@ def train(
                 "image_to_point_grad_norm": _grad_norm(g_img, POINT_BRANCH_LAYERS),
             }
         )
+    return epochs_log, False
 
-    final_val = evaluate_model(model, val_scenes, config)
+
+def train(
+    config: TrainConfig,
+    train_scenes=None,
+    val_scenes=None,
+) -> tuple[ToyModel, TrainingReport]:
+    """Plain gradient descent over the synthetic scenes; fully deterministic.
+
+    Per epoch, records the mean total loss and the L2 norms of the point- and
+    image-branch parameter gradients, plus the norm of the point-branch
+    gradient produced by image-branch objectives alone (measured on the
+    first scene) to expose the gradient path through point-to-pixel scatter.
+    A step whose loss or gradient norm is not finite ends the run as diverged.
+    Either scene list, when given, must be non-empty.
+    """
+    if train_scenes is None or val_scenes is None:
+        generated_train, generated_val = make_scenes(config)
+        train_scenes = generated_train if train_scenes is None else train_scenes
+        val_scenes = generated_val if val_scenes is None else val_scenes
+    if not train_scenes:
+        raise ValueError("need at least one training scene")
+    if not val_scenes:
+        raise ValueError("need at least one validation scene")
+
+    model = ToyModel.init(
+        config.seed, c_point=config.point_channels, c_image=config.image_channels
+    )
+    # a diverging run ends in its report, not in overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        epochs_log, diverged = _descend(model, train_scenes, config)
+        final_val = evaluate_model(model, val_scenes, config)
     report = TrainingReport(
         config=config,
         epochs=epochs_log,
@@ -616,8 +614,8 @@ ABLATION_ROWS = {
 
 def ablation(
     base_config: TrainConfig,
-    seeds: tuple[int, ...] = (0, 1, 2),
-    rows: tuple[str, ...] = ("none", "p2i", "i2p", "both"),
+    seeds: tuple[int, ...],
+    rows: tuple[str, ...] = tuple(ABLATION_ROWS),
 ) -> dict:
     """Run the fusion ablation on identical data across rows and seeds.
 

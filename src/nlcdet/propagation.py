@@ -151,6 +151,16 @@ def _touched(cells: np.ndarray, size: int):
     return pixels, lookup[cells]
 
 
+def _rows(grid: np.ndarray) -> np.ndarray:
+    """(C, H, W) grid as (H*W, C) rows, a view where the grid's layout allows."""
+    return grid.reshape(grid.shape[0], -1).T
+
+
+def _grid(rows: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Inverse of :func:`_rows`: (H*W, C) rows as a (C, H, W) grid, a view."""
+    return rows.T.reshape(-1, height, width)
+
+
 class _Operator(NamedTuple):
     """One direction of a plan."""
 
@@ -213,7 +223,7 @@ class ProjectionPlan:
     def _read(self, grid: np.ndarray, pixels: np.ndarray) -> np.ndarray:
         """The (K, C) rows of a (C, H, W) grid at ``pixels``.  Indexing, not
         ``np.take``: take copies a strided input whole first."""
-        rows = grid.reshape(grid.shape[0], -1).T
+        rows = _rows(grid)
         if len(rows) != self.height * self.width:
             raise ShapeError(
                 f"grid of {len(rows)} pixels for a {self.height}x{self.width} plan"
@@ -224,7 +234,7 @@ class ProjectionPlan:
         """(K, C) rows at ``pixels`` as a (C, H, W) view of zero (H*W, C) rows."""
         out = np.zeros((self.height * self.width,) + rows.shape[1:], dtype=rows.dtype)
         out[pixels] = rows
-        return out.T.reshape(-1, self.height, self.width)
+        return _grid(out, self.height, self.width)
 
     def scatter(self, features: np.ndarray) -> np.ndarray:
         op = self._scatter

@@ -3,6 +3,8 @@
 import numpy as np
 
 from nlcdet import gradcheck as gc
+from nlcdet.geometry import _pixel_cells
+from nlcdet.pipeline import generate_scene
 from nlcdet.propagation import ProjectionPlan
 
 
@@ -28,3 +30,13 @@ def test_individual_checks_reproducible():
 def test_full_model_check_is_tight():
     err = gc.check_full_model(np.random.default_rng(3))
     assert err < 1e-5
+
+
+def test_full_model_scenes_put_points_in_the_image():
+    # the full-model check sees the cross-modal path only through points in the image
+    rng = np.random.default_rng(0)
+    params = gc._FULL_MODEL_SCENE
+    for _ in range(200):
+        scene = generate_scene(int(rng.integers(1 << 31)), params)
+        _, inside = _pixel_cells(*scene.coords.T, params.image_height, params.image_width)
+        assert inside.any()

@@ -245,6 +245,8 @@ class TestVelodyne:
     def test_truncated_payload(self):
         with pytest.raises(TruncatedFile):
             read_velodyne(b"\x00" * 17)
+        with pytest.raises(TruncatedFile, match="must be bytes"):
+            read_velodyne("\x00" * 16)
 
 
 class TestFrameConversion:

@@ -96,6 +96,11 @@ class TestGtMap:
         assert np.all(m.values == 0.0)
         assert np.all(np.isinf(m.depth))
 
+    @pytest.mark.parametrize("height, width", [(0, 12), (10, 0), (-1, 12)])
+    def test_non_positive_size_rejected(self, height, width):
+        with pytest.raises(ValueError, match="positive"):
+            build_gt_nlc_map(np.zeros((0, 3)), [], simple_calib(), height, width)
+
     def test_single_interior_point(self):
         box = Box3D(center=np.array([10.0, 0, 0]), l=4, w=4, h=4, yaw=0.0)
         p = np.array([[10.0, 0.5, 0.5]])
@@ -282,6 +287,9 @@ class TestMmae:
         (vals, skipped) = mmae(gt, gt.values, pix + [np.zeros((0, 2))])
         assert skipped == 1
         assert np.array_equal(vals, [0.0, 0.0, 0.0])
+        # every object skipped: zero errors, and the count says so
+        vals, skipped = mmae(gt, gt.values, [np.zeros((0, 2))] * 2)
+        assert skipped == 2 and np.array_equal(vals, [0.0, 0.0, 0.0])
 
     def test_shape_mismatch_rejected(self, rng):
         gt, pix = self._setup(rng)

@@ -336,6 +336,13 @@ class TestTraining:
 
         json.dumps(d)
 
+    def test_overflowing_gradient_ends_the_run_as_diverged(self):
+        # at this rate a step's gradient norm overflows while its loss is still finite
+        cfg = TrainConfig(learning_rate=1000.0, epochs=5, train_scenes=3, val_scenes=2)
+        _, report = train(cfg)
+        assert report.diverged
+        assert all(np.isfinite(v) for row in report.epochs for v in row.values())
+
     def test_no_scenes_rejected(self):
         with pytest.raises(ValueError):
             train(TINY, train_scenes=[], val_scenes=[])
@@ -363,6 +370,11 @@ class TestAblation:
         # bidirectional row must show image-objective gradient reaching points
         assert report["rows"]["both"]["runs"][0]["final_image_to_point_grad_norm"] > 0
         assert report["rows"]["none"]["runs"][0]["final_image_to_point_grad_norm"] == 0
+
+    def test_zero_epochs_report_zero_telemetry(self):
+        cfg = replace(TINY, epochs=0, train_scenes=1, val_scenes=1)
+        runs = ablation(cfg, seeds=(0, 1), rows=("both",))["rows"]["both"]["runs"]
+        assert [run["final_image_to_point_grad_norm"] for run in runs] == [0.0, 0.0]
 
     def test_requires_two_seeds(self):
         with pytest.raises(ValueError):

@@ -21,10 +21,9 @@ from nlcdet import (
     project_points,
 )
 from nlcdet import geometry, kitti_io
-from nlcdet.pipeline import _grid, _rows
 from nlcdet.propagation import (
-    ProjectionPlan, _bilinear_weights, _canonical_order, _linear_backward, fuse_i2p_backward,
-    fuse_p2i_backward,
+    ProjectionPlan, _bilinear_weights, _canonical_order, _grid, _linear_backward, _rows,
+    fuse_i2p_backward, fuse_p2i_backward,
 )
 
 
@@ -356,7 +355,7 @@ def test_behind_camera_point_does_not_share_its_mirrors_pixel():
 
 
 def reference_one_shot(payload, coords, height, width, method):
-    """The summing one-shots as first written: every row sorted, then a plan."""
+    """The summing one-shots with no point dropped: every row sorted, then a plan."""
     uv = np.asarray(coords, dtype=float).reshape(-1, 2)
     uv, rows = _canonical_order(uv, np.asarray(payload, dtype=float), height, width)
     return getattr(ProjectionPlan(uv, height, width), method)(rows)
@@ -551,6 +550,9 @@ class TestFusion:
             fuse_p2i(np.zeros((9, 2)), np.zeros((16, 2)), (l, l))
         with pytest.raises(ShapeError):
             fuse_i2p(np.zeros((3, 2)), np.zeros((4, 2)), (l, l))
+        # equal row counts, a channel count the first layer does not take
+        with pytest.raises(ShapeError):
+            fuse_p2i(np.zeros((4, 3)), np.zeros((4, 2)), (l, l))
 
     def test_backward_layer_gradient_shapes(self, rng):
         c_aux, c_mid, c_main, c_out = 3, 4, 3, 4
