@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NlcdetError, ParseError
+from .errors import InvalidValue, NlcdetError, ParseError
 from .geometry import Box3D, _require_bounded
 from .kitti_io import (
     label_to_lidar_box, parse_calib, parse_labels, read_velodyne, to_calibration,
@@ -61,9 +61,9 @@ def _numbers(values) -> list[float]:
 
 
 def _class_id(value: float) -> int:
-    """``value`` as an int, or ValueError unless it is integral."""
+    """``value`` as an int, or InvalidValue unless it is integral."""
     if not value.is_integer():
-        raise ValueError(f"class {value!r} is not an integer")
+        raise InvalidValue(f"class {value!r} is not an integer")
     return int(value)
 
 
@@ -74,10 +74,10 @@ def _read_init(path: str) -> Box3D:
         spec = json.loads(Path(path).read_text())
         center = list(spec["center"])
         if len(center) != 3:
-            raise ValueError(f"center must hold 3 values, not {len(center)}")
+            raise InvalidValue(f"center must hold 3 values, not {len(center)}")
         values = center + [spec["l"], spec["w"], spec["h"], spec["yaw"]]
         if not all(type(v) in (int, float) for v in values):  # no strings or booleans
-            raise ValueError("values must be JSON numbers")
+            raise InvalidValue("values must be JSON numbers")
         return _box(_numbers(values))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad init file: {exc}") from None

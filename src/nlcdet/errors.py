@@ -10,7 +10,8 @@ class BehindCamera(NlcdetError):
 
 
 class InvalidValue(NlcdetError, ValueError):
-    """An input value is NaN, infinite or beyond +-``geometry.MAX_ABS_VALUE``."""
+    """An input value the library does not accept, such as a NaN, an infinity
+    or a number beyond +-``geometry.MAX_ABS_VALUE``."""
 
 
 class ShapeError(NlcdetError):

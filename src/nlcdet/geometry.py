@@ -64,13 +64,13 @@ class Box3D:
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float).reshape(3)
         if not np.all(np.isfinite(center)):
-            raise ValueError("box center must be finite")
+            raise InvalidValue("box center must be finite")
         if not (self.l > 0 and self.w > 0 and self.h > 0):
-            raise ValueError("box dimensions must be strictly positive")
+            raise InvalidValue("box dimensions must be strictly positive")
         if not (math.isfinite(self.l) and math.isfinite(self.w) and math.isfinite(self.h)):
-            raise ValueError("box dimensions must be finite")
+            raise InvalidValue("box dimensions must be finite")
         if not math.isfinite(self.yaw):
-            raise ValueError("box yaw must be finite")
+            raise InvalidValue("box yaw must be finite")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "yaw", float(normalize_angle(self.yaw)))
 
@@ -107,11 +107,11 @@ class Calibration:
         _require_bounded(K, "K")
         _require_bounded(T, "T")
         if not (K[1, 0] == 0 and K[2, 0] == 0 and K[2, 1] == 0):
-            raise ValueError("K must be upper-triangular")
+            raise InvalidValue("K must be upper-triangular")
         if not np.all(np.diag(K) > 0):
-            raise ValueError("K diagonal must be positive")
+            raise InvalidValue("K diagonal must be positive")
         if not _is_rotation(R):
-            raise ValueError("R must be orthonormal with det +1")
+            raise InvalidValue("R must be orthonormal with det +1")
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "T", T)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     DegenerateCalib,
+    InvalidValue,
     KittiIOError,
     MalformedMatrix,
     MissingField,
@@ -273,7 +274,7 @@ def label_to_lidar_box(label: KittiLabel, calib: KittiCalib) -> Box3D:
     positive, raises KittiIOError.
     """
     if label.is_dont_care:
-        raise ValueError("DontCare labels carry no box")
+        raise InvalidValue("DontCare labels carry no box")
     inv_rot, inv_t = _rect_to_velo(calib)
     bottom = np.asarray(label.location, dtype=float)
     center_cam = bottom + np.array([0.0, -label.h / 2.0, 0.0])
@@ -346,7 +347,7 @@ def downsample(
     """
     pts = np.asarray(points)
     if budget <= 0:
-        raise ValueError("budget must be positive")
+        raise InvalidValue("budget must be positive")
     if len(pts) <= budget:
         return pts.copy()
     if strategy == "random":
@@ -354,4 +355,4 @@ def downsample(
         return pts[np.sort(idx)]
     if strategy == "fps":
         return pts[_farthest_point_indices(pts[:, :3].astype(float), budget, seed)]
-    raise ValueError(f"unknown strategy {strategy!r}")
+    raise InvalidValue(f"unknown strategy {strategy!r}")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import EmptyForeground, LabelError
+from .errors import EmptyForeground, InvalidValue, LabelError
 
 __all__ = [
     "LossWeights",
@@ -33,7 +33,7 @@ class LossWeights:
         for f in fields(self):
             value = getattr(self, f.name)
             if not (np.isfinite(value) and value >= 0):
-                raise ValueError(
+                raise InvalidValue(
                     f"loss weight {f.name} (lambda_{f.name}) must be a finite number >= 0, got {value}"
                 )
 
@@ -41,7 +41,7 @@ class LossWeights:
 def huber(r, delta: float = 1.0):
     """Huber penalty: r^2/2 for |r| <= delta, delta*(|r| - delta/2) beyond."""
     if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise InvalidValue("delta must be positive")
     r = np.asarray(r, dtype=float)
     a = np.abs(r)
     return np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))
@@ -56,7 +56,7 @@ def _masked_huber(pred, target, foreground, delta):
     target = np.asarray(target, dtype=float)
     fg = np.asarray(foreground, dtype=bool).reshape(-1)
     if pred.shape != target.shape or pred.shape[0] != fg.shape[0]:
-        raise ValueError("prediction, target, and mask shapes are inconsistent")
+        raise InvalidValue("prediction, target, and mask shapes are inconsistent")
     n_pos = int(fg.sum())
     if n_pos == 0:
         raise EmptyForeground("masked loss undefined with zero foreground points")
@@ -92,7 +92,7 @@ def cross_entropy(logits, labels):
     labels = np.asarray(labels, dtype=int).reshape(-1)
     m, k = logits.shape
     if k < 2:
-        raise ValueError("need at least 2 classes")
+        raise InvalidValue("need at least 2 classes")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         raise LabelError(f"labels must lie in [0, {k})")
     # the row max and the row sum column by column: with few classes this

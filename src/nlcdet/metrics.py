@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidValue
 from .geometry import Box3D, iou_3d
 
 __all__ = ["Detection", "match_detections", "average_precision", "evaluate"]
@@ -27,7 +28,7 @@ def match_detections(
     order.  Score ties break by detection index; IoU ties by gt index.
     """
     if not (0.0 < iou_thresh <= 1.0):
-        raise ValueError("iou_thresh must lie in (0, 1]")
+        raise InvalidValue("iou_thresh must lie in (0, 1]")
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
     taken = set()
     result = []
@@ -56,7 +57,7 @@ def average_precision(
     excluded); the legacy 11-point variant samples {0, 0.1, ..., 1.0}.
     """
     if num_gt < 1:
-        raise ValueError("num_gt must be >= 1")
+        raise InvalidValue("num_gt must be >= 1")
     flags = np.asarray(match_flags, dtype=bool)
     scores = np.asarray(scores, dtype=float)
     order = np.lexsort((np.arange(len(scores)), -scores))
@@ -71,7 +72,7 @@ def average_precision(
     elif recall_positions == 11:
         sample_points = np.arange(11) / 10.0
     else:
-        raise ValueError("recall_positions must be 40 or 11")
+        raise InvalidValue("recall_positions must be 40 or 11")
 
     total = 0.0
     for r in sample_points:
@@ -88,7 +89,7 @@ def evaluate(
 ) -> float:
     """Match then score a single-class detection set; returns AP."""
     if not gts:
-        raise ValueError("need at least one ground-truth box")
+        raise InvalidValue("need at least one ground-truth box")
     matches = match_detections(detections, gts, iou_thresh)
     by_index = dict(matches)
     flags = [by_index[i] is not None for i in range(len(detections))]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidValue, ParseError
 from .geometry import (
     Box3D, Calibration, _from_box_frame, _nearest_per_pixel, _to_box_frame, points_in_box,
     project_points,
@@ -94,7 +94,7 @@ def build_gt_nlc_map(
     claiming box index per mask-true pixel, -1 elsewhere.
     """
     if height <= 0 or width <= 0:
-        raise ValueError("map dimensions must be positive")
+        raise InvalidValue("map dimensions must be positive")
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         xyz = pts.reshape(0, 3)
@@ -151,7 +151,7 @@ def mmae(gt: NlcMap, pred: np.ndarray, object_pixels: list[np.ndarray]):
     """
     pred = np.asarray(pred, dtype=float)
     if pred.shape != gt.values.shape:
-        raise ValueError("prediction shape must match the ground-truth map")
+        raise InvalidValue("prediction shape must match the ground-truth map")
     per_object = []
     skipped = 0
     for pix in object_pixels:

@@ -16,6 +16,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from .errors import InvalidValue
 from .geometry import Box3D, Calibration, _nearest_per_pixel, _to_box_frame, project_points
 from .losses import LossWeights, center_loss, cross_entropy, nlc_loss, total_loss
 from .nlc import NlcMap, build_gt_nlc_map, lidar_to_nlc, mmae, nlc_to_lidar, object_pixel_sets
@@ -231,11 +232,11 @@ class TrainConfig:
         for name, low in (("seed", 0), ("data_seed", 0), ("epochs", 0), ("train_scenes", 1),
                           ("val_scenes", 1), ("point_channels", 1), ("image_channels", 1)):
             if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+                raise InvalidValue(f"{name} must be at least {low}, got {getattr(self, name)}")
         if not (np.isfinite(self.huber_delta) and self.huber_delta > 0):
-            raise ValueError(f"huber_delta must be a positive number, got {self.huber_delta}")
+            raise InvalidValue(f"huber_delta must be a positive number, got {self.huber_delta}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError(f"learning_rate must be a finite number >= 0, got {self.learning_rate}")
+            raise InvalidValue(f"learning_rate must be a finite number >= 0, got {self.learning_rate}")
 
 
 # each TrainConfig field by the type of its default, and the loss weights
@@ -253,15 +254,15 @@ def parse_train_config(text: str) -> TrainConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"config line {line_no}: expected 'key = value'")
+            raise InvalidValue(f"config line {line_no}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_KEYS:
-            raise ValueError(f"config line {line_no}: unknown key {key!r}")
+            raise InvalidValue(f"config line {line_no}: unknown key {key!r}")
         kind = _CONFIG_KEYS[key]
         if kind is bool:
             if val.lower() not in ("true", "false"):
-                raise ValueError(f"config line {line_no}: {key} must be true/false")
+                raise InvalidValue(f"config line {line_no}: {key} must be true/false")
             values[key] = val.lower() == "true"
         else:
             values[key] = kind(val)
@@ -583,9 +584,9 @@ def train(
         train_scenes = generated_train if train_scenes is None else train_scenes
         val_scenes = generated_val if val_scenes is None else val_scenes
     if not train_scenes:
-        raise ValueError("need at least one training scene")
+        raise InvalidValue("need at least one training scene")
     if not val_scenes:
-        raise ValueError("need at least one validation scene")
+        raise InvalidValue("need at least one validation scene")
 
     model = ToyModel.init(
         config.seed, c_point=config.point_channels, c_image=config.image_channels
@@ -623,7 +624,7 @@ def ablation(
     Returns per-row per-seed metrics, row means, and final gradient telemetry.
     """
     if len(seeds) < 2:
-        raise ValueError("need at least 2 seeds per row")
+        raise InvalidValue("need at least 2 seeds per row")
     report: dict = {"rows": {}, "seeds": list(seeds)}
     train_scenes, val_scenes = make_scenes(base_config)
     for row in rows:

@@ -18,11 +18,7 @@ touch and one sparse matrix over those pixels only, each built on its first
 use, and its methods are deterministic for a fixed point order.  Products
 that read a grid take just the touched rows of its (H*W, C) view, not a copy
 of the whole grid, and products that write one place their rows into zeros.
-The one-shot functions build a plan per call, so each builds only the
-direction it applies.  The two that sum over points (:func:`point_to_pixel`
-and :func:`pixel_to_point_backward`) first drop the points that cannot
-contribute and sort the rest canonically, so their results are
-bit-identical under permutation of the input points.
+Each one-shot function is one method of a plan built over its coordinates.
 """
 
 from __future__ import annotations
@@ -103,21 +99,16 @@ def _linear_backward(layer: DenseLayer, x: np.ndarray, d_out: np.ndarray, grad: 
     return d_out @ np.ascontiguousarray(layer.weights)
 
 
-def _near_image(uv: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Whether each point has a bilinear neighbor in the image:
-    u in [-1, W) and v in [-1, H).  False for NaN, +-inf and huge values."""
-    u, v = uv[:, 0], uv[:, 1]
-    return (u >= -1) & (u < width) & (v >= -1) & (v < height)
-
-
 def _bilinear_weights(uv: np.ndarray, height: int, width: int):
     """Point rows, flat cells and weights of zero-padded bilinear sampling.
 
-    Only points near the image (:func:`_near_image`) reach the int cast, so
-    NaN, +-inf and huge coordinates sample nothing.
+    Only points with a bilinear neighbor in the image, u in [-1, W) and
+    v in [-1, H), reach the int cast, so NaN, +-inf and huge coordinates
+    sample nothing.
     """
-    near = np.nonzero(_near_image(uv, height, width))[0]
-    u, v = uv[near, 0], uv[near, 1]
+    u, v = uv[:, 0], uv[:, 1]
+    near = np.nonzero((u >= -1) & (u < width) & (v >= -1) & (v < height))[0]
+    u, v = u[near], v[near]
     x0 = np.floor(u).astype(int)
     y0 = np.floor(v).astype(int)
     fx, fy = u - x0, v - y0
@@ -189,7 +180,8 @@ class ProjectionPlan:
     direction is built on first use and then kept (a new transposed view per
     call costs more than the product on a training scene), so a plan that
     only scatters never builds the gather operator; the plan keeps its own
-    copy of the coordinates they are built from.
+    copy of the coordinates they are built from.  Point inputs must hold
+    ``count`` rows and grids H*W pixels; any other size raises ShapeError.
     """
 
     def __init__(self, coords: np.ndarray, height: int, width: int):
@@ -236,7 +228,12 @@ class ProjectionPlan:
         out[pixels] = rows
         return _grid(out, self.height, self.width)
 
+    def _check_count(self, count: int) -> None:
+        if count != self.count:
+            raise ShapeError(f"{count} point rows for a plan over {self.count} points")
+
     def scatter(self, features: np.ndarray) -> np.ndarray:
+        self._check_count(len(features))
         op = self._scatter
         return self._write(op.matrix @ features, op.pixels)
 
@@ -249,30 +246,9 @@ class ProjectionPlan:
         return op.matrix @ self._read(grid, op.pixels)
 
     def gather_grad(self, grad_points: np.ndarray) -> np.ndarray:
+        self._check_count(len(grad_points))
         op = self._gather
         return self._write(op.matrix_t @ grad_points, op.pixels)
-
-
-def _canonical_order(coords: np.ndarray, payload: np.ndarray, height: int, width: int):
-    """Points and their payload rows in a deterministic total order.
-
-    The order itself is arbitrary (raw byte order of each point's cell,
-    coordinates and payload), but it is a pure function of each row's
-    content, which makes every downstream sum bit-exact under permutation of
-    the input points.
-    """
-    cells, _ = _pixel_cells(coords[:, 0], coords[:, 1], height, width)
-    rows = np.ascontiguousarray(np.column_stack([cells.astype(float), coords, payload]))
-    view = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
-    order = np.argsort(view.ravel(), kind="stable")
-    return coords[order], payload[order]
-
-
-def _uv(coords: np.ndarray, count: int) -> np.ndarray:
-    uv = np.asarray(coords, dtype=float).reshape(-1, 2)
-    if len(uv) != count:
-        raise ShapeError(f"{len(uv)} coordinates for {count} points")
-    return uv
 
 
 def point_to_pixel(
@@ -284,13 +260,7 @@ def point_to_pixel(
     floor(v) == r, floor(u) == c; empty pixels are exactly zero.  Points
     projecting outside the grid are ignored.
     """
-    g = np.asarray(features, dtype=float)
-    uv = _uv(coords, len(g))
-    # points outside add nothing, and dropping them keeps the sorted order
-    # of the rest, so the sum is the one over all points sorted
-    _, inside = _pixel_cells(uv[:, 0], uv[:, 1], height, width)
-    uv, g = _canonical_order(uv[inside], g[inside], height, width)
-    return ProjectionPlan(uv, height, width).scatter(g)
+    return ProjectionPlan(coords, height, width).scatter(np.asarray(features, dtype=float))
 
 
 def point_to_pixel_backward(
@@ -302,8 +272,9 @@ def point_to_pixel_backward(
     grad_output[:, r, c] / n; out-of-grid points receive zero.
     """
     go = np.asarray(grad_output, dtype=float)
-    uv = _uv(coords, num_points)
-    return ProjectionPlan(uv, *go.shape[1:]).scatter_grad(go)
+    plan = ProjectionPlan(coords, *go.shape[1:])
+    plan._check_count(num_points)
+    return plan.scatter_grad(go)
 
 
 def pixel_to_point(grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -316,12 +287,7 @@ def pixel_to_point_backward(
     grad_points: np.ndarray, coords: np.ndarray, height: int, width: int
 ) -> np.ndarray:
     """Backward of :func:`pixel_to_point` w.r.t. the grid features."""
-    gp = np.asarray(grad_points, dtype=float)
-    uv = _uv(coords, len(gp))
-    # as in point_to_pixel: only points with a neighbor in the image add anything
-    near = _near_image(uv, height, width)
-    uv, gp = _canonical_order(uv[near], gp[near], height, width)
-    return ProjectionPlan(uv, height, width).gather_grad(gp)
+    return ProjectionPlan(coords, height, width).gather_grad(np.asarray(grad_points, dtype=float))
 
 
 def _relu(x: np.ndarray) -> np.ndarray:

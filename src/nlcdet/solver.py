@@ -32,9 +32,9 @@ class SolveReport:
     degenerate: bool
 
     def to_dict(self) -> dict:
-        """JSON-ready fields; an infinite condition estimate (a rank-deficient
-        Jacobian) becomes None, since JSON has no infinity."""
-        condition = self.condition_estimate
+        """The report as plain Python values.  The condition estimate stays
+        the float it is, infinite for a rank-deficient Jacobian; writing it
+        as JSON is the writer's task (the CLI writes it as null)."""
         return {
             "box": {
                 "center": self.box.center.tolist(),
@@ -45,7 +45,7 @@ class SolveReport:
             },
             "rms_residual": self.rms_residual,
             "iterations": self.iterations,
-            "condition_estimate": condition if np.isfinite(condition) else None,
+            "condition_estimate": self.condition_estimate,
             "converged": self.converged,
             "degenerate": self.degenerate,
         }

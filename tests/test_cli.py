@@ -218,6 +218,15 @@ class TestSolve:
         path.write_text("1,2,3\n")
         assert main(["solve", "--corrs", str(path)]) == EXIT_DATA
 
+    def test_rank_deficient_fit_prints_null_condition(self, tmp_path, capsys):
+        # five correspondences at the box center leave the Jacobian rank
+        # deficient, so the condition estimate is infinite
+        path = tmp_path / "corrs.csv"
+        path.write_text("10,-3,0.5,0.5,0.5,0.5\n" * 5)
+        assert main(["solve", "--corrs", str(path)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert report["degenerate"] and report["condition_estimate"] is None
+
 
 class TestGradcheckCommand:
     def test_healthy_run(self, capsys):

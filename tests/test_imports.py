@@ -1,6 +1,7 @@
 """Every module-level import in the library is used or re-exported, every
-module-level private definition is read somewhere in the library, and every
-public name is read outside the package's re-exports."""
+module-level private definition is read somewhere in the library, every
+public name is read outside the package's re-exports, and no library check
+raises a bare ValueError."""
 
 import ast
 from pathlib import Path
@@ -131,3 +132,29 @@ def test_no_public_name_that_only_unit_tests_read():
     for directory in ("demos", "perfbench"):
         callers += [p.read_text() for p in sorted((ROOT / directory).rglob("*.py"))]
     assert unread_public_names(modules, callers) == []
+
+
+def bare_value_errors(source: str) -> list[int]:
+    """Line numbers of ``raise ValueError`` and ``raise ValueError(...)``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_flags_a_bare_value_error():
+    source = (
+        "def f(x):\n    if x:\n        raise ValueError('x')\n    raise ValueError\n"
+        "def g():\n    raise InvalidValue('y')\n"
+        "try:\n    f(1)\nexcept ValueError:\n    raise\n"
+    )
+    assert bare_value_errors(source) == [3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_no_bare_value_error_raised(path):
+    # a library rejection is an NlcdetError; InvalidValue is also a ValueError
+    assert bare_value_errors(path.read_text()) == []
