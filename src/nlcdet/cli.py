@@ -150,13 +150,18 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _noise_sweep(corrs: np.ndarray, seed: int, sigmas=(0.005, 0.01, 0.02, 0.05), trials=50):
+# ``solve --noise-report``: the NLC noise levels swept, and the solves at each
+NOISE_SIGMAS = (0.005, 0.01, 0.02, 0.05)
+NOISE_TRIALS = 50
+
+
+def _noise_sweep(corrs: np.ndarray, seed: int):
     rng = np.random.default_rng(seed)
     sweep = []
     base = solve_box(corrs).box
-    for sigma in sigmas:
+    for sigma in NOISE_SIGMAS:
         errs = []
-        for _ in range(trials):
+        for _ in range(NOISE_TRIALS):
             noisy = corrs.copy()
             noisy[:, 3:] += rng.normal(0.0, sigma, size=(len(corrs), 3))
             rep = solve_box(noisy, init=base)

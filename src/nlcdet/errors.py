@@ -6,7 +6,8 @@ class NlcdetError(Exception):
 
 
 class BehindCamera(NlcdetError):
-    """Point projects at or behind the camera plane (depth <= 1e-9)."""
+    """A point has no finite image position: it lies at or behind the camera
+    plane (depth <= 0), or so close to it that (u, v) overflows."""
 
 
 class InvalidValue(NlcdetError, ValueError):

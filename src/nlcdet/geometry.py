@@ -172,10 +172,11 @@ def _nearest_per_pixel(xyz, u, v, d, height: int, width: int):
 
 
 def project_point(p: np.ndarray, calib: Calibration):
-    """Project a single point; raises BehindCamera when depth <= 1e-9."""
+    """Project a single point; raises BehindCamera where ``project_points``
+    gives it no finite (u, v)."""
     u, v, d = project_points(np.asarray(p, dtype=float).reshape(1, 3), calib)
-    if d[0] <= 1e-9:
-        raise BehindCamera(f"projection undefined for depth {d[0]:.3g}")
+    if not (np.isfinite(u[0]) and np.isfinite(v[0])):
+        raise BehindCamera(f"no finite image position at depth {d[0]:.3g}")
     return float(u[0]), float(v[0]), float(d[0])
 
 

@@ -6,9 +6,11 @@ until all pre-activations sit safely away from the ReLU kink.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
-from .losses import center_loss, cross_entropy, nlc_loss
+from .losses import LossWeights, center_loss, cross_entropy, nlc_loss
 from .pipeline import SceneParams, ToyModel, TrainConfig, backward, compute_losses, forward, generate_scene
 from .propagation import (
     DenseLayer,
@@ -159,11 +161,17 @@ _FULL_MODEL_SCENE = SceneParams(max_boxes=1, min_points_per_box=20, max_points_p
 def check_full_model(rng: np.random.Generator) -> float:
     """Directional FD check of the end-to-end toy-model loss gradient along
     five random unit directions."""
-    scene = generate_scene(int(rng.integers(1 << 31)), _FULL_MODEL_SCENE)
     config = TrainConfig(point_channels=4, image_channels=4)
+    return _check_model_gradient(rng, config, tuple(f.name for f in fields(LossWeights)))
+
+
+def _check_model_gradient(rng: np.random.Generator, config: TrainConfig, heads: tuple[str, ...]) -> float:
+    """``check_full_model``'s procedure for the weighted sum of the ``heads``
+    losses, backpropagated from those heads' gradients alone."""
+    scene = generate_scene(int(rng.integers(1 << 31)), _FULL_MODEL_SCENE)
     # resample until every pre-activation is clear of the ReLU kink
     for _ in range(50):
-        model = ToyModel.init(int(rng.integers(1 << 31)), c_point=4, c_image=4)
+        model = ToyModel.init(int(rng.integers(1 << 31)), config.point_channels, config.image_channels)
         # zero-initialized biases would pin empty-pixel pre-activations to the
         # ReLU kink; randomize them for the check
         for layer in model.layers.values():
@@ -178,12 +186,12 @@ def check_full_model(rng: np.random.Generator) -> float:
         model.params[...] = vec
         outputs, _ = forward(model, scene, config)
         losses, _ = compute_losses(outputs, scene, config)
-        return losses["total"]
+        return sum(getattr(config.weights, c) * losses[c] for c in heads)
 
     base = model.params.copy()
     outputs, cache = forward(model, scene, config)
     _, head_grads = compute_losses(outputs, scene, config)
-    grad_vec = backward(model, scene, config, cache, head_grads).params
+    grad_vec = backward(model, scene, config, cache, {c: head_grads[c] for c in heads}).params
 
     worst = 0.0
     for _ in range(5):

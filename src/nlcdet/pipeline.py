@@ -12,7 +12,7 @@ hand-written backward passes so the whole model is finite-difference checkable.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -273,7 +273,8 @@ def parse_train_config(text: str) -> TrainConfig:
 
 
 def _layer_shapes(cp: int, ci: int) -> dict[str, tuple[str, int, int]]:
-    """Branch fed and (in, out) channels of every layer, in packing order."""
+    """Branch fed and (in, out) channels of every layer, in packing order; the
+    loss that ``LossWeights.<c>`` weights trains the layer ``head_<c>``."""
     return {
         "point1": ("point", 4, cp),
         "point2": ("point", cp, cp),
@@ -297,12 +298,14 @@ def _layer_shapes(cp: int, ci: int) -> dict[str, tuple[str, int, int]]:
 _LAYERS = _layer_shapes(1, 1)  # the names and branches do not depend on the widths
 POINT_BRANCH_LAYERS = tuple(n for n, (branch, _, _) in _LAYERS.items() if branch == "point")
 IMAGE_BRANCH_LAYERS = tuple(n for n, (branch, _, _) in _LAYERS.items() if branch == "image")
+IMAGE_HEADS = tuple(f.name for f in fields(LossWeights) if _LAYERS[f"head_{f.name}"][0] == "image")
 
 
 class ToyModel:
     """All layers of the two-branch toy network, keyed by name: views into the
     one float64 vector ``params`` (zeros when new), each layer's weights then
     bias in packing order, so updating ``params`` in place updates every layer.
+    ``slices`` holds each layer's part of ``params``, in the same order.
 
     Each layer's weights are stored (in, out), the layout the dense products
     run fastest on; ``DenseLayer.weights`` is the (out, in) transposed view.
@@ -312,11 +315,12 @@ class ToyModel:
         shapes = _layer_shapes(c_point, c_image)
         self.c_point, self.c_image = c_point, c_image
         self.params = np.zeros(sum((i + 1) * o for _, i, o in shapes.values()))
-        self.layers, off = {}, 0
+        self.layers, self.slices, off = {}, {}, 0
         for name, (_, i, o) in shapes.items():
-            weights = self.params[off : off + o * i].reshape(i, o).T
-            self.layers[name] = DenseLayer(weights, self.params[off + o * i : off + (i + 1) * o])
-            off += (i + 1) * o
+            part = self.slices[name] = slice(off, off + (i + 1) * o)
+            packed = self.params[part]
+            self.layers[name] = DenseLayer(packed[: o * i].reshape(i, o).T, packed[o * i :])
+            off = part.stop
 
     @staticmethod
     def init(seed: int, c_point: int = 16, c_image: int = 16) -> "ToyModel":
@@ -333,13 +337,6 @@ class ToyModel:
 _STAGES = (
     ("point1", "image1", ("i2p1a", "i2p1b"), ("p2i1a", "p2i1b")),
     ("point2", "image2", ("i2p2a", "i2p2b"), ("p2i2a", "p2i2b")),
-)
-# per head: loss component, layer, and the branch whose final features it reads
-_HEADS = (
-    ("ctr", "head_ctr", "points"),
-    ("sem3d", "head_sem3d", "points"),
-    ("nlc", "head_nlc", "image"),
-    ("sem2d", "head_sem2d", "image"),
 )
 
 
@@ -388,7 +385,7 @@ def forward(model: ToyModel, scene: SyntheticScene, config: TrainConfig):
         "sem2d_logits": _linear(L["head_sem2d"], f),
     }
     outputs["nlc_at_points"] = plan.gather(outputs["nlc_map"])
-    return outputs, {"stages": stages, "points": g, "image": f}
+    return outputs, {"stages": stages, "point": g, "image": f}
 
 
 def compute_losses(outputs: dict, scene: SyntheticScene, config: TrainConfig):
@@ -433,39 +430,36 @@ def backward(
     plan = scene.plan
 
     # heads: gradients w.r.t. the last stage's point and image outputs
-    d = {k: np.zeros_like(cache[k]) for k in ("points", "image")}
-    for comp, head, branch in _HEADS:
-        weight = getattr(config.weights, comp)
-        if weight == 0.0 or comp not in head_grads:
+    d = {branch: np.zeros_like(cache[branch]) for branch in ("point", "image")}
+    for comp, grad in head_grads.items():
+        weight, head = getattr(config.weights, comp), f"head_{comp}"
+        if weight == 0.0:
             continue
-        d_out = weight * head_grads[comp]
+        branch = _LAYERS[head][0]
+        d_out = weight * grad
         if comp == "nlc":
             d_out = _rows(plan.gather_grad(d_out))
         d[branch] += _linear_backward(L[head], cache[branch], d_out, grads[head])
-    d_g, d_f = d["points"], d["image"]
+    d_g, d_f = d["point"], d["image"]
 
-    for (point, image, i2p, p2i), st in zip(reversed(_STAGES), reversed(cache["stages"])):
-        # fusion, back to the outputs of the stage's dense layers
-        d_g_layer = np.zeros_like(st.pre_points)
-        d_f_layer = np.zeros_like(st.pre_image)
+    for i, (point, image, i2p, p2i) in reversed(list(enumerate(_STAGES))):
+        st = cache["stages"][i]
+        # fusion, back to the outputs of the stage's dense layers: each fusion
+        # that ran replaces its own side and adds what it propagated to the other
+        d_g_layer, d_f_layer = d_g, d_f
         if st.i2p is not None:
-            d_gathered, d_part = fuse_i2p_backward(d_g, st.i2p, (grads[i2p[0]], grads[i2p[1]]))
-            d_g_layer += d_part
-            d_f_layer += _rows(plan.gather_grad(d_gathered))
-        else:
-            d_g_layer += d_g
+            d_gathered, d_g_layer = fuse_i2p_backward(d_g, st.i2p, (grads[i2p[0]], grads[i2p[1]]))
         if st.p2i is not None:
-            d_scattered, d_part = fuse_p2i_backward(d_f, st.p2i, (grads[p2i[0]], grads[p2i[1]]))
-            d_f_layer += d_part
-            d_g_layer += plan.scatter_grad(_grid(d_scattered, h, w))
-        else:
-            d_f_layer += d_f
+            d_scattered, d_f_layer = fuse_p2i_backward(d_f, st.p2i, (grads[p2i[0]], grads[p2i[1]]))
+            d_g_layer = d_g_layer + plan.scatter_grad(_grid(d_scattered, h, w))
+        if st.i2p is not None:
+            d_f_layer = d_f_layer + _rows(plan.gather_grad(d_gathered))
 
         # the stage's dense layers, back to the stage inputs; nothing reads
         # the gradient of the network's own inputs, so stage one skips it
         d_pre_points = d_g_layer * (st.pre_points > 0)
         d_pre_image = d_f_layer * (st.pre_image > 0)
-        if st is cache["stages"][0]:
+        if i == 0:
             _param_grad(st.points_in, d_pre_points, grads[point])
             _param_grad(st.image_in, d_pre_image, grads[image])
         else:
@@ -474,18 +468,9 @@ def backward(
     return out
 
 
-@cache
-def _entries(c_point: int, c_image: int, names: tuple[str, ...]) -> np.ndarray:
-    """Positions in ``params`` of the named layers' weights and biases."""
-    probe = ToyModel(c_point, c_image)
-    for name in names:
-        probe.layers[name].weights[...] = 1.0
-        probe.layers[name].bias[...] = 1.0
-    return np.flatnonzero(probe.params)
-
-
 def _grad_norm(grads: ToyModel, names: tuple[str, ...]) -> float:
-    v = grads.params[_entries(grads.c_point, grads.c_image, names)]
+    """L2 norm of the named layers' parameters, read in packing order."""
+    v = np.concatenate([grads.params[part] for name, part in grads.slices.items() if name in names])
     return float(np.sqrt(v @ v))
 
 
@@ -551,7 +536,7 @@ def _descend(model: ToyModel, train_scenes, config: TrainConfig) -> tuple[list[d
         # image-objective gradient reaching the point branch (telemetry)
         outputs, cache = forward(model, train_scenes[0], config)
         _, head_grads = compute_losses(outputs, train_scenes[0], config)
-        image_grads = {c: head_grads[c] for c in ("nlc", "sem2d")}
+        image_grads = {c: head_grads[c] for c in IMAGE_HEADS}
         g_img = backward(model, train_scenes[0], config, cache, image_grads)
         epochs_log.append(
             {

@@ -510,10 +510,6 @@ class TestUsage:
             assert "usage" in capsys.readouterr().out.lower()
 
 
-def _reject_constant(name):
-    raise ValueError(f"{name} is not JSON")
-
-
 # Numbers as they come in real files, plus the extremes that break arithmetic.
 _NUMBERS = st.one_of(
     st.floats(-100.0, 100.0),

@@ -67,6 +67,12 @@ class TestProjection:
         with pytest.raises(BehindCamera):
             project_point(np.array([1.0, 1.0, 0.0]), identity_calib())
 
+    def test_tiny_positive_depth_projects_as_the_batch_does(self):
+        # a point just in front of the camera plane has an image position
+        p = np.array([1e-10, -2e-10, 1e-10])
+        u, v, d = project_points(p.reshape(1, 3), identity_calib())
+        assert project_point(p, identity_calib()) == (u[0], v[0], d[0]) == (1.0, -2.0, 1e-10)
+
     def test_batch_matches_single(self, rng):
         calib = Calibration(
             K=np.array([[500.0, 0.0, 320.0], [0.0, 510.0, 240.0], [0.0, 0.0, 1.0]]),

@@ -1,11 +1,22 @@
 """The finite-difference verification harness itself."""
 
+from dataclasses import fields, replace
+
 import numpy as np
+import pytest
 
 from nlcdet import gradcheck as gc
 from nlcdet.geometry import _pixel_cells
-from nlcdet.pipeline import generate_scene
+from nlcdet.losses import LossWeights
+from nlcdet.pipeline import ABLATION_ROWS, IMAGE_HEADS, TrainConfig, generate_scene
 from nlcdet.propagation import ProjectionPlan
+
+_ALL_HEADS = tuple(f.name for f in fields(LossWeights))
+_HEAD_SETS = {
+    "all": _ALL_HEADS,
+    "image": IMAGE_HEADS,
+    "point": tuple(c for c in _ALL_HEADS if c not in IMAGE_HEADS),
+}
 
 
 def test_all_checks_under_thresholds():
@@ -30,6 +41,17 @@ def test_individual_checks_reproducible():
 def test_full_model_check_is_tight():
     err = gc.check_full_model(np.random.default_rng(3))
     assert err < 1e-5
+
+
+@pytest.mark.parametrize("heads", _HEAD_SETS)
+@pytest.mark.parametrize("row", ABLATION_ROWS)
+def test_every_trained_gradient_path_matches_finite_differences(row, heads):
+    # each ablation row takes its own fusion branches through backward, and the
+    # image heads alone are what image_to_point_grad_norm backpropagates
+    config = replace(TrainConfig(point_channels=4, image_channels=4), **ABLATION_ROWS[row])
+    for seed in range(3):
+        err = gc._check_model_gradient(np.random.default_rng(seed), config, _HEAD_SETS[heads])
+        assert err < gc.THRESHOLDS["full_model"], f"seed {seed}: {err}"
 
 
 def test_full_model_scenes_put_points_in_the_image():

@@ -1,6 +1,6 @@
 """Synthetic scenes, the toy two-branch network, training, and the ablation."""
 
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -11,11 +11,14 @@ from nlcdet.nlc import build_gt_nlc_map
 from nlcdet.pipeline import (
     ABLATION_ROWS,
     IMAGE_BRANCH_LAYERS,
+    IMAGE_HEADS,
     POINT_BRANCH_LAYERS,
     SceneParams,
     ToyModel,
     TrainConfig,
     _DEPTH_NORM,
+    _grad_norm,
+    _layer_shapes,
     ablation,
     backward,
     compute_losses,
@@ -181,7 +184,7 @@ class TestForwardBackward:
         model = ToyModel.init(0, 6, 6)
         outputs, cache = forward(model, scene, cfg)
         _, head_grads = compute_losses(outputs, scene, cfg)
-        image_grads = {c: head_grads[c] for c in ("nlc", "sem2d")}
+        image_grads = {c: head_grads[c] for c in IMAGE_HEADS}
         grads = backward(model, scene, cfg, cache, image_grads)
         for name in POINT_BRANCH_LAYERS:
             assert np.all(grads.layers[name].weights == 0.0)
@@ -193,7 +196,7 @@ class TestForwardBackward:
         cfg = replace(TINY, enable_i2p=False)
         outputs, cache = forward(model, scene, cfg)
         _, head_grads = compute_losses(outputs, scene, cfg)
-        image_grads = {c: head_grads[c] for c in ("nlc", "sem2d")}
+        image_grads = {c: head_grads[c] for c in IMAGE_HEADS}
         grads = backward(model, scene, cfg, cache, image_grads)
         total = sum(float(np.abs(grads.layers[n].weights).sum()) for n in ("point1", "point2"))
         assert total > 0.0
@@ -203,15 +206,31 @@ class TestForwardBackward:
         model = ToyModel.init(0, 6, 6)
         outputs, cache = forward(model, scene, TINY)
         _, head_grads = compute_losses(outputs, scene, TINY)
-        point_grads = {c: head_grads[c] for c in ("sem3d", "ctr")}
+        point_grads = {c: g for c, g in head_grads.items() if c not in IMAGE_HEADS}
         grads = backward(model, scene, TINY, cache, point_grads)
         # i2p feeds points from the image branch, so image1/2 may receive
         # gradient; the image-side heads must not
-        for name in ("head_nlc", "head_sem2d"):
+        for name in (f"head_{c}" for c in IMAGE_HEADS):
             assert np.all(grads.layers[name].weights == 0.0)
 
 
 class TestParameterVector:
+    def test_each_loss_weight_names_its_head(self):
+        heads = {name for name in _layer_shapes(1, 1) if name.startswith("head_")}
+        assert heads == {f"head_{f.name}" for f in fields(LossWeights)}
+        assert IMAGE_HEADS == ("nlc", "sem2d")
+
+    def test_slices_tile_params_and_give_the_norm(self):
+        g = ToyModel(6, 5)
+        g.params[...] = np.random.default_rng(2).normal(size=g.params.size)
+        parts = list(g.slices.values())
+        assert [p.start for p in parts] == [0] + [p.stop for p in parts[:-1]]
+        assert parts[-1].stop == g.params.size and list(g.slices) == list(g.layers)
+        for name, layer in g.layers.items():
+            assert np.shares_memory(layer.weights, g.params[g.slices[name]])
+            assert np.shares_memory(layer.bias, g.params[g.slices[name]])
+        assert _grad_norm(g, tuple(g.layers)) == np.sqrt(g.params @ g.params)
+
     def test_layers_are_views_into_params(self):
         model, _ = train(TINY)  # after training, so the update kept the views
         sizes = 0
