@@ -23,7 +23,7 @@ from nlcdet.kitti_io import (
 
 CALIB_TEXT = """\
 P2: 721.5377 0.0 609.5593 44.85728 0.0 721.5377 172.854 0.2163791 0.0 0.0 1.0 0.002745884
-R0_rect: 0.9999239 0.00983776 -0.007445048 -0.0098698 0.9999421 -0.004278459 0.007427903 0.004320553 0.9999631
+R0_rect: 0.9999239 0.00983776 -0.007445048 -0.009869795 0.9999421 -0.004278459 0.007402527 0.004351614 0.9999631
 Tr_velo_to_cam: 0.007533745 -0.9999714 -0.000616602 -0.004069766 0.01480249 0.0007280733 -0.9998902 -0.07631618 0.9998621 0.00752379 0.01480755 -0.2717806
 """
 

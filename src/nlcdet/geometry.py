@@ -172,9 +172,12 @@ def _nearest_per_pixel(xyz, u, v, d, height: int, width: int):
 
 
 def project_point(p: np.ndarray, calib: Calibration):
-    """Project a single point; raises BehindCamera where ``project_points``
-    gives it no finite (u, v)."""
-    u, v, d = project_points(np.asarray(p, dtype=float).reshape(1, 3), calib)
+    """Project a single point; raises InvalidValue unless its coordinates are
+    numbers within +-``MAX_ABS_VALUE``, and BehindCamera where
+    ``project_points`` gives it no finite (u, v)."""
+    p = np.asarray(p, dtype=float).reshape(1, 3)
+    _require_bounded(p, "point coordinates")
+    u, v, d = project_points(p, calib)
     if not (np.isfinite(u[0]) and np.isfinite(v[0])):
         raise BehindCamera(f"no finite image position at depth {d[0]:.3g}")
     return float(u[0]), float(v[0]), float(d[0])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -144,124 +145,108 @@ def emit_calib(calib: KittiCalib) -> str:
     return "\n".join(lines) + "\n"
 
 
+# KittiLabel's fields in file order, each with its count of tokens; ``type``
+# is the one string and ``occluded`` the one integer
+_LABEL_COLUMNS = (
+    ("type", 1), ("truncated", 1), ("occluded", 1), ("alpha", 1), ("bbox2d", 4),
+    ("h", 1), ("w", 1), ("l", 1), ("location", 3), ("rotation_y", 1),
+)
+_LABEL_TOKENS = sum(count for _, count in _LABEL_COLUMNS)
+
+
 def parse_labels(text) -> list[KittiLabel]:
     """Parse a KITTI label file; DontCare entries are retained and flagged."""
     labels = []
     for line_no, line in enumerate(_as_text(text).splitlines(), start=1):
-        fields = _tokens(line)
-        if not fields:
+        tokens = _tokens(line)
+        if not tokens:
             continue
-        if len(fields) < 15:
+        if len(tokens) < _LABEL_TOKENS:
             raise ParseError(
-                f"line {line_no}: expected 15 fields, got {len(fields)}",
+                f"line {line_no}: expected {_LABEL_TOKENS} fields, got {len(tokens)}",
                 line=line_no,
             )
-
-        def num(i, parse=_parse_float):
-            col, tok = fields[i]
-            return parse(tok, line_no, col)
-
-        labels.append(
-            KittiLabel(
-                type=fields[0][1],
-                truncated=num(1),
-                occluded=num(2, _parse_int),
-                alpha=num(3),
-                bbox2d=(num(4), num(5), num(6), num(7)),
-                h=num(8),
-                w=num(9),
-                l=num(10),
-                location=(num(11), num(12), num(13)),
-                rotation_y=num(14),
-            )
-        )
+        fields, rest = {"type": tokens[0][1]}, iter(tokens[1:])
+        for name, count in _LABEL_COLUMNS[1:]:
+            parse = _parse_int if name == "occluded" else _parse_float
+            values = tuple(parse(tok, line_no, col) for col, tok in islice(rest, count))
+            fields[name] = values if count > 1 else values[0]
+        labels.append(KittiLabel(**fields))
     return labels
 
 
 def emit_labels(labels: list[KittiLabel]) -> str:
+    """Serialize labels; floats use repr so values round-trip exactly."""
     lines = []
     for lb in labels:
-        parts = [
-            lb.type,
-            repr(lb.truncated),
-            str(lb.occluded),
-            repr(lb.alpha),
-            *(repr(x) for x in lb.bbox2d),
-            repr(lb.h),
-            repr(lb.w),
-            repr(lb.l),
-            *(repr(x) for x in lb.location),
-            repr(lb.rotation_y),
-        ]
+        parts = [lb.type]
+        for name, _ in _LABEL_COLUMNS[1:]:
+            for x in np.ravel(getattr(lb, name)):
+                parts.append(str(int(x)) if name == "occluded" else repr(float(x)))
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+_VELODYNE_RECORD = np.dtype(("<f4", 4))  # x, y, z, reflectance
 
 
 def read_velodyne(data: bytes) -> np.ndarray:
     """Decode a velodyne .bin payload into an (N, 4) float32 array (xyz + reflectance)."""
     if not isinstance(data, (bytes, bytearray)):
         raise TruncatedFile("velodyne payload must be bytes")
-    if len(data) % 16 != 0:
+    size = _VELODYNE_RECORD.itemsize
+    if len(data) % size != 0:
         raise TruncatedFile(
-            f"payload of {len(data)} bytes is not a whole number of 16-byte records"
+            f"payload of {len(data)} bytes is not a whole number of {size}-byte records"
         )
-    return np.frombuffer(bytes(data), dtype="<f4").reshape(-1, 4).copy()
+    return np.frombuffer(bytes(data), dtype=_VELODYNE_RECORD).copy()
 
 
 def write_velodyne(points: np.ndarray) -> bytes:
-    return np.ascontiguousarray(points, dtype="<f4").reshape(-1, 4).tobytes()
+    points = np.ascontiguousarray(points, dtype=_VELODYNE_RECORD.base)
+    return points.reshape(-1, *_VELODYNE_RECORD.shape).tobytes()
 
 
-def _composed_rotation(calib: KittiCalib) -> np.ndarray:
-    """R0_rect @ Tr_velo_to_cam's rotation block, the rotation that both the
-    projection and the label lift use.
+def _rectified_frame(calib: KittiCalib):
+    """``(R, t)`` taking LiDAR points x to the rectified camera frame,
+    ``R x + t``: the frame that the projection and both label functions use.
 
-    KITTI prints these matrices to 7 significant digits, so the product is
-    orthonormal only to about 5e-8.  A product that fails the
+    R is R0_rect @ Tr_velo_to_cam's rotation block and t is R0_rect @ its
+    translation.  KITTI prints these matrices to 7 significant digits, so R
+    is orthonormal only to about 5e-8.  An R that fails the
     :class:`~nlcdet.geometry.Calibration` check but lies within 1e-6 of
     orthonormal with det > 0 is replaced by its nearest rotation (the SVD
-    polar factor); any other product is returned as it is.
+    polar factor); any other R that is not a rotation raises DegenerateCalib.
     """
-    R = calib.R0_rect @ calib.Tr_velo_to_cam[:, :3]
-    if _is_rotation(R) or not (
-        np.allclose(R @ R.T, np.eye(3), rtol=0.0, atol=1e-6) and np.linalg.det(R) > 0
-    ):
-        return R
+    # overflow from huge entries leaves non-finite values, which are rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = calib.R0_rect @ calib.Tr_velo_to_cam[:, :3]
+        t = calib.R0_rect @ calib.Tr_velo_to_cam[:, 3]
+        if _is_rotation(R):
+            return R, t
+        if not (np.allclose(R @ R.T, np.eye(3), rtol=0.0, atol=1e-6) and np.linalg.det(R) > 0):
+            raise DegenerateCalib("not a pinhole camera: R must be orthonormal with det +1")
     u, _, vt = np.linalg.svd(R)
-    return u @ vt
+    return u @ vt, t
 
 
 def to_calibration(calib: KittiCalib) -> Calibration:
     """Compose P2, R0_rect, and Tr_velo_to_cam into a single pinhole model.
 
-    P2 = [K | p4]; the composed model is u,v,d = K ([R | T] x) with
-    R from :func:`_composed_rotation` and T = R0_rect @ Tr_t + K^-1 p4.
+    P2 = [K | p4]; the composed model is u,v,d = K ([R | T] x) with (R, t)
+    the rectified frame of :func:`_rectified_frame` and T = t + K^-1 p4.
     Matrices that do not compose to a valid
     :class:`~nlcdet.geometry.Calibration` raise DegenerateCalib.
     """
     K = calib.P2[:, :3]
-    p4 = calib.P2[:, 3]
-    # overflow from huge entries leaves non-finite values, which are rejected
     with np.errstate(over="ignore", invalid="ignore"):
         if not abs(np.linalg.det(K)) >= 1e-12:
             raise DegenerateCalib("P2 intrinsic block is singular")
-        R = _composed_rotation(calib)
-        T = calib.R0_rect @ calib.Tr_velo_to_cam[:, 3] + np.linalg.solve(K, p4)
+        R, t = _rectified_frame(calib)
         try:
-            return Calibration(K=K, R=R, T=T)
+            return Calibration(K=K, R=R, T=t + np.linalg.solve(K, calib.P2[:, 3]))
         except ValueError as exc:
             raise DegenerateCalib(f"not a pinhole camera: {exc}") from None
-
-
-def _rect_to_velo(calib: KittiCalib):
-    """Rotation/translation taking rectified-camera coordinates to LiDAR,
-    the inverse of the rotation :func:`to_calibration` projects with."""
-    rot = _composed_rotation(calib)
-    if abs(np.linalg.det(rot)) < 1e-9:
-        raise DegenerateCalib("rectification/extrinsic composition is singular")
-    t = calib.R0_rect @ calib.Tr_velo_to_cam[:, 3]
-    inv = np.linalg.inv(rot)
-    return inv, -inv @ t
 
 
 def label_to_lidar_box(label: KittiLabel, calib: KittiCalib) -> Box3D:
@@ -270,18 +255,20 @@ def label_to_lidar_box(label: KittiLabel, calib: KittiCalib) -> Box3D:
     The label location is the bottom center in the rectified camera frame
     (y down); the box center sits h/2 above it.  The heading converts by
     mapping the object's camera-frame x-axis direction into the LiDAR frame.
-    A label whose box is not valid, such as one with a size that is not
-    positive, raises KittiIOError.
+    A calibration that :func:`to_calibration` rejects for its rotation
+    raises DegenerateCalib; a label whose box is not valid, such as one with
+    a size that is not positive, raises KittiIOError.
     """
     if label.is_dont_care:
         raise InvalidValue("DontCare labels carry no box")
-    inv_rot, inv_t = _rect_to_velo(calib)
+    R, t = _rectified_frame(calib)
+    inv = np.linalg.inv(R)
     bottom = np.asarray(label.location, dtype=float)
     center_cam = bottom + np.array([0.0, -label.h / 2.0, 0.0])
-    center = inv_rot @ center_cam + inv_t
+    center = inv @ center_cam - inv @ t
     # object x-axis in the rectified camera frame
     dir_cam = np.array([np.cos(label.rotation_y), 0.0, -np.sin(label.rotation_y)])
-    dir_velo = inv_rot @ dir_cam
+    dir_velo = inv @ dir_cam
     yaw = float(np.arctan2(dir_velo[1], dir_velo[0]))
     try:
         return Box3D(center=center, l=label.l, w=label.w, h=label.h, yaw=yaw)
@@ -293,12 +280,9 @@ def lidar_box_to_label(
     box: Box3D, calib: KittiCalib, type_name: str = "Car"
 ) -> KittiLabel:
     """Inverse of :func:`label_to_lidar_box`; auxiliary fields are zeroed."""
-    inv_rot, inv_t = _rect_to_velo(calib)
-    rot = np.linalg.inv(inv_rot)
-    center_cam = rot @ (box.center - inv_t)
-    bottom = center_cam + np.array([0.0, box.h / 2.0, 0.0])
-    dir_velo = np.array([np.cos(box.yaw), np.sin(box.yaw), 0.0])
-    dir_cam = rot @ dir_velo
+    R, t = _rectified_frame(calib)
+    bottom = R @ box.center + t + np.array([0.0, box.h / 2.0, 0.0])
+    dir_cam = R @ np.array([np.cos(box.yaw), np.sin(box.yaw), 0.0])
     ry = float(normalize_angle(np.arctan2(-dir_cam[2], dir_cam[0])))
     return KittiLabel(
         type=type_name,

@@ -3,6 +3,11 @@
 The normalized local coordinate (NLC) of a point expresses its position in
 its object's box frame, scaled by the box dimensions and shifted so the box
 interior maps to [0, 1]^3.
+
+NLCM, the binary form of a map, is little-endian: a 16-byte header (magic
+``NLCM``, then uint32 version 1, H and W), then (H, W) row-major planes: the
+x, y and z NLC values as float32, the mask as uint8 (0 or 1), and the depth
+as float32, +inf where the mask is 0.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,6 +38,8 @@ __all__ = [
 
 NLCM_MAGIC = b"NLCM"
 NLCM_VERSION = 1
+# the NLCM planes after the header: (dtype, plane count) of the values, mask and depth
+_NLCM_PLANES = (("<f4", 3), ("u1", 1), ("<f4", 1))
 
 
 @dataclass
@@ -175,17 +183,16 @@ def object_pixel_sets(obj_ids: np.ndarray, num_objects: int) -> list[np.ndarray]
 
 
 def write_nlc_map(m: NlcMap) -> bytes:
-    """Serialize to the NLCM binary format (bit-exact, little-endian)."""
-    h, w = m.height, m.width
-    buf = io.BytesIO()
-    buf.write(NLCM_MAGIC)
-    buf.write(struct.pack("<III", NLCM_VERSION, h, w))
-    for ch in range(3):
-        buf.write(np.ascontiguousarray(m.values[:, :, ch], dtype="<f4").tobytes())
-    buf.write(m.mask.astype(np.uint8).tobytes())
-    depth = np.where(m.mask, m.depth, np.inf)
-    buf.write(np.ascontiguousarray(depth, dtype="<f4").tobytes())
-    return buf.getvalue()
+    """Serialize to the NLCM binary format described in the module docstring."""
+    planes = (m.values.transpose(2, 0, 1), m.mask, np.where(m.mask, m.depth, np.inf))
+    # one (H, W) plane at a time into one growing buffer: a fresh file-sized
+    # buffer per call faults in thousands of pages on a KITTI-sized map
+    out = io.BytesIO()
+    out.write(NLCM_MAGIC + struct.pack("<III", NLCM_VERSION, m.height, m.width))
+    for (dtype, count), group in zip(_NLCM_PLANES, planes):
+        for plane in np.reshape(group, (count, m.height, m.width)):
+            out.write(np.ascontiguousarray(plane, dtype=dtype))
+    return out.getvalue()
 
 
 def read_nlc_map(data: bytes) -> NlcMap:
@@ -195,29 +202,21 @@ def read_nlc_map(data: bytes) -> NlcMap:
     version, h, w = struct.unpack("<III", data[4:16])
     if version != NLCM_VERSION:
         raise ParseError(f"unsupported NLCM version {version}")
-    n = h * w
-    expected = 16 + 3 * 4 * n + n + 4 * n
+    sizes = [np.dtype(dtype).itemsize * count * h * w for dtype, count in _NLCM_PLANES]
+    expected = 16 + sum(sizes)
     if len(data) != expected:
         raise ParseError(
             f"NLCM payload length {len(data)} != expected {expected} for {h}x{w}"
         )
-    off = 16
-    channels = []
-    for _ in range(3):
-        channels.append(
-            np.frombuffer(data, dtype="<f4", count=n, offset=off)
-            .astype(float)
-            .reshape(h, w)
-        )
-        off += 4 * n
-    mask = np.frombuffer(data, dtype=np.uint8, count=n, offset=off).reshape(h, w) != 0
-    off += n
-    depth = (
-        np.frombuffer(data, dtype="<f4", count=n, offset=off)
-        .astype(float)
-        .reshape(h, w)
+    values, mask, depth = (
+        np.frombuffer(data, dtype=dtype, count=count * h * w, offset=offset).reshape(count, h, w)
+        for (dtype, count), offset in zip(_NLCM_PLANES, accumulate(sizes, initial=16))
     )
-    return NlcMap(values=np.stack(channels, axis=-1), mask=mask, depth=depth)
+    return NlcMap(
+        values=np.stack([plane.astype(float) for plane in values], axis=-1),
+        mask=mask[0] != 0,
+        depth=depth[0].astype(float),
+    )
 
 
 def nlc_map_to_csv(m: NlcMap) -> str:

@@ -56,6 +56,13 @@ _DEPTH_NORM = 50.0
 _GROUND_Z = -1.7
 
 
+def _require_at_least(config, lows) -> None:
+    """Raise InvalidValue for the first ``(field, low)`` of ``lows`` that ``config`` falls below."""
+    for name, low in lows:
+        if getattr(config, name) < low:
+            raise InvalidValue(f"{name} must be at least {low}, got {getattr(config, name)}")
+
+
 @dataclass(frozen=True)
 class SceneParams:
     """Sizes of a synthetic scene; the image size also sets its camera."""
@@ -66,6 +73,11 @@ class SceneParams:
     background_points: int = 300
     image_height: int = _IMG_H
     image_width: int = _IMG_W
+
+    def __post_init__(self):
+        _require_at_least(self, (("max_boxes", 1), ("min_points_per_box", 0),
+                                 ("max_points_per_box", self.min_points_per_box),
+                                 ("background_points", 0), ("image_height", 1), ("image_width", 1)))
 
 
 def default_calibration(params: SceneParams = SceneParams()) -> Calibration:
@@ -174,8 +186,8 @@ def generate_scene(seed: int, params: SceneParams = SceneParams()) -> SyntheticS
         bg = np.vstack([bg, cand[keep]])
     bg = bg[: params.background_points]
 
-    xyz = np.vstack(xyz_parts + [bg]) if xyz_parts else bg
-    owner = np.concatenate(owner_parts + [np.full(len(bg), -1)]) if owner_parts else np.full(len(bg), -1)
+    xyz = np.vstack(xyz_parts + [bg])
+    owner = np.concatenate(owner_parts + [np.full(len(bg), -1)])
     reflectance = rng.uniform(0.0, 1.0, size=len(xyz))
     points = np.column_stack([xyz, reflectance])
 
@@ -229,10 +241,8 @@ class TrainConfig:
     image_channels: int = 16
 
     def __post_init__(self):
-        for name, low in (("seed", 0), ("data_seed", 0), ("epochs", 0), ("train_scenes", 1),
-                          ("val_scenes", 1), ("point_channels", 1), ("image_channels", 1)):
-            if getattr(self, name) < low:
-                raise InvalidValue(f"{name} must be at least {low}, got {getattr(self, name)}")
+        _require_at_least(self, (("seed", 0), ("data_seed", 0), ("epochs", 0), ("train_scenes", 1),
+                                 ("val_scenes", 1), ("point_channels", 1), ("image_channels", 1)))
         if not (np.isfinite(self.huber_delta) and self.huber_delta > 0):
             raise InvalidValue(f"huber_delta must be a positive number, got {self.huber_delta}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):

@@ -98,12 +98,14 @@ def _kitti_printed_fixture(tmp_path, rng, scale=1.0):
     a, b = 0.1, 0.2
     rx = np.array([[1.0, 0.0, 0.0], [0.0, np.cos(a), -np.sin(a)], [0.0, np.sin(a), np.cos(a)]])
     ry = np.array([[np.cos(b), 0.0, np.sin(b)], [0.0, 1.0, 0.0], [-np.sin(b), 0.0, np.cos(b)]])
-    calib.R0_rect = rx @ ry * scale
+    calib.R0_rect = rx @ ry
+    # the label comes from the rotation; only the calibration file is scaled
+    label_path.write_text(emit_labels([lidar_box_to_label(box, calib)]))
+    calib.R0_rect = calib.R0_rect * scale
     calib_path.write_text("".join(
         f"{key}: " + " ".join(f"{x:.6e}" for x in getattr(calib, key).ravel()) + "\n"
         for key in ("P2", "R0_rect", "Tr_velo_to_cam")
     ))
-    label_path.write_text(emit_labels([lidar_box_to_label(box, calib)]))
     return calib_path, label_path, velo_path
 
 

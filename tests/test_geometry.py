@@ -67,6 +67,11 @@ class TestProjection:
         with pytest.raises(BehindCamera):
             project_point(np.array([1.0, 1.0, 0.0]), identity_calib())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e101])
+    def test_point_beyond_range_rejected(self, value):
+        with pytest.raises(InvalidValue, match="point coordinates"):
+            project_point(np.array([1.0, value, 2.0]), identity_calib())
+
     def test_tiny_positive_depth_projects_as_the_batch_does(self):
         # a point just in front of the camera plane has an image position
         p = np.array([1e-10, -2e-10, 1e-10])

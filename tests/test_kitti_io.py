@@ -169,6 +169,21 @@ class TestCalibComposition:
             with pytest.raises(DegenerateCalib, match="orthonormal"):
                 to_calibration(calib)
 
+    @pytest.mark.parametrize("r0_rect", [
+        2.0 * np.eye(3),
+        # demo 04's calibration with three entries mistyped: 3.1e-5 from orthonormal
+        np.array([[0.9999239, 0.00983776, -0.007445048], [-0.0098698, 0.9999421, -0.004278459],
+                  [0.007427903, 0.004320553, 0.9999631]]),
+    ], ids=["scaled", "mistyped"])
+    def test_label_functions_reject_what_the_projection_rejects(self, r0_rect):
+        calib = parse_calib(KITTI_2011_09_26_CALIB_TEXT)
+        calib.R0_rect = r0_rect
+        box = Box3D(center=np.array([10.0, 1.0, 0.0]), l=4.0, w=1.6, h=1.5, yaw=0.3)
+        for convert in (to_calibration, lambda c: label_to_lidar_box(parse_labels(CAR_LINE)[0], c),
+                        lambda c: lidar_box_to_label(box, c)):
+            with pytest.raises(DegenerateCalib, match="not a pinhole camera: R must be orthonormal"):
+                convert(calib)
+
     def test_label_without_valid_box_rejected(self):
         label = parse_labels(CAR_LINE.replace(" 1.60 ", " -1.60 "))[0]
         with pytest.raises(KittiIOError, match="Car label gives no box"):
@@ -185,6 +200,11 @@ class TestLabelParsing:
         assert lb.l == 3.69
         assert lb.location == (2.77, 1.55, 8.41)
         assert not lb.is_dont_care
+
+    def test_car_line_emitted_text(self):
+        assert emit_labels(parse_labels(CAR_LINE)) == (
+            "Car 0.0 0 -1.58 587.0 178.0 603.0 191.0 1.48 1.6 3.69 2.77 1.55 8.41 -1.56\n"
+        )
 
     def test_empty_file(self):
         assert parse_labels("") == []
@@ -274,6 +294,15 @@ class TestFrameConversion:
             assert abs(back.w - box.w) < 1e-9
             assert abs(back.h - box.h) < 1e-9
             assert abs(normalize_angle(back.yaw - box.yaw)) < 1e-9
+
+    def test_numpy_scalar_sizes_round_trip(self):
+        calib = parse_calib(KITTI_2011_09_26_CALIB_TEXT)
+        box = Box3D(center=np.array([10.0, 1.0, 0.0]), l=np.float64(4.0), w=np.float64(1.6),
+                    h=np.float64(1.5), yaw=0.3)
+        label = lidar_box_to_label(box, calib)
+        text = emit_labels([label])
+        assert parse_labels(text) == [label]
+        assert emit_labels(parse_labels(text)) == text
 
     def test_dont_care_rejected(self):
         calib = kitti_like_calib()

@@ -1,5 +1,8 @@
 """NLC transform, ground-truth map construction, mMAE, and the binary format."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -316,10 +319,25 @@ class TestNlcmFormat:
         assert np.array_equal(back.values, m.values)
         assert np.array_equal(back.mask, m.mask)
         assert np.array_equal(back.depth, m.depth)
+        assert back.values.dtype == back.depth.dtype == np.float64
+        assert back.values.flags.c_contiguous
 
     def test_serialization_deterministic(self, rng):
         m = self._map(rng)
         assert write_nlc_map(m) == write_nlc_map(m)
+
+    def test_format_pinned(self):
+        # the NLCM bytes of a fixed map, as the format has always written them
+        data = write_nlc_map(self._map(np.random.default_rng(2024)))
+        assert len(data) == 934
+        assert hashlib.sha256(data).hexdigest() == (
+            "7cefeb1cad2b9e1999d7194f22626d0cf2a51d7676484065f00368c88aec742f"
+        )
+
+    def test_huge_header_rejected(self):
+        header = b"NLCM" + struct.pack("<III", 1, 2**32 - 1, 2**32 - 1)
+        with pytest.raises(ParseError, match="4294967295x4294967295"):
+            read_nlc_map(header + b"\x00" * 64)
 
     def test_bad_magic(self):
         with pytest.raises(ParseError):

@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
+from nlcdet.errors import InvalidValue
 from nlcdet.geometry import project_points
 from nlcdet.losses import LossWeights
 from nlcdet.nlc import build_gt_nlc_map
@@ -88,6 +89,26 @@ class TestSceneGeneration:
         scene = generate_scene(3, params)
         assert 1 <= len(scene.boxes) <= 2
         assert np.sum(~scene.fg_mask) == 50
+
+
+class TestSceneParamsValidation:
+    @pytest.mark.parametrize("changes, field", [
+        ({"max_boxes": 0}, "max_boxes"),
+        ({"min_points_per_box": -1}, "min_points_per_box"),
+        ({"min_points_per_box": 30, "max_points_per_box": 20}, "max_points_per_box"),
+        ({"background_points": -1}, "background_points"),
+        ({"image_height": 0}, "image_height"),
+        ({"image_width": 0}, "image_width"),
+    ])
+    def test_bad_value_rejected(self, changes, field):
+        with pytest.raises(InvalidValue, match=field):
+            SceneParams(**changes)
+
+    def test_edge_values_accepted(self):
+        params = SceneParams(max_boxes=1, min_points_per_box=0, max_points_per_box=0,
+                             background_points=0)
+        scene = generate_scene(5, params)
+        assert len(scene.boxes) == 1 and len(scene.points) == 0
 
 
 class TestConfigParsing:
