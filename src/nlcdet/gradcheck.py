@@ -1,20 +1,19 @@
 """Finite-difference verification of every analytic backward pass.
 
-Central differences in double precision; fusion-block instances are resampled
-until all pre-activations sit safely away from the ReLU kink.
+Central differences in double precision; fusion-block and model instances are
+resampled until all pre-activations sit safely away from the ReLU kink.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 import numpy as np
 
-from .losses import LossWeights, center_loss, cross_entropy, nlc_loss
-from .pipeline import SceneParams, ToyModel, TrainConfig, backward, compute_losses, forward, generate_scene
+from .losses import center_loss, cross_entropy, nlc_loss, total_loss
+from .pipeline import (
+    _HEADS, SceneParams, ToyModel, TrainConfig, _steps, compute_losses, forward, generate_scene,
+)
 from .propagation import (
     DenseLayer,
-    FusionCache,
     ProjectionPlan,
     fuse_i2p,
     fuse_i2p_backward,
@@ -25,6 +24,8 @@ from .propagation import (
 __all__ = ["check_losses", "check_full_model", "run_all"]
 
 _EPS = 1e-6
+# least |pre-activation| at which a finite difference is taken clear of the ReLU kink
+_KINK_GAP = 1e-4
 
 
 def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -43,9 +44,14 @@ def _fd_grad(f, x: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
     return fd / (2 * _EPS)
 
 
-def _random_operator(rng, op: str, n=7, c=3, h=5, w=6):
+def _kink_safe(pre_activations) -> bool:
+    return min(np.abs(p).min() for p in pre_activations) > _KINK_GAP
+
+
+def _random_operator(rng, op: str):
     """Input, forward, backward and output cotangent of the plan operator ``op``
-    ("scatter" or "gather") on a random plan over ``n`` points, some outside the grid."""
+    ("scatter" or "gather") on a random plan over 7 points, some outside a 5x6 grid."""
+    n, c, h, w = 7, 3, 5, 6
     feats = rng.normal(size=(n, c))
     coords = np.column_stack(
         [rng.uniform(-1.5, w + 1.5, size=n), rng.uniform(-1.5, h + 1.5, size=n)]
@@ -80,10 +86,6 @@ def _random_fuse_layers(rng, c_aux, c_mid, c_main, c_out):
     return l1, l2
 
 
-def _kink_safe(cache: FusionCache, threshold=1e-4):
-    return min(np.abs(cache.pre1).min(), np.abs(cache.pre2).min()) > threshold
-
-
 def _check_fuse(rng, forward_fn, backward_fn, aux_shape, main_shape) -> float:
     """FD check of a fusion block w.r.t. its two inputs and both layers."""
     for _ in range(50):
@@ -92,7 +94,7 @@ def _check_fuse(rng, forward_fn, backward_fn, aux_shape, main_shape) -> float:
         main = rng.normal(size=main_shape)
         layers = _random_fuse_layers(rng, c_aux, c_mid, c_main, c_out)
         out, cache = forward_fn(aux, main, layers)
-        if not _kink_safe(cache):
+        if not _kink_safe((cache.pre1, cache.pre2)):
             continue
         cot = rng.normal(size=out.shape)
         g1, g2 = (
@@ -142,17 +144,6 @@ def check_losses(rng: np.random.Generator) -> float:
     return max(worst, _rel_err(grad, fd))
 
 
-def _min_preactivation(cache) -> float:
-    vals = []
-    for st in cache["stages"]:
-        pres = [st.pre_points, st.pre_image]
-        for fusion in (st.i2p, st.p2i):
-            if fusion is not None:
-                pres += [fusion.pre1, fusion.pre2]
-        vals += [np.abs(p).min() for p in pres]
-    return min(vals)
-
-
 # small enough for finite differences; the camera follows the image size
 _FULL_MODEL_SCENE = SceneParams(max_boxes=1, min_points_per_box=20, max_points_per_box=30,
                                 background_points=20, image_height=6, image_width=8)
@@ -162,7 +153,7 @@ def check_full_model(rng: np.random.Generator) -> float:
     """Directional FD check of the end-to-end toy-model loss gradient along
     five random unit directions."""
     config = TrainConfig(point_channels=4, image_channels=4)
-    return _check_model_gradient(rng, config, tuple(f.name for f in fields(LossWeights)))
+    return _check_model_gradient(rng, config, _HEADS)
 
 
 def _check_model_gradient(rng: np.random.Generator, config: TrainConfig, heads: tuple[str, ...]) -> float:
@@ -176,8 +167,10 @@ def _check_model_gradient(rng: np.random.Generator, config: TrainConfig, heads: 
         # ReLU kink; randomize them for the check
         for layer in model.layers.values():
             layer.bias[...] = rng.normal(0.0, 0.3, size=layer.bias.shape)
-        _, probe_cache = forward(model, scene, config)
-        if _min_preactivation(probe_cache) > 1e-4:
+        stages = forward(model, scene, config)[1]["stages"]
+        fusions = [f for st in stages for f in (st.i2p, st.p2i) if f is not None]
+        if _kink_safe([p for st in stages for p in (st.pre_points, st.pre_image)]
+                      + [p for f in fusions for p in (f.pre1, f.pre2)]):
             break
     else:
         raise RuntimeError("could not sample a kink-safe model instance")
@@ -186,12 +179,10 @@ def _check_model_gradient(rng: np.random.Generator, config: TrainConfig, heads: 
         model.params[...] = vec
         outputs, _ = forward(model, scene, config)
         losses, _ = compute_losses(outputs, scene, config)
-        return sum(getattr(config.weights, c) * losses[c] for c in heads)
+        return total_loss({c: losses[c] for c in heads}, config.weights)
 
     base = model.params.copy()
-    outputs, cache = forward(model, scene, config)
-    _, head_grads = compute_losses(outputs, scene, config)
-    grad_vec = backward(model, scene, config, cache, {c: head_grads[c] for c in heads}).params
+    grad_vec = next(_steps(model, [scene], config, heads))[1].params
 
     worst = 0.0
     for _ in range(5):

@@ -203,8 +203,11 @@ def read_velodyne(data: bytes) -> np.ndarray:
 
 
 def write_velodyne(points: np.ndarray) -> bytes:
+    """Encode (N, 4) points (xyz + reflectance) as a velodyne .bin payload."""
     points = np.ascontiguousarray(points, dtype=_VELODYNE_RECORD.base)
-    return points.reshape(-1, *_VELODYNE_RECORD.shape).tobytes()
+    if points.shape[1:] != _VELODYNE_RECORD.shape:
+        raise InvalidValue(f"velodyne points must be (N, 4), got shape {points.shape}")
+    return points.tobytes()
 
 
 def _rectified_frame(calib: KittiCalib):

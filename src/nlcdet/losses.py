@@ -1,9 +1,12 @@
-"""Training objectives: Huber-based coordinate losses, cross-entropy, and the
-weighted total, each returning its analytic gradient."""
+"""Training objectives: Huber-based coordinate losses and cross-entropy, each
+returning its analytic gradient, and their weighted total."""
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from functools import reduce
 
 import numpy as np
 
@@ -38,10 +41,10 @@ class LossWeights:
                 )
 
 
-def huber(r, delta: float = 1.0):
+def huber(r, delta: float):
     """Huber penalty: r^2/2 for |r| <= delta, delta*(|r| - delta/2) beyond."""
-    if delta <= 0:
-        raise InvalidValue("delta must be positive")
+    if not delta > 0:
+        raise InvalidValue(f"delta must be positive, got {delta}")
     r = np.asarray(r, dtype=float)
     a = np.abs(r)
     return np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))
@@ -67,7 +70,7 @@ def _masked_huber(pred, target, foreground, delta):
     return loss, grad
 
 
-def nlc_loss(pred_nlc, gt_nlc, foreground, delta: float = 1.0):
+def nlc_loss(pred_nlc, gt_nlc, foreground, delta: float):
     """Foreground-averaged Huber loss on per-point NLC predictions.
 
     The Huber penalty applies component-wise and sums over the three NLC
@@ -77,7 +80,7 @@ def nlc_loss(pred_nlc, gt_nlc, foreground, delta: float = 1.0):
     return _masked_huber(pred_nlc, gt_nlc, foreground, delta)
 
 
-def center_loss(pred_offsets, gt_offsets, foreground, delta: float = 1.0):
+def center_loss(pred_offsets, gt_offsets, foreground, delta: float):
     """Foreground-averaged Huber loss on point-to-center offset predictions (m)."""
     return _masked_huber(pred_offsets, gt_offsets, foreground, delta)
 
@@ -113,17 +116,9 @@ def cross_entropy(logits, labels):
     return loss, grad / m
 
 
-def total_loss(
-    l_nlc: float,
-    l_sem2d: float,
-    l_sem3d: float,
-    l_ctr: float,
-    weights: LossWeights = LossWeights(),
-) -> float:
-    """Weighted sum of the four auxiliary objectives."""
-    return (
-        weights.nlc * l_nlc
-        + weights.sem2d * l_sem2d
-        + weights.sem3d * l_sem3d
-        + weights.ctr * l_ctr
-    )
+def total_loss(losses: Mapping[str, float], weights: LossWeights = LossWeights()) -> float:
+    """Sum of ``weights.<c> * losses[c]`` over the ``LossWeights`` fields that
+    ``losses`` holds (at least one), added in field order from the first term;
+    other keys are ignored."""
+    terms = (getattr(weights, f.name) * losses[f.name] for f in fields(LossWeights) if f.name in losses)
+    return reduce(operator.add, terms)

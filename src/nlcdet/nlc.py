@@ -7,7 +7,7 @@ interior maps to [0, 1]^3.
 NLCM, the binary form of a map, is little-endian: a 16-byte header (magic
 ``NLCM``, then uint32 version 1, H and W), then (H, W) row-major planes: the
 x, y and z NLC values as float32, the mask as uint8 (0 or 1), and the depth
-as float32, +inf where the mask is 0.
+as float32; where the mask is 0 the values are 0 and the depth is +inf.
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ __all__ = [
 
 NLCM_MAGIC = b"NLCM"
 NLCM_VERSION = 1
-# the NLCM planes after the header: (dtype, plane count) of the values, mask and depth
-_NLCM_PLANES = (("<f4", 3), ("u1", 1), ("<f4", 1))
+# the NLCM planes after the header: (dtype, plane count, value at masked-off
+# pixels) of the values, mask and depth
+_NLCM_PLANES = (("<f4", 3, 0.0), ("u1", 1, 0), ("<f4", 1, np.inf))
 
 
 @dataclass
@@ -183,15 +184,20 @@ def object_pixel_sets(obj_ids: np.ndarray, num_objects: int) -> list[np.ndarray]
 
 
 def write_nlc_map(m: NlcMap) -> bytes:
-    """Serialize to the NLCM binary format described in the module docstring."""
-    planes = (m.values.transpose(2, 0, 1), m.mask, np.where(m.mask, m.depth, np.inf))
-    # one (H, W) plane at a time into one growing buffer: a fresh file-sized
-    # buffer per call faults in thousands of pages on a KITTI-sized map
+    """Serialize to the NLCM binary format described in the module docstring;
+    masked-off pixels are written as (0, 0, 0) and depth +inf whatever ``m`` holds there."""
+    on = np.flatnonzero(m.mask)
+    # one plane at a time into one growing buffer: a fresh file-sized
+    # buffer per call faults in thousands of pages on a KITTI-sized map;
+    # each plane is its fill with the few masked-on pixels copied over it
     out = io.BytesIO()
     out.write(NLCM_MAGIC + struct.pack("<III", NLCM_VERSION, m.height, m.width))
-    for (dtype, count), group in zip(_NLCM_PLANES, planes):
-        for plane in np.reshape(group, (count, m.height, m.width)):
-            out.write(np.ascontiguousarray(plane, dtype=dtype))
+    for (dtype, count, fill), group in zip(_NLCM_PLANES, (m.values.transpose(2, 0, 1), m.mask, m.depth)):
+        plane = np.empty(m.height * m.width, dtype)
+        for source in np.reshape(group, (count, -1)):
+            plane.fill(fill)
+            plane[on] = source[on]
+            out.write(plane)
     return out.getvalue()
 
 
@@ -202,16 +208,21 @@ def read_nlc_map(data: bytes) -> NlcMap:
     version, h, w = struct.unpack("<III", data[4:16])
     if version != NLCM_VERSION:
         raise ParseError(f"unsupported NLCM version {version}")
-    sizes = [np.dtype(dtype).itemsize * count * h * w for dtype, count in _NLCM_PLANES]
+    sizes = [np.dtype(dtype).itemsize * count * h * w for dtype, count, _ in _NLCM_PLANES]
     expected = 16 + sum(sizes)
     if len(data) != expected:
         raise ParseError(
             f"NLCM payload length {len(data)} != expected {expected} for {h}x{w}"
         )
-    values, mask, depth = (
+    values, mask, depth = planes = [
         np.frombuffer(data, dtype=dtype, count=count * h * w, offset=offset).reshape(count, h, w)
-        for (dtype, count), offset in zip(_NLCM_PLANES, accumulate(sizes, initial=16))
-    )
+        for (dtype, count, _), offset in zip(_NLCM_PLANES, accumulate(sizes, initial=16))
+    ]
+    if mask.max(initial=0) > 1:
+        raise ParseError("NLCM mask bytes must be 0 or 1")
+    off = mask[0] == 0
+    if any(np.any((group != fill) & off) for (_, _, fill), group in zip(_NLCM_PLANES, planes)):
+        raise ParseError("NLCM masked-off pixels must hold (0, 0, 0) and depth +inf")
     return NlcMap(
         values=np.stack([plane.astype(float) for plane in values], axis=-1),
         mask=mask[0] != 0,

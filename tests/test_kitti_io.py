@@ -6,6 +6,7 @@ import pytest
 from nlcdet import (
     DegenerateCalib,
     Box3D,
+    InvalidValue,
     KittiIOError,
     MalformedMatrix,
     MissingField,
@@ -261,6 +262,11 @@ class TestVelodyne:
         pts = rng.normal(size=(500, 4)).astype(np.float32)
         assert np.array_equal(read_velodyne(write_velodyne(pts)), pts)
         assert write_velodyne(read_velodyne(write_velodyne(pts))) == write_velodyne(pts)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 5), (12,), (2, 2, 4), ()])
+    def test_write_takes_only_n_by_4(self, shape):
+        with pytest.raises(InvalidValue, match=r"\(N, 4\)"):
+            write_velodyne(np.zeros(shape, dtype=np.float32))
 
     def test_truncated_payload(self):
         with pytest.raises(TruncatedFile):

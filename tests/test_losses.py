@@ -37,8 +37,8 @@ class TestHuber:
 
     def test_symmetry_and_nonnegative(self, rng):
         r = rng.normal(size=100)
-        assert np.array_equal(huber(r), huber(-r))
-        assert np.all(huber(r) >= 0)
+        assert np.array_equal(huber(r, 1.0), huber(-r, 1.0))
+        assert np.all(huber(r, 1.0) >= 0)
 
     def test_convexity_on_grid(self):
         xs = np.linspace(-4, 4, 401)
@@ -47,8 +47,11 @@ class TestHuber:
         assert np.all(second >= -1e-12)
 
     def test_bad_delta(self):
-        with pytest.raises(ValueError):
-            huber(1.0, 0.0)
+        for delta in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                huber(1.0, delta)
+            with pytest.raises(ValueError, match="delta must be positive"):
+                nlc_loss(np.ones((2, 3)), np.zeros((2, 3)), np.ones(2, dtype=bool), delta)
 
 
 class TestMaskedLosses:
@@ -56,7 +59,7 @@ class TestMaskedLosses:
         x = rng.normal(size=(10, 3))
         fg = np.ones(10, dtype=bool)
         for fn in (nlc_loss, center_loss):
-            loss, grad = fn(x, x, fg)
+            loss, grad = fn(x, x, fg, 1.0)
             assert loss == 0.0
             assert np.all(grad == 0.0)
 
@@ -71,29 +74,29 @@ class TestMaskedLosses:
         pred = rng.normal(size=(6, 3))
         gt = rng.normal(size=(6, 3))
         fg = np.array([True, True, False, False, True, False])
-        loss, grad = center_loss(pred, gt, fg)
+        loss, grad = center_loss(pred, gt, fg, 1.0)
         assert np.all(grad[~fg] == 0.0)
         # corrupting background predictions changes nothing
         pred2 = pred.copy()
         pred2[~fg] += 100.0
-        loss2, _ = center_loss(pred2, gt, fg)
+        loss2, _ = center_loss(pred2, gt, fg, 1.0)
         assert loss == loss2
 
     def test_empty_foreground_raises(self, rng):
         x = rng.normal(size=(5, 3))
         with pytest.raises(EmptyForeground):
-            nlc_loss(x, x, np.zeros(5, dtype=bool))
+            nlc_loss(x, x, np.zeros(5, dtype=bool), 1.0)
 
     def test_normalized_by_foreground_count(self):
         pred = np.array([[0.5, 0, 0], [0.5, 0, 0]])
         gt = np.zeros((2, 3))
-        one, _ = nlc_loss(pred[:1], gt[:1], np.array([True]))
-        both, _ = nlc_loss(pred, gt, np.array([True, True]))
+        one, _ = nlc_loss(pred[:1], gt[:1], np.array([True]), 1.0)
+        both, _ = nlc_loss(pred, gt, np.array([True, True]), 1.0)
         assert one == both == 0.125
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
-            nlc_loss(np.zeros((3, 3)), np.zeros((4, 3)), np.ones(3, dtype=bool))
+            nlc_loss(np.zeros((3, 3)), np.zeros((4, 3)), np.ones(3, dtype=bool), 1.0)
 
 
 class TestCrossEntropy:
@@ -136,16 +139,20 @@ class TestCrossEntropy:
             cross_entropy(np.zeros((2, 1)), np.array([0, 0]))
 
 
+def _terms(nlc, sem2d, sem3d, ctr):
+    return {"nlc": nlc, "sem2d": sem2d, "sem3d": sem3d, "ctr": ctr}
+
+
 class TestTotalLoss:
     def test_all_zero(self):
-        assert total_loss(0, 0, 0, 0) == 0.0
+        assert total_loss(_terms(0, 0, 0, 0)) == 0.0
 
     def test_unit_terms_default_weights(self):
-        assert total_loss(1, 1, 1, 1) == 4.0
+        assert total_loss(_terms(1, 1, 1, 1)) == 4.0
 
     def test_weighted_example(self):
         w = LossWeights(nlc=2.0, sem2d=0.0, sem3d=0.0, ctr=0.0)
-        assert total_loss(1, 1, 1, 1, w) == 2.0
+        assert total_loss(_terms(1, 1, 1, 1), w) == 2.0
 
     @given(
         lam=st.floats(0.0, 10.0),
@@ -153,6 +160,12 @@ class TestTotalLoss:
     )
     @settings(max_examples=50, deadline=None)
     def test_weight_scales_linearly(self, lam, term):
-        base = total_loss(0, 0, 0, 0, LossWeights(ctr=lam))
-        with_term = total_loss(0, 0, 0, term, LossWeights(ctr=lam))
+        base = total_loss(_terms(0, 0, 0, 0), LossWeights(ctr=lam))
+        with_term = total_loss(_terms(0, 0, 0, term), LossWeights(ctr=lam))
         assert abs((with_term - base) - lam * term) < 1e-9
+
+    def test_sums_present_fields_in_field_order_and_ignores_other_keys(self):
+        losses = {"ctr": -1e16, "sem3d": 1e16, "total": 5.0, "nlc": 1.0}
+        # nlc, then sem3d, then ctr; the mapping's own order would give 1.0
+        assert total_loss(losses) == (1.0 + 1e16) + -1e16 == 0.0
+        assert total_loss({"sem2d": 3.0}, LossWeights(sem2d=0.2)) == 0.2 * 3.0

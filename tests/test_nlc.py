@@ -334,6 +334,32 @@ class TestNlcmFormat:
             "7cefeb1cad2b9e1999d7194f22626d0cf2a51d7676484065f00368c88aec742f"
         )
 
+    def test_masked_off_pixels_written_as_zero_and_inf(self, rng):
+        m = self._map(rng)
+        back = read_nlc_map(write_nlc_map(m))
+        m.values[~m.mask] = 0.25
+        m.depth[~m.mask] = 7.0
+        assert write_nlc_map(m) == write_nlc_map(back)
+
+    def test_mask_byte_other_than_0_or_1_rejected(self, rng):
+        m = self._map(rng)
+        data = bytearray(write_nlc_map(m))
+        r, c = np.argwhere(m.mask)[0]
+        data[16 + 12 * m.height * m.width + r * m.width + c] = 7
+        with pytest.raises(ParseError, match="mask bytes"):
+            read_nlc_map(bytes(data))
+
+    # a float32 plane's start after the header, in bytes per pixel: x, z, depth
+    @pytest.mark.parametrize("start, value", [(0, 0.25), (8, -1.0), (13, 3.0), (13, float("nan"))])
+    def test_masked_off_pixel_not_zero_and_inf_rejected(self, rng, start, value):
+        m = self._map(rng)
+        data = bytearray(write_nlc_map(m))
+        r, c = np.argwhere(~m.mask)[0]
+        offset = 16 + start * m.height * m.width + 4 * (r * m.width + c)
+        data[offset:offset + 4] = struct.pack("<f", value)
+        with pytest.raises(ParseError, match="masked-off"):
+            read_nlc_map(bytes(data))
+
     def test_huge_header_rejected(self):
         header = b"NLCM" + struct.pack("<III", 1, 2**32 - 1, 2**32 - 1)
         with pytest.raises(ParseError, match="4294967295x4294967295"):

@@ -23,6 +23,7 @@ from nlcdet.pipeline import (
     ablation,
     backward,
     compute_losses,
+    evaluate_model,
     forward,
     generate_scene,
     make_scenes,
@@ -235,6 +236,24 @@ class TestForwardBackward:
             assert np.all(grads.layers[name].weights == 0.0)
 
 
+class TestObjective:
+    def test_total_is_the_weighted_sum_in_field_order(self):
+        scene = generate_scene(5)
+        cfg = replace(TINY, weights=LossWeights(nlc=0.3, sem2d=1.7, sem3d=0.9, ctr=2.3))
+        outputs, _ = forward(ToyModel.init(0, 6, 6), scene, cfg)
+        losses, grads = compute_losses(outputs, scene, cfg)
+        w = cfg.weights
+        expected = (w.nlc * losses["nlc"] + w.sem2d * losses["sem2d"]
+                    + w.sem3d * losses["sem3d"] + w.ctr * losses["ctr"])
+        assert losses["total"].hex() == expected.hex()
+        assert list(losses) == ["nlc", "sem2d", "sem3d", "ctr", "total"]
+        assert list(grads) == ["nlc", "sem2d", "sem3d", "ctr"]
+
+    def test_validation_report_keys_in_order(self):
+        val = evaluate_model(ToyModel.init(0, 6, 6), [generate_scene(5), generate_scene(6)], TINY)
+        assert list(val) == ["nlc", "sem2d", "sem3d", "ctr", "total", "mmae"]
+
+
 class TestParameterVector:
     def test_each_loss_weight_names_its_head(self):
         heads = {name for name in _layer_shapes(1, 1) if name.startswith("head_")}
@@ -272,7 +291,7 @@ class TestParameterVector:
         for key in before:
             assert not np.array_equal(before[key], after[key])
 
-    # float.hex of ToyModel.init(0)'s (out, in) weights at [0, -1], [-1, 0]
+    # float.hex of ToyModel.init(0, 16, 16)'s (out, in) weights at [0, -1], [-1, 0]
     # and [1, 1], recorded before the weights were stored (in, out)
     INIT_0_HEX = {
         "point1": ("0x1.2fd2bcc3dc7a9p-4", "-0x1.3c034bbf1fe19p-2", "0x1.05d2a22a3225dp-2"),
@@ -284,7 +303,7 @@ class TestParameterVector:
     }
 
     def test_weights_stored_in_out_and_init_draws_kept(self):
-        model = ToyModel.init(0)
+        model = ToyModel.init(0, 16, 16)
         rng = np.random.default_rng(0)
         for name, layer in model.layers.items():
             # the products read the (in, out) storage, which is C-contiguous
