@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -68,14 +69,15 @@ def _class_id(value: float) -> int:
 
 
 def _read_init(path: str) -> Box3D:
-    """The box of a ``solve --init`` file, JSON ``{"center": [x, y, z], "l", "w", "h", "yaw"}``
-    with numbers within +-``geometry.MAX_ABS_VALUE`` and positive sizes; anything else raises ParseError."""
+    """The box of a ``solve --init`` file, JSON keyed by the ``Box3D`` field names as in
+    ``solve``'s output, ``{"center": [x, y, z], "l", "w", "h", "yaw"}``, with numbers within
+    +-``geometry.MAX_ABS_VALUE`` and positive sizes; anything else raises ParseError."""
     try:
         spec = json.loads(Path(path).read_text())
         center = list(spec["center"])
         if len(center) != 3:
             raise InvalidValue(f"center must hold 3 values, not {len(center)}")
-        values = center + [spec["l"], spec["w"], spec["h"], spec["yaw"]]
+        values = center + [spec[f.name] for f in fields(Box3D)[1:]]  # l, w, h, yaw
         if not all(type(v) in (int, float) for v in values):  # no strings or booleans
             raise InvalidValue("values must be JSON numbers")
         return _box(_numbers(values))

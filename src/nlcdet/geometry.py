@@ -42,7 +42,9 @@ def _require_bounded(values, what: str) -> None:
 
 def normalize_angle(theta: float) -> float:
     """Wrap an angle to the canonical interval (-pi, pi]."""
-    return np.pi - (np.pi - theta) % (2.0 * np.pi)
+    wrapped = np.pi - (np.pi - theta) % (2.0 * np.pi)
+    # for theta just above pi the remainder rounds up to 2 pi, which would give -pi
+    return wrapped if wrapped != -np.pi else np.pi
 
 
 def rot_z(theta: float) -> np.ndarray:
@@ -123,9 +125,11 @@ def project_points(points: np.ndarray, calib: Calibration):
     Returns (u, v, d) arrays; d is the camera-frame depth before
     dehomogenization.  Points with d <= 0 (behind or on the camera plane)
     have no image position and get NaN (u, v), which every pixel-binning
-    and sampling rule treats as outside the image.
+    and sampling rule treats as outside the image.  A coordinate that is
+    NaN, infinite or beyond +-``MAX_ABS_VALUE`` raises InvalidValue.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    _require_bounded(pts, "point coordinates")
     cam = pts @ calib.R.T + calib.T
     hom = cam @ calib.K.T
     d = hom[:, 2]
@@ -172,12 +176,9 @@ def _nearest_per_pixel(xyz, u, v, d, height: int, width: int):
 
 
 def project_point(p: np.ndarray, calib: Calibration):
-    """Project a single point; raises InvalidValue unless its coordinates are
-    numbers within +-``MAX_ABS_VALUE``, and BehindCamera where
-    ``project_points`` gives it no finite (u, v)."""
-    p = np.asarray(p, dtype=float).reshape(1, 3)
-    _require_bounded(p, "point coordinates")
-    u, v, d = project_points(p, calib)
+    """Project a single point as :func:`project_points` does; raises
+    BehindCamera where that gives it no finite (u, v)."""
+    u, v, d = project_points(np.asarray(p, dtype=float).reshape(1, 3), calib)
     if not (np.isfinite(u[0]) and np.isfinite(v[0])):
         raise BehindCamera(f"no finite image position at depth {d[0]:.3g}")
     return float(u[0]), float(v[0]), float(d[0])

@@ -38,7 +38,7 @@ def match_detections(
             if gi in taken:
                 continue
             iou = iou_3d(detections[di].box, gt)
-            if iou > best_iou or (iou == best_iou and iou > 0 and best_gt is None):
+            if iou > best_iou or (iou == best_iou and best_gt is None):
                 best_gt, best_iou = gi, iou
         if best_gt is not None:
             taken.add(best_gt)
@@ -94,6 +94,4 @@ def evaluate(
     by_index = dict(matches)
     flags = [by_index[i] is not None for i in range(len(detections))]
     scores = [d.score for d in detections]
-    if not detections:
-        return 0.0
     return average_precision(flags, scores, len(gts), recall_positions)

@@ -275,7 +275,10 @@ def parse_train_config(text: str) -> TrainConfig:
                 raise InvalidValue(f"config line {line_no}: {key} must be true/false")
             values[key] = val.lower() == "true"
         else:
-            values[key] = kind(val)
+            try:
+                values[key] = kind(val)
+            except ValueError:
+                raise InvalidValue(f"config line {line_no}: {key} must be {kind.__name__}") from None
     weights = LossWeights(**{
         key[len("lambda_"):]: values.pop(key) for key in list(values) if key.startswith("lambda_")
     })

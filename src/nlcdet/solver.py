@@ -7,12 +7,12 @@ points already give nine equations for the seven unknowns; use
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import Underdetermined
-from .geometry import Box3D, _require_bounded, normalize_angle, rot_z
+from .geometry import Box3D, _require_bounded, rot_z
 
 __all__ = ["SolveReport", "solve_box", "dof_analysis"]
 
@@ -20,10 +20,15 @@ __all__ = ["SolveReport", "solve_box", "dof_analysis"]
 _MAX_ITERATIONS = 100
 _TOL = 1e-10
 _LM_DAMPING_INIT = 1e-3
+_MAX_CONDITION = 1e8  # see _observability
 
 
 @dataclass
 class SolveReport:
+    """A fit is ``degenerate`` when its final Jacobian's rank, by the rule of
+    :func:`dof_analysis`, is below 7; it is then never ``converged``.
+    ``condition_estimate`` is that Jacobian's sigma_max / sigma_min (inf at 0)."""
+
     box: Box3D
     rms_residual: float
     iterations: int
@@ -32,23 +37,31 @@ class SolveReport:
     degenerate: bool
 
     def to_dict(self) -> dict:
-        """The report as plain Python values.  The condition estimate stays
-        the float it is, infinite for a rank-deficient Jacobian; writing it
-        as JSON is the writer's task (the CLI writes it as null)."""
-        return {
-            "box": {
-                "center": self.box.center.tolist(),
-                "l": self.box.l,
-                "w": self.box.w,
-                "h": self.box.h,
-                "yaw": self.box.yaw,
-            },
-            "rms_residual": self.rms_residual,
-            "iterations": self.iterations,
-            "condition_estimate": self.condition_estimate,
-            "converged": self.converged,
-            "degenerate": self.degenerate,
-        }
+        """The fields of the report and its box as plain values, the center a list;
+        an infinite condition estimate stays inf (the CLI writes it as JSON null)."""
+        out = asdict(self)
+        out["box"]["center"] = self.box.center.tolist()
+        return out
+
+
+def _correspondences(correspondences, floor: int) -> np.ndarray:
+    """``correspondences`` as a float (N, 6) array; Underdetermined for fewer
+    than ``floor`` rows, InvalidValue for an unbounded value (see solve_box)."""
+    corrs = np.asarray(correspondences, dtype=float).reshape(-1, 6)
+    if len(corrs) < floor:
+        raise Underdetermined(f"need at least {floor} correspondences, got {len(corrs)}")
+    _require_bounded(corrs, "correspondences")
+    return corrs
+
+
+def _observability(jac: np.ndarray) -> tuple[float, int]:
+    """sigma_max / sigma_min of ``jac`` (inf when sigma_min is 0) and its rank:
+    the count of singular values within ``_MAX_CONDITION`` of sigma_max."""
+    sv = np.linalg.svd(jac, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = sv[0] / sv
+    condition = float(ratios[-1]) if sv[-1] > 0 else np.inf
+    return condition, int(np.count_nonzero(ratios <= _MAX_CONDITION))
 
 
 def _params_from_box(b: Box3D) -> np.ndarray:
@@ -58,13 +71,8 @@ def _params_from_box(b: Box3D) -> np.ndarray:
 
 
 def _box_from_params(q: np.ndarray) -> Box3D:
-    return Box3D(
-        center=q[:3],
-        l=float(np.exp(q[3])),
-        w=float(np.exp(q[4])),
-        h=float(np.exp(q[5])),
-        yaw=float(q[6]),
-    )
+    l, w, h = (float(np.exp(v)) for v in q[3:6])
+    return Box3D(center=q[:3], l=l, w=w, h=h, yaw=float(q[6]))
 
 
 _AXES = np.arange(3)
@@ -132,13 +140,11 @@ def solve_box(correspondences: np.ndarray, init: Box3D | None = None) -> SolveRe
     centroid-and-PCA estimate; dimensions stay positive through a log
     parameterization.  Accepted steps never increase the residual.  The fit
     stops after 100 iterations, or as converged once an accepted step lowers
-    the RMS residual by less than 1e-10.  A correspondence value that is NaN,
-    infinite or beyond +-``geometry.MAX_ABS_VALUE`` raises InvalidValue.
+    the RMS residual by less than 1e-10.  Fewer than 3 correspondences raise
+    Underdetermined; a value that is NaN, infinite or beyond
+    +-``geometry.MAX_ABS_VALUE`` raises InvalidValue.
     """
-    corrs = np.asarray(correspondences, dtype=float).reshape(-1, 6)
-    if len(corrs) < 3:
-        raise Underdetermined(f"need at least 3 correspondences, got {len(corrs)}")
-    _require_bounded(corrs, "correspondences")
+    corrs = _correspondences(correspondences, 3)
     # canonical input order: the result is invariant to relabeling
     order = np.lexsort(tuple(corrs[:, k] for k in range(5, -1, -1)))
     corrs = corrs[order]
@@ -181,34 +187,23 @@ def solve_box(correspondences: np.ndarray, init: Box3D | None = None) -> SolveRe
             if lam > 1e12:
                 break
 
-    sv = np.linalg.svd(jac, compute_uv=False)
-    condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    degenerate = condition > 1e8
-    if degenerate:
-        converged = False
-    q[6] = normalize_angle(q[6])
+    condition, rank = _observability(jac)
     return SolveReport(
         box=_box_from_params(q),
         rms_residual=float(np.sqrt(cost / len(res))),
         iterations=iterations,
         condition_estimate=condition,
-        converged=converged,
-        degenerate=degenerate,
+        converged=converged and rank == 7,
+        degenerate=rank < 7,
     )
 
 
 def dof_analysis(correspondences: np.ndarray, at: Box3D) -> dict:
-    """Observability audit: equation count and numeric Jacobian rank.
-
-    The Jacobian is evaluated at ``at``.  Rank counts singular values above
-    1e-10 x sigma_max.  Correspondences are checked as in :func:`solve_box`.
-    """
-    corrs = np.asarray(correspondences, dtype=float).reshape(-1, 6)
-    if len(corrs) < 1:
-        raise Underdetermined("need at least 1 correspondence")
-    _require_bounded(corrs, "correspondences")
-    pts, nlcs = corrs[:, :3], corrs[:, 3:]
-    _, parts = _residuals(_params_from_box(at), pts, nlcs)
-    sv = np.linalg.svd(_jacobian(parts), compute_uv=False)
-    rank = int(np.sum(sv > 1e-10 * sv[0])) if sv[0] > 0 else 0
+    """Observability audit: equation count and the rank of the Jacobian at
+    ``at``, the count of singular values within a factor 1e8 of sigma_max (the
+    rule by which :func:`solve_box` calls a fit degenerate).  At least one
+    correspondence is needed; values are checked as in :func:`solve_box`."""
+    corrs = _correspondences(correspondences, 1)
+    _, parts = _residuals(_params_from_box(at), corrs[:, :3], corrs[:, 3:])
+    _, rank = _observability(_jacobian(parts))
     return {"equations": 3 * len(corrs), "unknowns": 7, "jacobian_rank": rank}

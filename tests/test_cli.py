@@ -314,6 +314,7 @@ class TestTrainAndAblation:
         ("train", "huber_delta = 0"),
         ("train", "epochs = -3"),
         ("train", "learning_rate = -0.05"),
+        ("train", "epochs = 1.5"),
         ("ablation", "val_scenes = 0"),
         ("ablation", "lambda_nlc = -1"),
     ])

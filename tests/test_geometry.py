@@ -72,6 +72,13 @@ class TestProjection:
         with pytest.raises(InvalidValue, match="point coordinates"):
             project_point(np.array([1.0, value, 2.0]), identity_calib())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e101])
+    def test_batch_point_beyond_range_rejected(self, value):
+        pts = np.array([[1.0, 0.5, 2.0], [0.0, 0.0, 1.0]])
+        pts[1, 0] = value
+        with pytest.raises(InvalidValue, match="point coordinates"):
+            project_points(pts, identity_calib())
+
     def test_tiny_positive_depth_projects_as_the_batch_does(self):
         # a point just in front of the camera plane has an image position
         p = np.array([1e-10, -2e-10, 1e-10])
@@ -156,6 +163,12 @@ class TestBox:
         fields = {"center": np.zeros(3), "l": 1.0, "w": 1.0, "h": 1.0, "yaw": 0.0}
         with pytest.raises(ValueError):
             Box3D(**{**fields, field: value})
+
+    def test_angle_just_above_pi_wraps_to_pi(self):
+        # (pi - theta) % 2 pi rounds up to 2 pi here, which would give -pi
+        theta = np.nextafter(np.pi, 4.0)
+        assert normalize_angle(theta) == np.pi
+        assert Box3D(center=np.zeros(3), l=1.0, w=1.0, h=1.0, yaw=theta).yaw == np.pi
 
     @given(theta=st.floats(-50.0, 50.0))
     def test_normalize_angle_range_and_equivalence(self, theta):

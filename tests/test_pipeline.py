@@ -152,6 +152,13 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             parse_train_config("enable_p2i = maybe")
 
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", "x"), ("epochs", "1.5"), ("learning_rate", "abc"), ("lambda_ctr", ""),
+    ])
+    def test_value_of_the_wrong_type_rejected(self, key, value):
+        with pytest.raises(InvalidValue, match=f"config line 2: {key} must be"):
+            parse_train_config(f"seed = 1\n{key} = {value}")
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [

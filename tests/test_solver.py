@@ -206,6 +206,19 @@ class TestDofAnalysis:
         with pytest.raises(Underdetermined):
             dof_analysis(np.zeros((0, 6)), at=Box3D(center=np.zeros(3), l=1, w=1, h=1, yaw=0))
 
+    @pytest.mark.parametrize("spread", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_degenerate_is_rank_below_seven(self, seed, spread):
+        # 8 correspondences whose NLC z lies within about `spread` of 0.5: the
+        # condition estimate runs from about 1e6 to 1e10 across the spreads
+        rng = np.random.default_rng([seed, 20])
+        box = random_box(rng, dim_lo=1.0)
+        nlc = rng.uniform(0.05, 0.95, size=(8, 3))
+        nlc[:, 2] = 0.5 + spread * rng.standard_normal(8)
+        corrs = np.hstack([nlc_to_lidar(nlc, box), nlc])
+        report = solve_box(corrs, init=box)
+        assert report.degenerate == (dof_analysis(corrs, at=box)["jacobian_rank"] < 7)
+
 
 def _reference_residuals_and_jacobian(q, pts, nlcs):
     """The one-pass residual and Jacobian evaluation ``solve_box`` must match."""
