@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,9 +15,16 @@ __all__ = ["Detection", "match_detections", "average_precision", "evaluate"]
 
 @dataclass(frozen=True)
 class Detection:
+    """A scored box.  A score that is NaN or infinite raises InvalidValue: it
+    has no place in the ranking that matching and AP share."""
+
     box: Box3D
     score: float
     class_id: int = 0
+
+    def __post_init__(self):
+        if not math.isfinite(self.score):
+            raise InvalidValue("detection score must be finite")
 
 
 def match_detections(

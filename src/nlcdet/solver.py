@@ -7,6 +7,7 @@ points already give nine equations for the seven unknowns; use
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -21,6 +22,9 @@ _MAX_ITERATIONS = 100
 _TOL = 1e-10
 _LM_DAMPING_INIT = 1e-3
 _MAX_CONDITION = 1e8  # see _observability
+# closed-form start: the smallest divisor, and the ridge added to the trace-scaled moments
+_TINY = np.finfo(float).tiny
+_RIDGE = 1e-15
 
 
 @dataclass
@@ -75,9 +79,6 @@ def _box_from_params(q: np.ndarray) -> Box3D:
     return Box3D(center=q[:3], l=l, w=w, h=h, yaw=float(q[6]))
 
 
-_AXES = np.arange(3)
-
-
 def _residuals(q: np.ndarray, pts: np.ndarray, nlcs: np.ndarray):
     """Stacked residuals r = nlc(p; box) - n, and the intermediate values
     :func:`_jacobian` needs.
@@ -100,7 +101,7 @@ def _jacobian(parts) -> np.ndarray:
     # d n / d c = -(1/dims) * R^T
     jac[:, :, :3] = -(rot.T / dims[:, None])[None, :, :]
     # d n_k / d log(dim_k) = -(n_k - 0.5)
-    jac[:, _AXES, _AXES + 3] = -(n - 0.5)
+    jac.reshape(npts, 21)[:, 3::8] = -(n - 0.5)
     # d local / d theta = (dR/dtheta)^T d
     ct, st = rot[0, 0], rot[1, 0]
     jac[:, 0, 6] = (-st * d[:, 0] + ct * d[:, 1]) / dims[0]
@@ -109,26 +110,41 @@ def _jacobian(parts) -> np.ndarray:
 
 
 def _default_init(pts: np.ndarray, nlcs: np.ndarray) -> Box3D:
-    """Heuristic start: centroid, PCA-aligned extents, principal BEV axis.
+    """Closed-form least-squares fit of ``p = c + R(yaw) diag(l, w, h) (n - 0.5)``.
 
-    The PCA axis is only defined up to sign; the sign is chosen so the axis
-    points toward increasing x_nlc.
+    With points and NLCs centred, the bird's-eye part is linear:
+    ``M = R(yaw) diag(l, w)`` solves the 2x2 normal equations of ``(p_x, p_y)``
+    on ``(n_x, n_y)``, and ``h`` is the slope of ``p_z`` on ``n_z``.  ``l`` and
+    ``w`` are the column norms of ``M``, and ``yaw`` is the mean angle of its
+    columns, the second turned back by 90 degrees.  The fit is exact on
+    noise-free input with non-collinear ``(n_x, n_y)`` and two distinct
+    ``n_z``.  A ridge of 1e-15 of the moments' trace keeps singular input
+    (collinear or constant NLCs, all points at one place) finite, with the
+    unobservable part of ``M`` or ``h`` near 0; dimensions are floored at 0.1.
     """
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    xy = centered[:, :2]
-    cov = xy.T @ xy / max(len(pts), 1)
-    evals, evecs = np.linalg.eigh(cov)
-    axis = evecs[:, np.argmax(evals)]
-    alignment = float((xy @ axis) @ (nlcs[:, 0] - 0.5))
-    if alignment < 0:
-        axis = -axis
-    theta = float(np.arctan2(axis[1], axis[0]))
-    rot = rot_z(theta)
-    aligned = centered @ rot
-    extents = aligned.max(axis=0) - aligned.min(axis=0)
-    extents = np.maximum(extents, 0.1)
-    return Box3D(center=centroid, l=extents[0], w=extents[1], h=extents[2], yaw=theta)
+    p_mean, n_mean = pts.mean(axis=0), nlcs.mean(axis=0)
+    p, n = pts - p_mean, nlcs - n_mean
+    # moments S = n^T n and C = n^T p, scaled by S's trace so no product overflows
+    (sxx, sxy, _), (_, syy, _), (_, _, szz) = (n.T @ n).tolist()
+    (cxx, cxy, _), (cyx, cyy, _), (_, _, czz) = (n.T @ p).tolist()
+    k = 1.0 / max(sxx + syy + szz, _TINY)
+    sxx, sxy, syy, szz = sxx * k + _RIDGE, sxy * k, syy * k + _RIDGE, szz * k + _RIDGE
+    cxx, cxy, cyx, cyy, czz = cxx * k, cxy * k, cyx * k, cyy * k, czz * k
+    # M^T = S^-1 C on the xy block; the floor is the ridged determinant of
+    # collinear (n_x, n_y), which rounding could otherwise drive to 0 or below
+    det = max(sxx * syy - sxy * sxy, _RIDGE * (sxx + syy))
+    m00, m10 = (syy * cxx - sxy * cyx) / det, (syy * cxy - sxy * cyy) / det
+    m01, m11 = (sxx * cyx - sxy * cxx) / det, (sxx * cyy - sxy * cxy) / det
+    h = czz / szz
+    # mean direction of the two columns, the second turned back by 90 degrees
+    l, w = math.hypot(m00, m10), math.hypot(m01, m11)
+    ul, uw = max(l, _TINY), max(w, _TINY)
+    theta = math.atan2(m10 / ul - m01 / uw, m00 / ul + m11 / uw)
+    offset = n_mean - 0.5
+    center = p_mean - [
+        m00 * offset[0] + m01 * offset[1], m10 * offset[0] + m11 * offset[1], h * offset[2],
+    ]
+    return Box3D(center=center, l=max(l, 0.1), w=max(w, 0.1), h=max(abs(h), 0.1), yaw=theta)
 
 
 def solve_box(correspondences: np.ndarray, init: Box3D | None = None) -> SolveReport:
@@ -136,13 +152,13 @@ def solve_box(correspondences: np.ndarray, init: Box3D | None = None) -> SolveRe
 
     ``correspondences`` is (N, 6): LiDAR xyz followed by the NLC triple.
     Minimizes the summed squared NLC residual by Levenberg-Marquardt with an
-    analytic Jacobian, starting from ``init`` or, without it, from a
-    centroid-and-PCA estimate; dimensions stay positive through a log
-    parameterization.  Accepted steps never increase the residual.  The fit
-    stops after 100 iterations, or as converged once an accepted step lowers
-    the RMS residual by less than 1e-10.  Fewer than 3 correspondences raise
-    Underdetermined; a value that is NaN, infinite or beyond
-    +-``geometry.MAX_ABS_VALUE`` raises InvalidValue.
+    analytic Jacobian, starting from ``init`` or, without it, from the
+    closed-form least-squares fit of the box model (``_default_init``);
+    dimensions stay positive through a log parameterization.  Accepted steps
+    never increase the residual.  The fit stops after 100 iterations, or as
+    converged once an accepted step lowers the RMS residual by less than 1e-10.
+    Fewer than 3 correspondences raise Underdetermined; a value that is NaN,
+    infinite or beyond +-``geometry.MAX_ABS_VALUE`` raises InvalidValue.
     """
     corrs = _correspondences(correspondences, 3)
     # canonical input order: the result is invariant to relabeling
@@ -171,7 +187,9 @@ def solve_box(correspondences: np.ndarray, init: Box3D | None = None) -> SolveRe
             continue
         q_new = q + step
         # keep dimensions representable; beyond this range the fit is hopeless
-        np.clip(q_new[3:6], -30.0, 30.0, out=q_new[3:6])
+        log_dims = q_new[3:6]
+        np.maximum(log_dims, -30.0, out=log_dims)
+        np.minimum(log_dims, 30.0, out=log_dims)
         res_new, parts = _residuals(q_new, pts, nlcs)
         cost_new = float(res_new @ res_new)
         if cost_new <= cost:

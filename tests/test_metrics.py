@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from nlcdet import Box3D, Detection, average_precision, evaluate, iou_3d, match_detections
+from nlcdet import (
+    Box3D, Detection, InvalidValue, average_precision, evaluate, iou_3d, match_detections,
+)
 
 from conftest import random_box
 
@@ -146,6 +148,18 @@ class TestAveragePrecision:
             average_precision([True], [0.5], 0)
         with pytest.raises(ValueError):
             average_precision([True], [0.5], 1, recall_positions=25)
+
+
+class TestDetection:
+    @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, score):
+        # a NaN score once made evaluate depend on the order of the detections
+        with pytest.raises(InvalidValue):
+            Detection(box=box_at(10.0), score=score)
+
+    @pytest.mark.parametrize("score", [0.0, -1.0, 1e300, np.float64(0.9)])
+    def test_finite_score_kept(self, score):
+        assert Detection(box=box_at(10.0), score=score).score == score
 
 
 class TestEvaluate:

@@ -66,26 +66,29 @@ class TestExactRecovery:
             report = solve_box(corrs, init=perturbed(box, rng, pos=0.05, ang=0.05))
             assert report.rms_residual < 1e-9
 
-    def test_default_initializer(self, rng):
-        # elongated boxes keep the PCA heading estimate inside the basin
+    def test_start_alone_exact_on_three_points(self, rng):
+        # the minimum: 9 equations, non-collinear (n_x, n_y), distinct n_z
         for _ in range(20):
+            box = random_box(rng, dim_lo=1.0)
+            corrs = make_instance(rng, box, 3)
+            assert param_error(_default_init(corrs[:, :3], corrs[:, 3:]), box) < 1e-9
+
+    def test_default_initializer(self, rng):
+        # elongated and near-square footprints; the closed-form start has no
+        # sign ambiguity, so only the box itself fits
+        for i in range(40):
+            l = rng.uniform(3.5, 5.0)
             box = Box3D(
                 center=rng.uniform(-20, 20, size=3),
-                l=rng.uniform(3.5, 5.0),
-                w=rng.uniform(1.5, 2.0),
+                l=l,
+                w=rng.uniform(1.5, 2.0) if i % 2 else l * rng.uniform(0.98, 1.02),
                 h=rng.uniform(1.2, 2.0),
                 yaw=rng.uniform(-np.pi, np.pi),
             )
             corrs = make_instance(rng, box, 40)
             report = solve_box(corrs)
             assert report.converged
-            # the PCA axis may point either way along the length; both are exact fits
-            err_direct = param_error(report.box, box)
-            flipped = Box3D(
-                center=box.center, l=box.l, w=box.w, h=box.h,
-                yaw=normalize_angle(box.yaw + np.pi),
-            )
-            assert min(err_direct, param_error(report.box, flipped)) < 1e-6
+            assert param_error(report.box, box) < 1e-6
 
     def test_noise_resilience(self, rng):
         # 50 points, NLC noise sigma = 0.01 per axis, 4 m box
@@ -134,16 +137,50 @@ class TestRobustness:
         assert report.degenerate
         assert not report.converged
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", [
+        "collinear_nxy", "constant_nz", "constant_nlc", "points_at_one_place",
+        "mirrored_nx", "mirrored_nz", "mirrored_all", "huge_nlc",
+    ])
+    def test_degenerate_input_gives_finite_report(self, rng, case):
+        box = random_box(rng, dim_lo=1.0)
+        nlc = rng.uniform(0.05, 0.95, size=(20, 3))
+        pts = nlc_to_lidar(nlc, box)
+        if case == "collinear_nxy":
+            nlc[:, 1] = 0.3 * nlc[:, 0] + 0.2
+            pts = nlc_to_lidar(nlc, box)
+        elif case == "constant_nz":
+            nlc[:, 2] = 0.37
+            pts = nlc_to_lidar(nlc, box)
+        elif case == "constant_nlc":
+            nlc[:] = 0.37
+        elif case == "points_at_one_place":
+            pts = np.tile(box.center, (20, 1))
+        elif case == "mirrored_nx":
+            nlc[:, 0] = 1.0 - nlc[:, 0]
+        elif case == "mirrored_nz":
+            nlc[:, 2] = 1.0 - nlc[:, 2]
+        elif case == "mirrored_all":
+            nlc = 1.0 - nlc
+        else:
+            nlc[3, 0], nlc[4, 2] = 1e100, -1e100
+        report = solve_box(np.hstack([pts, nlc]))
+        b = report.box
+        assert np.all(np.isfinite(b.center)) and np.isfinite([b.l, b.w, b.h, b.yaw]).all()
+        assert min(b.l, b.w, b.h) > 0
+        assert np.isfinite(report.rms_residual)
+
     def test_relabeling_invariance(self, rng):
         box = random_box(rng, dim_lo=1.0)
         corrs = make_instance(rng, box, 12)
-        init = perturbed(box, rng)
-        a = solve_box(corrs, init=init)
-        b = solve_box(corrs[rng.permutation(len(corrs))], init=init)
-        assert np.array_equal(a.box.center, b.box.center)
-        assert (a.box.l, a.box.w, a.box.h, a.box.yaw) == (b.box.l, b.box.w, b.box.h, b.box.yaw)
-        assert a.rms_residual == b.rms_residual
-        assert a.iterations == b.iterations
+        corrs[:, 3:] += rng.normal(0, 0.02, size=(12, 3))
+        for init in (perturbed(box, rng), None):
+            a = solve_box(corrs, init=init)
+            b = solve_box(corrs[rng.permutation(len(corrs))], init=init)
+            assert np.array_equal(a.box.center, b.box.center)
+            assert (a.box.l, a.box.w, a.box.h, a.box.yaw) == (b.box.l, b.box.w, b.box.h, b.box.yaw)
+            assert a.rms_residual == b.rms_residual
+            assert a.iterations == b.iterations
 
     def test_yaw_in_canonical_range(self, rng):
         for _ in range(20):
