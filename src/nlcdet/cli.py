@@ -145,9 +145,10 @@ def cmd_nlcmap(args) -> int:
 def cmd_solve(args) -> int:
     corrs = np.array(_read_csv(args.corrs, 6, ("x", "x_l"), list)).reshape(-1, 6)
     init = _read_init(args.init) if args.init else None
-    out = solve_box(corrs, init=init).to_dict()
+    fit = solve_box(corrs, init=init)
+    out = fit.to_dict()
     if args.noise_report:
-        out["noise_sweep"] = _noise_sweep(corrs, args.seed)
+        out["noise_sweep"] = _noise_sweep(corrs, fit.box, args.seed)
     _emit_json(out)
     return EXIT_OK
 
@@ -157,10 +158,11 @@ NOISE_SIGMAS = (0.005, 0.01, 0.02, 0.05)
 NOISE_TRIALS = 50
 
 
-def _noise_sweep(corrs: np.ndarray, seed: int):
+def _noise_sweep(corrs: np.ndarray, base: Box3D, seed: int):
+    """Median center error of solves on noisy NLCs, each started from ``base``,
+    the fit the command reports."""
     rng = np.random.default_rng(seed)
     sweep = []
-    base = solve_box(corrs).box
     for sigma in NOISE_SIGMAS:
         errs = []
         for _ in range(NOISE_TRIALS):

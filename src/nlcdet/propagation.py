@@ -19,6 +19,14 @@ use, and its methods are deterministic for a fixed point order.  Products
 that read a grid take just the touched rows of its (H*W, C) view, not a copy
 of the whole grid, and products that write one place their rows into zeros.
 Each one-shot function is one method of a plan built over its coordinates.
+
+The dense layer, the ReLU and the fusion blocks write into arrays the caller
+passes, so that a training run can reuse one workspace: ``out=`` for the
+first two, and for a fusion block ``buffers``, a callable
+``(name, cols[, dtype]) -> (M, cols) array`` that hands out the same array
+for the same name on every call.  Without them each call returns new
+arrays.  A forward's buffers hold its cache and output until the matching
+backward reads them; a backward's hold the gradients it returns.
 """
 
 from __future__ import annotations
@@ -66,13 +74,13 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
-def _linear(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    """Apply the layer to (M, C_in) rows."""
+def _linear(layer: DenseLayer, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply the layer to (M, C_in) rows, into ``out`` when it is given."""
     if x.shape[1] != layer.in_channels:
         raise ShapeError(
             f"layer expects {layer.in_channels} channels, got {x.shape[1]}"
         )
-    y = x @ layer.weights.T
+    y = np.matmul(x, layer.weights.T, out=out)
     y += layer.bias
     return y
 
@@ -87,16 +95,18 @@ def _param_grad(x: np.ndarray, d_out: np.ndarray, grad: DenseLayer) -> None:
     np.matmul(np.ones(len(d_out)), d_out, out=grad.bias)
 
 
-def _linear_backward(layer: DenseLayer, x: np.ndarray, d_out: np.ndarray, grad: DenseLayer):
-    """Gradient of :func:`_linear` w.r.t. its input rows; the parameter
-    gradients are written into ``grad``, a layer shaped like ``layer``.
+def _linear_backward(layer: DenseLayer, x: np.ndarray, d_out: np.ndarray, grad: DenseLayer,
+                     out: np.ndarray | None = None):
+    """Gradient of :func:`_linear` w.r.t. its input rows, into ``out`` when it
+    is given; the parameter gradients are written into ``grad``, a layer
+    shaped like ``layer``.
 
     The input gradient reads a C-contiguous (out, in) copy of the weights: on
     these shapes BLAS runs that product about twice as fast as on the
     transposed view of (in, out) storage, and the copy is a few hundred values.
     """
     _param_grad(x, d_out, grad)
-    return d_out @ np.ascontiguousarray(layer.weights)
+    return np.matmul(d_out, np.ascontiguousarray(layer.weights), out=out)
 
 
 def _bilinear_weights(uv: np.ndarray, height: int, width: int):
@@ -290,8 +300,22 @@ def pixel_to_point_backward(
     return ProjectionPlan(coords, height, width).gather_grad(np.asarray(grad_points, dtype=float))
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def _relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
+
+
+def _fresh(rows: int):
+    """Buffers for a call given none: a new (rows, cols) array per request."""
+    def take(name: str, cols: int, dtype=float) -> np.ndarray:
+        return np.empty((rows, cols), dtype)
+    return take
+
+
+def _relu_backward(d_out: np.ndarray, pre: np.ndarray, take) -> np.ndarray:
+    """``d_out * (pre > 0)``, the gradient through ``relu(pre)``, written into
+    ``take``'s ``mask`` and ``masked`` buffers."""
+    mask = np.greater(pre, 0.0, out=take("mask", pre.shape[1], bool))
+    return np.multiply(d_out, mask, out=take("masked", pre.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -305,55 +329,64 @@ class FusionCache:
     layers: tuple[DenseLayer, DenseLayer]
 
 
-def _fuse_forward(x_aux: np.ndarray, x_main: np.ndarray, layers):
+def _fuse_forward(x_aux: np.ndarray, x_main: np.ndarray, layers, buffers=None):
     """Shared fusion core on (M, C) rows: relu(L2(cat(relu(L1(aux)), main)))."""
     if x_aux.shape[0] != x_main.shape[0]:
         raise ShapeError(f"{x_aux.shape[0]} auxiliary rows for {x_main.shape[0]} main rows")
+    take = buffers or _fresh(len(x_main))
     l1, l2 = layers
-    pre1 = _linear(l1, x_aux)
-    cat = np.concatenate([_relu(pre1), x_main], axis=1)
-    pre2 = _linear(l2, cat)
-    return _relu(pre2), FusionCache(x_aux, pre1, cat, pre2, layers)
+    k = l1.out_channels
+    pre1 = _linear(l1, x_aux, take("pre1", k))
+    cat = take("cat", k + x_main.shape[1])
+    _relu(pre1, cat[:, :k])
+    cat[:, k:] = x_main
+    pre2 = _linear(l2, cat, take("pre2", l2.out_channels))
+    out = _relu(pre2, take("out", l2.out_channels))
+    return out, FusionCache(x_aux, pre1, cat, pre2, layers)
 
 
-def _fuse_backward(grad_out: np.ndarray, cache: FusionCache, grads):
+def _fuse_backward(grad_out: np.ndarray, cache: FusionCache, grads, buffers=None):
+    take = buffers or _fresh(len(grad_out))
     l1, l2 = cache.layers
     g1, g2 = grads
-    d_cat = _linear_backward(l2, cache.cat, grad_out * (cache.pre2 > 0), g2)
+    d_cat = _linear_backward(l2, cache.cat, _relu_backward(grad_out, cache.pre2, take), g2,
+                             take("d_cat", cache.cat.shape[1]))
     k = l1.out_channels
-    d_aux = _linear_backward(l1, cache.x_aux, d_cat[:, :k] * (cache.pre1 > 0), g1)
+    d_aux = _linear_backward(l1, cache.x_aux, _relu_backward(d_cat[:, :k], cache.pre1, take), g1,
+                             take("d_aux", l1.in_channels))
     return d_aux, d_cat[:, k:]
 
 
 def fuse_p2i(
-    scattered: np.ndarray, image: np.ndarray, layers: tuple[DenseLayer, DenseLayer]
+    scattered: np.ndarray, image: np.ndarray, layers: tuple[DenseLayer, DenseLayer], buffers=None
 ):
     """Refine scattered point features and merge them with image features.
 
     Both inputs are (H*W, C) pixel rows; the merge is pixel-wise:
     relu(L2(cat(relu(L1(scattered)), image))).  Returns (output, cache) for
-    the matching backward.
+    the matching backward, both written into ``buffers`` when given.
     """
-    return _fuse_forward(scattered, image, layers)
+    return _fuse_forward(scattered, image, layers, buffers)
 
 
-def fuse_p2i_backward(grad_out: np.ndarray, cache: FusionCache, grads):
-    """Gradients of fuse_p2i w.r.t. (scattered, image).
+def fuse_p2i_backward(grad_out: np.ndarray, cache: FusionCache, grads, buffers=None):
+    """Gradients of fuse_p2i w.r.t. (scattered, image), written into
+    ``buffers`` when given.
 
     The layer parameter gradients are written into ``grads``, a pair of
     layers shaped like the block's.
     """
-    return _fuse_backward(grad_out, cache, grads)
+    return _fuse_backward(grad_out, cache, grads, buffers)
 
 
 def fuse_i2p(
-    gathered: np.ndarray, points: np.ndarray, layers: tuple[DenseLayer, DenseLayer]
+    gathered: np.ndarray, points: np.ndarray, layers: tuple[DenseLayer, DenseLayer], buffers=None
 ):
     """Point-wise analogue of :func:`fuse_p2i` on (N, C) features."""
-    return _fuse_forward(gathered, points, layers)
+    return _fuse_forward(gathered, points, layers, buffers)
 
 
-def fuse_i2p_backward(grad_out: np.ndarray, cache: FusionCache, grads):
+def fuse_i2p_backward(grad_out: np.ndarray, cache: FusionCache, grads, buffers=None):
     """Gradients of fuse_i2p w.r.t. (gathered, points); the layer parameter
     gradients are written into ``grads`` as in :func:`fuse_p2i_backward`."""
-    return _fuse_backward(grad_out, cache, grads)
+    return _fuse_backward(grad_out, cache, grads, buffers)

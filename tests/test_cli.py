@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlcdet import Box3D, nlc_to_lidar, read_nlc_map
+from nlcdet import Box3D, nlc_to_lidar, read_nlc_map, solve_box
 from nlcdet import gradcheck as gc
 from nlcdet.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, _emit_json, main
 from nlcdet.kitti_io import (
@@ -192,6 +192,32 @@ class TestSolve:
         sweep = report["noise_sweep"]
         assert [s["sigma"] for s in sweep] == [0.005, 0.01, 0.02, 0.05]
         assert all(np.isfinite(s["median_center_error"]) for s in sweep)
+
+    def test_noise_sweep_starts_from_the_printed_fit(self, tmp_path, rng, capsys, monkeypatch):
+        import nlcdet.cli as cli
+
+        box = Box3D(center=np.array([10.0, -3.0, 0.5]), l=4.2, w=1.8, h=1.5, yaw=0.8)
+        path = self._corrs_csv(tmp_path, rng, box, n=30)
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps(
+            {"center": [10.1, -2.9, 0.4], "l": 4.0, "w": 2.0, "h": 1.4, "yaw": 0.7}
+        ))
+        starts = []
+
+        def recording_solve(corrs, init=None):
+            starts.append(init)
+            return solve_box(corrs, init=init)
+
+        monkeypatch.setattr(cli, "solve_box", recording_solve)
+        code = main(["solve", "--corrs", str(path), "--init", str(init), "--noise-report"])
+        assert code == EXIT_OK
+        printed = json.loads(capsys.readouterr().out)["box"]
+        # one solve for the fit, then one per noisy trial, no second base solve
+        assert len(starts) == 1 + len(cli.NOISE_SIGMAS) * cli.NOISE_TRIALS
+        assert starts[0] is not None
+        for start in starts[1:]:
+            assert start.center.tolist() == printed["center"]
+            assert [start.l, start.w, start.h, start.yaw] == [printed[k] for k in ("l", "w", "h", "yaw")]
 
     @pytest.mark.parametrize("text", [
         "[1, 2]",

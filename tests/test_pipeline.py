@@ -1,11 +1,12 @@
 """Synthetic scenes, the toy two-branch network, training, and the ablation."""
 
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
-from nlcdet.errors import InvalidValue
+from nlcdet.errors import InvalidValue, ShapeError
 from nlcdet.geometry import project_points
 from nlcdet.losses import LossWeights
 from nlcdet.nlc import build_gt_nlc_map
@@ -17,9 +18,12 @@ from nlcdet.pipeline import (
     SceneParams,
     ToyModel,
     TrainConfig,
+    Workspace,
     _DEPTH_NORM,
+    _HEADS,
     _grad_norm,
     _layer_shapes,
+    _steps,
     ablation,
     backward,
     compute_losses,
@@ -345,6 +349,68 @@ class TestParameterVector:
         assert 0 < part.sum() < part.size
         assert np.all(grads.params[part] == 0.0)
         assert np.any(grads.params[~part] != 0.0)
+
+
+class TestWorkspace:
+    """One workspace serves every step of a run; reusing it must change no bit."""
+
+    @pytest.mark.parametrize("heads", [_HEADS, IMAGE_HEADS], ids=["all_heads", "image_heads"])
+    @pytest.mark.parametrize("row", list(ABLATION_ROWS))
+    def test_reuse_across_scene_sizes_is_exact(self, row, heads):
+        cfg = replace(TINY, **ABLATION_ROWS[row])
+        small = generate_scene(8, SceneParams(max_points_per_box=60, background_points=40,
+                                              image_height=12, image_width=20))
+        scenes = [generate_scene(5), small, generate_scene(6)]  # large, small, large
+        assert len(small.points) < min(len(scenes[0].points), len(scenes[2].points))
+        model = ToyModel.init(0, 6, 6)
+        ws = Workspace(scenes)
+        # the layers no step of this row and these heads reaches
+        idle = [name for name in _layer_shapes(6, 6)
+                if (name.startswith("i2p") and not cfg.enable_i2p)
+                or (name.startswith("p2i") and not cfg.enable_p2i)
+                or (name.startswith("head_") and name[len("head_"):] not in heads)]
+        for scene, (losses, grads) in zip(scenes, _steps(model, scenes, cfg, heads, ws)):
+            outputs, cache = forward(model, scene, cfg)
+            fresh_losses, head_grads = compute_losses(outputs, scene, cfg)
+            fresh = backward(model, scene, cfg, cache, {c: head_grads[c] for c in heads})
+            assert np.array(list(losses.values())).tobytes() == np.array(list(fresh_losses.values())).tobytes()
+            assert grads.params.tobytes() == fresh.params.tobytes()
+            for name in idle:  # exactly +0.0, whatever the last step left there
+                part = grads.params[grads.slices[name]]
+                assert part.tobytes() == np.zeros_like(part).tobytes(), name
+            model.params -= 0.05 * grads.params
+            # a stale value anywhere in the workspace would now show in the next step
+            for array in ws._arrays.values():
+                array.fill(np.nan)
+            ws.gradients(model).params.fill(np.nan)
+
+    def test_forward_without_a_workspace_returns_new_arrays(self):
+        scene, model = generate_scene(5), ToyModel.init(0, 6, 6)
+        (first, _), (second, _) = forward(model, scene, TINY), forward(model, scene, TINY)
+        for key in ("sem3d_logits", "ctr_pred", "nlc_map", "sem2d_logits"):
+            assert not np.shares_memory(first[key], second[key])
+
+    def test_scene_larger_than_the_workspace_rejected(self):
+        small = generate_scene(8, SceneParams(max_points_per_box=60, background_points=40))
+        with pytest.raises(ShapeError, match="workspace"):
+            forward(ToyModel.init(0, 6, 6), generate_scene(5), TINY, Workspace([small]))
+
+    def test_steady_state_step_allocates_under_2_mb(self):
+        # the largest default training scene, after one step has filled the workspace;
+        # what remains are the sparse products' results and the losses
+        cfg = TrainConfig(epochs=1)
+        scenes = make_scenes(cfg)[0]
+        scene = max(scenes, key=lambda s: len(s.points))
+        model = ToyModel.init(0, cfg.point_channels, cfg.image_channels)
+        ws = Workspace(scenes)
+        next(_steps(model, [scene], cfg, workspace=ws))
+        tracemalloc.start()
+        try:
+            next(_steps(model, [scene], cfg, workspace=ws))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestTraining:

@@ -5,7 +5,7 @@ Run from anywhere, with the checkout's own ``src`` on the path:
     python3 tools/fingerprint.py > fingerprint.txt
 
 Two checkouts that print the same lines compute the same bytes for the
-seeded training runs, the ablation, the gradient checks, the synthetic
+seeded training runs (small ones and the benchmark's ``train`` run), the ablation, the gradient checks, the synthetic
 scenes and the box solver.  The ``dof_analysis/...`` lines print the
 Jacobian ranks themselves, on near-coplanar correspondences whose NLC z
 spreads from 1e-6 to 1e-10, where the observability rule decides.  Run
@@ -77,6 +77,9 @@ def fingerprints():
         model, report = train(config)
         yield f"{name}/params", digest(model.params)
         yield f"{name}/report", json_digest(report.to_dict())
+    # the benchmark's ``train`` operation: the default 50+20 scenes, two epochs
+    model, report = train(TrainConfig(seed=0, epochs=2))
+    yield "train/default_epochs_2", digest([model.params, report.to_dict()])
     yield "ablation", json_digest(ablation(SMALL, seeds=(0, 1)))
     yield "gradcheck", json_digest(gradcheck.run_all(20, 0))
     for seed in range(10):
