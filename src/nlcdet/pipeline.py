@@ -367,20 +367,28 @@ class Workspace:
     image.  A step on a smaller scene takes leading rows, which are
     C-contiguous like a new array.  Arrays are made on first use, so the
     workspace holds only what its steps write; a scene larger than the
-    workspace raises ShapeError.
+    workspace raises ShapeError.  Besides them each side keeps one column of
+    ones, filled when the workspace is made, which the bias gradients read.
+    ``scenes`` must be non-empty.
     """
 
     def __init__(self, scenes):
+        if not scenes:
+            raise InvalidValue("a workspace needs at least one scene")
         self.capacity = {
             "point": max(len(scene.points) for scene in scenes),
             "image": max(scene.image.shape[1] * scene.image.shape[2] for scene in scenes),
         }
+        self._ones = {side: np.ones((rows, 1)) for side, rows in self.capacity.items()}
         self._arrays: dict = {}
         self._grads: dict = {}
 
     def take(self, side: str, rows: int, prefix: str, name: str, cols: int, dtype=float) -> np.ndarray:
         """The leading ``rows`` rows of the (side capacity, ``cols``) array
-        named ``prefix``/``name``; the same storage on every call."""
+        named ``prefix``/``name``; the same storage on every call.  The name
+        ``ones`` gives the side's column of ones, whatever the prefix."""
+        if name == "ones":
+            return self._ones[side][:rows]
         key = (side, prefix, name, cols, dtype)
         array = self._arrays.get(key)
         if array is None:
@@ -510,6 +518,7 @@ def backward(
     h, w = scene.image.shape[1:]
     plan = scene.plan
     take = {"point": partial(at_points, "backward"), "image": partial(at_pixels, "backward")}
+    ones = {branch: take[branch]("ones", 1) for branch in take}
 
     # heads: gradients w.r.t. the last stage's point and image outputs
     d = {branch: take[branch]("d", cache[branch].shape[1]) for branch in take}
@@ -526,7 +535,7 @@ def backward(
         if comp == "nlc":
             d_out = _rows(plan.gather_grad(d_out))
         d[branch] += _linear_backward(L[head], cache[branch], d_out, grads[head],
-                                      take[branch]("sum", d[branch].shape[1]))
+                                      take[branch]("sum", d[branch].shape[1]), ones[branch])
     d_g, d_f = d["point"], d["image"]
 
     for i, (point, image, i2p, p2i) in reversed(list(enumerate(_STAGES))):
@@ -551,11 +560,13 @@ def backward(
         d_pre_points = _relu_backward(d_g_layer, st.pre_points, take["point"])
         d_pre_image = _relu_backward(d_f_layer, st.pre_image, take["image"])
         if i == 0:
-            _param_grad(st.points_in, d_pre_points, grads[point])
-            _param_grad(st.image_in, d_pre_image, grads[image])
+            _param_grad(st.points_in, d_pre_points, grads[point], ones["point"])
+            _param_grad(st.image_in, d_pre_image, grads[image], ones["image"])
         else:
-            d_g = _linear_backward(L[point], st.points_in, d_pre_points, grads[point], d_g)
-            d_f = _linear_backward(L[image], st.image_in, d_pre_image, grads[image], d_f)
+            d_g = _linear_backward(L[point], st.points_in, d_pre_points, grads[point], d_g,
+                                   ones["point"])
+            d_f = _linear_backward(L[image], st.image_in, d_pre_image, grads[image], d_f,
+                                   ones["image"])
     return out
 
 
@@ -609,6 +620,8 @@ def evaluate_model(model: ToyModel, scenes, config: TrainConfig,
     """Mean per-component validation losses plus the NLC-map mMAE over a
     non-empty list of scenes; each forward writes into ``workspace``, or
     into one made for ``scenes``."""
+    if not scenes:
+        raise InvalidValue("need at least one scene to evaluate")
     ws = Workspace(scenes) if workspace is None else workspace
     per_scene, mmae_vals, skipped = [], [], 0
     for scene in scenes:
@@ -678,12 +691,18 @@ def train(
     if not val_scenes:
         raise InvalidValue("need at least one validation scene")
 
+    # one workspace for the run's steps and its validation, freed when the run ends
+    return _run(config, train_scenes, val_scenes, Workspace([*train_scenes, *val_scenes]))
+
+
+def _run(config: TrainConfig, train_scenes, val_scenes,
+         workspace: Workspace) -> tuple[ToyModel, TrainingReport]:
+    """``train`` on non-empty scene lists, every step and the validation in
+    ``workspace``, which must hold the largest of them; a diverging run
+    ends in its report, not in overflow warnings."""
     model = ToyModel.init(
         config.seed, c_point=config.point_channels, c_image=config.image_channels
     )
-    # one workspace for the run's steps and its validation, freed when the
-    # run ends; a diverging run ends in its report, not in overflow warnings
-    workspace = Workspace([*train_scenes, *val_scenes])
     with np.errstate(over="ignore", invalid="ignore"):
         epochs_log, diverged = _descend(model, train_scenes, config, workspace)
         final_val = evaluate_model(model, val_scenes, config, workspace)
@@ -714,17 +733,23 @@ def ablation(
 
     The reported metric per run is the validation NLC loss plus center loss.
     Returns per-row per-seed metrics, row means, and final gradient telemetry.
+    Every run is the ``train`` run of its row and seed on the shared scenes,
+    and all of them write into one workspace.
     """
     if len(seeds) < 2:
         raise InvalidValue("need at least 2 seeds per row")
+    unknown = [row for row in rows if row not in ABLATION_ROWS]
+    if unknown:
+        raise InvalidValue(f"unknown ablation rows {unknown}; the rows are {list(ABLATION_ROWS)}")
     report: dict = {"rows": {}, "seeds": list(seeds)}
     train_scenes, val_scenes = make_scenes(base_config)
+    workspace = Workspace([*train_scenes, *val_scenes])
     for row in rows:
         flags = ABLATION_ROWS[row]
         runs = []
         for seed in seeds:
             cfg = replace(base_config, seed=seed, **flags)
-            _, run_report = train(cfg, train_scenes, val_scenes)
+            _, run_report = _run(cfg, train_scenes, val_scenes, workspace)
             fv = run_report.final_val
             runs.append(
                 {

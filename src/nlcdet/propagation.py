@@ -24,9 +24,14 @@ The dense layer, the ReLU and the fusion blocks write into arrays the caller
 passes, so that a training run can reuse one workspace: ``out=`` for the
 first two, and for a fusion block ``buffers``, a callable
 ``(name, cols[, dtype]) -> (M, cols) array`` that hands out the same array
-for the same name on every call.  Without them each call returns new
-arrays.  A forward's buffers hold its cache and output until the matching
-backward reads them; a backward's hold the gradients it returns.
+for the same name on every call.  The (M, 1) array named ``ones`` is read,
+never written: whoever hands it out fills it with 1.0 when making it, and
+the bias gradients read it.  Without buffers each call returns new arrays.
+A fusion forward writes ``pre1``, ``hidden``, ``pre2`` and ``out``, which
+hold its cache and output until the matching backward reads them; a
+backward writes ``mask``, ``masked``, ``d_hidden``, ``d_main`` and
+``d_aux``, the last two the gradients it returns.  No fusion array is wider
+than the widest layer.
 """
 
 from __future__ import annotations
@@ -85,27 +90,34 @@ def _linear(layer: DenseLayer, x: np.ndarray, out: np.ndarray | None = None) -> 
     return y
 
 
-def _param_grad(x: np.ndarray, d_out: np.ndarray, grad: DenseLayer) -> None:
-    """Write the parameter gradients of :func:`_linear` into ``grad``'s arrays.
+def _bias_grad(d_out: np.ndarray, grad: DenseLayer, ones: np.ndarray | None = None) -> None:
+    """Write the column sums of ``d_out`` into ``grad.bias``: one product with
+    a ones vector, several times faster than ``d_out.sum(axis=0)``.  ``ones``
+    is an (M, 1) column of ones with at least ``len(d_out)`` rows, a new one
+    when not given."""
+    ones = np.ones(len(d_out)) if ones is None else ones[: len(d_out), 0]
+    np.matmul(ones, d_out, out=grad.bias)
 
-    The bias gradient, the column sums of ``d_out``, is one product with a
-    ones vector, which is several times faster than ``d_out.sum(axis=0)``.
-    """
+
+def _param_grad(x: np.ndarray, d_out: np.ndarray, grad: DenseLayer,
+                ones: np.ndarray | None = None) -> None:
+    """Write the parameter gradients of :func:`_linear` into ``grad``'s arrays;
+    ``ones`` as in :func:`_bias_grad`."""
     np.matmul(x.T, d_out, out=grad.weights.T)
-    np.matmul(np.ones(len(d_out)), d_out, out=grad.bias)
+    _bias_grad(d_out, grad, ones)
 
 
 def _linear_backward(layer: DenseLayer, x: np.ndarray, d_out: np.ndarray, grad: DenseLayer,
-                     out: np.ndarray | None = None):
+                     out: np.ndarray | None = None, ones: np.ndarray | None = None):
     """Gradient of :func:`_linear` w.r.t. its input rows, into ``out`` when it
     is given; the parameter gradients are written into ``grad``, a layer
-    shaped like ``layer``.
+    shaped like ``layer``, ``ones`` as in :func:`_bias_grad`.
 
     The input gradient reads a C-contiguous (out, in) copy of the weights: on
     these shapes BLAS runs that product about twice as fast as on the
     transposed view of (in, out) storage, and the copy is a few hundred values.
     """
-    _param_grad(x, d_out, grad)
+    _param_grad(x, d_out, grad, ones)
     return np.matmul(d_out, np.ascontiguousarray(layer.weights), out=out)
 
 
@@ -305,9 +317,10 @@ def _relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _fresh(rows: int):
-    """Buffers for a call given none: a new (rows, cols) array per request."""
+    """Buffers for a call given none: a new (rows, cols) array per request,
+    and a new column of ones for ``ones``."""
     def take(name: str, cols: int, dtype=float) -> np.ndarray:
-        return np.empty((rows, cols), dtype)
+        return (np.ones if name == "ones" else np.empty)((rows, cols), dtype)
     return take
 
 
@@ -320,41 +333,68 @@ def _relu_backward(d_out: np.ndarray, pre: np.ndarray, take) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FusionCache:
-    """What a fusion block's backward needs from its forward, as (M, C) rows."""
+    """What a fusion block's backward needs from its forward, as (M, C) rows.
+    The two inputs are held by reference, so the caller keeps them unchanged
+    until the backward has run."""
 
     x_aux: np.ndarray
+    x_main: np.ndarray
     pre1: np.ndarray  # pre-activation of the first layer
-    cat: np.ndarray  # input of the second layer: relu(pre1) next to the main input
+    hidden: np.ndarray  # relu(pre1), the first part of the second layer's input
     pre2: np.ndarray  # pre-activation of the second layer
     layers: tuple[DenseLayer, DenseLayer]
 
 
 def _fuse_forward(x_aux: np.ndarray, x_main: np.ndarray, layers, buffers=None):
-    """Shared fusion core on (M, C) rows: relu(L2(cat(relu(L1(aux)), main)))."""
+    """Shared fusion core on (M, C) rows: relu(L2(cat(relu(L1(aux)), main))).
+
+    The concatenation is never built: the second layer is one product per
+    part of its input, ``hidden @ W2[:k] + main @ W2[k:] + b2`` over row
+    blocks of its (in, out) weights, where ``hidden = relu(pre1)`` has k
+    columns.  The second product lands in ``out`` before the ReLU does.
+    """
     if x_aux.shape[0] != x_main.shape[0]:
         raise ShapeError(f"{x_aux.shape[0]} auxiliary rows for {x_main.shape[0]} main rows")
     take = buffers or _fresh(len(x_main))
     l1, l2 = layers
     k = l1.out_channels
+    if k + x_main.shape[1] != l2.in_channels:
+        raise ShapeError(
+            f"second layer expects {l2.in_channels} channels, got {k} + {x_main.shape[1]}"
+        )
     pre1 = _linear(l1, x_aux, take("pre1", k))
-    cat = take("cat", k + x_main.shape[1])
-    _relu(pre1, cat[:, :k])
-    cat[:, k:] = x_main
-    pre2 = _linear(l2, cat, take("pre2", l2.out_channels))
-    out = _relu(pre2, take("out", l2.out_channels))
-    return out, FusionCache(x_aux, pre1, cat, pre2, layers)
+    hidden = _relu(pre1, take("hidden", k))
+    w2 = l2.weights.T  # (in, out)
+    out = take("out", l2.out_channels)
+    pre2 = np.matmul(hidden, w2[:k], out=take("pre2", l2.out_channels))
+    pre2 += np.matmul(x_main, w2[k:], out=out)
+    pre2 += l2.bias
+    _relu(pre2, out)
+    return out, FusionCache(x_aux, x_main, pre1, hidden, pre2, layers)
 
 
 def _fuse_backward(grad_out: np.ndarray, cache: FusionCache, grads, buffers=None):
+    """Gradients of :func:`_fuse_forward` w.r.t. (aux, main); each weight
+    gradient of the second layer is written into its own row block of
+    ``grads[1]``, and each input gradient of that layer is one product with
+    a C-contiguous copy of its column block of the weights."""
     take = buffers or _fresh(len(grad_out))
+    ones = take("ones", 1)
     l1, l2 = cache.layers
     g1, g2 = grads
-    d_cat = _linear_backward(l2, cache.cat, _relu_backward(grad_out, cache.pre2, take), g2,
-                             take("d_cat", cache.cat.shape[1]))
     k = l1.out_channels
-    d_aux = _linear_backward(l1, cache.x_aux, _relu_backward(d_cat[:, :k], cache.pre1, take), g1,
-                             take("d_aux", l1.in_channels))
-    return d_aux, d_cat[:, k:]
+    d_pre2 = _relu_backward(grad_out, cache.pre2, take)
+    g2_weights = g2.weights.T  # (in, out)
+    np.matmul(cache.hidden.T, d_pre2, out=g2_weights[:k])
+    np.matmul(cache.x_main.T, d_pre2, out=g2_weights[k:])
+    _bias_grad(d_pre2, g2, ones)
+    w2 = l2.weights  # (out, in)
+    d_hidden = np.matmul(d_pre2, np.ascontiguousarray(w2[:, :k]), out=take("d_hidden", k))
+    d_main = np.matmul(d_pre2, np.ascontiguousarray(w2[:, k:]),
+                       out=take("d_main", cache.x_main.shape[1]))
+    d_aux = _linear_backward(l1, cache.x_aux, _relu_backward(d_hidden, cache.pre1, take), g1,
+                             take("d_aux", l1.in_channels), ones)
+    return d_aux, d_main
 
 
 def fuse_p2i(

@@ -395,6 +395,22 @@ class TestWorkspace:
         with pytest.raises(ShapeError, match="workspace"):
             forward(ToyModel.init(0, 6, 6), generate_scene(5), TINY, Workspace([small]))
 
+    @pytest.mark.parametrize("widths", [(16, 16), (6, 10)], ids=["default", "unequal"])
+    def test_no_array_wider_than_the_widest_layer(self, widths):
+        # the fusion blocks never build their concatenated input or its gradient
+        cfg = TrainConfig(point_channels=widths[0], image_channels=widths[1])
+        scene = generate_scene(0)
+        ws = Workspace([scene])
+        next(_steps(ToyModel.init(0, *widths), [scene], cfg, workspace=ws))
+        assert {key[2] for key in ws._arrays} >= {"hidden", "d_hidden", "d_main"}
+        assert max(array.shape[1] for array in ws._arrays.values()) <= max(widths)
+
+    def test_no_scenes_rejected(self):
+        with pytest.raises(InvalidValue, match="at least one scene"):
+            Workspace([])
+        with pytest.raises(InvalidValue, match="at least one scene"):
+            evaluate_model(ToyModel.init(0, 6, 6), [], TINY)
+
     def test_steady_state_step_allocates_under_2_mb(self):
         # the largest default training scene, after one step has filled the workspace;
         # what remains are the sparse products' results and the losses
@@ -507,6 +523,41 @@ class TestAblation:
         cfg = replace(TINY, epochs=0, train_scenes=1, val_scenes=1)
         runs = ablation(cfg, seeds=(0, 1), rows=("both",))["rows"]["both"]["runs"]
         assert [run["final_image_to_point_grad_norm"] for run in runs] == [0.0, 0.0]
+
+    def test_report_equals_separate_train_runs(self, monkeypatch):
+        # one workspace serves every run, and the report keeps every bit
+        cfg = replace(TINY, epochs=2, train_scenes=2, val_scenes=2)
+        made = []
+
+        class Counted(Workspace):
+            def __init__(self, scenes):
+                made.append(len(scenes))
+                super().__init__(scenes)
+
+        monkeypatch.setattr("nlcdet.pipeline.Workspace", Counted)
+        report = ablation(cfg, seeds=(0, 1))
+        assert made == [cfg.train_scenes + cfg.val_scenes]
+        scenes = make_scenes(cfg)
+        expected = {"rows": {}, "seeds": [0, 1]}
+        for row, flags in ABLATION_ROWS.items():
+            runs = []
+            for seed in (0, 1):
+                _, run = train(replace(cfg, seed=seed, **flags), *scenes)
+                fv = run.final_val
+                runs.append({"seed": seed, "metric": fv["nlc"] + fv["ctr"], "val": fv,
+                             "diverged": run.diverged,
+                             "final_image_to_point_grad_norm": run.epochs[-1]["image_to_point_grad_norm"]})
+            expected["rows"][row] = {"runs": runs,
+                                     "mean_metric": float(np.mean([r["metric"] for r in runs]))}
+        assert repr(report) == repr(expected)
+
+    def test_unknown_row_rejected_before_any_training(self, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("nlcdet.pipeline._descend", no_training)
+        with pytest.raises(InvalidValue, match="bogus"):
+            ablation(TINY, seeds=(0, 1), rows=("none", "bogus"))
 
     def test_requires_two_seeds(self):
         with pytest.raises(ValueError):

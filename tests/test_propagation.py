@@ -22,8 +22,8 @@ from nlcdet import (
 )
 from nlcdet import geometry, kitti_io
 from nlcdet.propagation import (
-    ProjectionPlan, _bilinear_weights, _grid, _linear_backward, _rows,
-    fuse_i2p_backward, fuse_p2i_backward,
+    ProjectionPlan, _bilinear_weights, _fuse_backward, _fuse_forward, _grid, _linear_backward,
+    _rows, fuse_i2p_backward, fuse_p2i_backward,
 )
 
 
@@ -486,21 +486,54 @@ class TestDenseLayer:
         c, rows = 3, 20
         l1 = DenseLayer(weights=rng.normal(size=(c, c)), bias=rng.normal(size=c))
         l2 = DenseLayer(weights=rng.normal(size=(c, 2 * c)), bias=rng.normal(size=c))
-        _, cache = fuse_p2i(rng.normal(size=(rows, c)), rng.normal(size=(rows, c)), (l1, l2))
+        aux, main = rng.normal(size=(rows, c)), rng.normal(size=(rows, c))
+        _, cache = fuse_p2i(aux, main, (l1, l2))
         cot = rng.normal(size=(rows, c))
         given = nan_layers(l1, l2)
         d_aux, d_main = fuse_p2i_backward(cot, cache, given)
-        # the direct products: each layer's output gradient, then d_out.T @ x
-        # and the column sums of d_out
+        # the direct products on the second layer's concatenated input: each
+        # layer's output gradient, then d_out.T @ x and the column sums of d_out
+        cat = np.concatenate([np.maximum(cache.pre1, 0.0), main], axis=1)
         d2 = cot * (cache.pre2 > 0)
         d_cat = d2 @ l2.weights
         d1 = d_cat[:, :c] * (cache.pre1 > 0)
-        for g, x, d_out in zip(given, (cache.x_aux, cache.cat), (d1, d2)):
+        for g, x, d_out in zip(given, (aux, cat), (d1, d2)):
             assert np.all(np.isfinite(g.weights)) and np.all(np.isfinite(g.bias))
             assert np.allclose(g.weights, d_out.T @ x, rtol=1e-12, atol=1e-12)
             assert np.allclose(g.bias, d_out.sum(axis=0), rtol=1e-12, atol=1e-12)
         assert np.allclose(d_aux, d1 @ l1.weights, rtol=1e-12, atol=1e-12)
         assert np.allclose(d_main, d_cat[:, c:], rtol=1e-12, atol=1e-12)
+
+
+def _stored_layer(rng, c_in, c_out):
+    """A layer whose weights are the (out, in) view of (in, out) storage, as
+    the toy network keeps them."""
+    return DenseLayer(rng.normal(0.0, np.sqrt(2.0 / c_in), size=(c_in, c_out)).T,
+                      rng.normal(0.0, 0.1, size=c_out))
+
+
+@pytest.mark.parametrize("rows", [2026, 768], ids=["point_rows", "pixel_rows"])
+def test_fusion_matches_a_concatenated_reference(rng, rows):
+    # the block as first written: the second layer applied to the concatenation
+    c = 16
+    l1, l2 = _stored_layer(rng, c, c), _stored_layer(rng, 2 * c, c)
+    aux, main, cot = (rng.normal(size=(rows, c)) for _ in range(3))
+    pre1 = aux @ l1.weights.T + l1.bias
+    cat = np.concatenate([np.maximum(pre1, 0.0), main], axis=1)
+    pre2 = cat @ l2.weights.T + l2.bias
+    d2 = cot * (pre2 > 0)
+    d_cat = d2 @ l2.weights
+    d1 = d_cat[:, :c] * (pre1 > 0)
+    reference = [np.maximum(pre2, 0.0), d1 @ l1.weights, d_cat[:, c:],
+                 d1.T @ aux, d1.sum(axis=0), d2.T @ cat, d2.sum(axis=0)]
+
+    out, cache = _fuse_forward(aux, main, (l1, l2))
+    grads = nan_layers(l1, l2)
+    d_aux, d_main = _fuse_backward(cot, cache, grads)
+    got = [out, d_aux, d_main] + [a for g in grads for a in (g.weights, g.bias)]
+    for name, a, b in zip(["out", "d_aux", "d_main", "w1", "b1", "w2", "b2"], got, reference):
+        assert a.shape == b.shape, name
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 class TestFusion:
@@ -536,6 +569,10 @@ class TestFusion:
         # equal row counts, a channel count the first layer does not take
         with pytest.raises(ShapeError):
             fuse_p2i(np.zeros((4, 3)), np.zeros((4, 2)), (l, l))
+        # a main input that does not fill the second layer's input
+        l2 = DenseLayer(weights=np.zeros((2, 4)), bias=np.zeros(2))
+        with pytest.raises(ShapeError, match="second layer"):
+            fuse_i2p(np.zeros((4, 2)), np.zeros((4, 3)), (l, l2))
 
     def test_backward_layer_gradient_shapes(self, rng):
         c_aux, c_mid, c_main, c_out = 3, 4, 3, 4

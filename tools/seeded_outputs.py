@@ -1,0 +1,67 @@
+"""The seeded outputs of the library that ``fingerprint.py`` hashes and
+``max_diff.py`` compares between two checkouts: one list for both tools.
+
+This module imports ``nlcdet`` from whatever ``sys.path`` finds first, so
+each tool puts the ``src`` of the checkout it measures in front of the path,
+and pins BLAS to one thread, before importing it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+
+from nlcdet import Box3D, LossWeights, dof_analysis, gradcheck, nlc_to_lidar, solve_box
+from nlcdet.pipeline import ABLATION_ROWS, TrainConfig, ablation, generate_scene, train
+
+SMALL = TrainConfig(epochs=3, train_scenes=6, val_scenes=3)
+
+
+def outputs():
+    """Yield ``(name, kind, value)`` for every seeded output.
+
+    ``kind`` says how ``fingerprint.py`` hashes the value: ``"bits"`` by
+    its types, shapes and exact bits, ``"json"`` by its ``json.dumps``, and
+    ``"text"`` prints the value itself.  The ``dof_analysis`` lines are the
+    Jacobian ranks of a near-coplanar family: 8 boxes, each with 8 NLCs
+    whose z is 0.5 plus the spread times a standard normal draw.
+    """
+    runs = {f"train/{row}": replace(SMALL, **flags) for row, flags in ABLATION_ROWS.items()}
+    runs["train/no_nlc"] = replace(SMALL, epochs=4, weights=LossWeights(nlc=0.0))
+    runs["train/no_sem2d"] = replace(SMALL, epochs=4, weights=LossWeights(sem2d=0.0))
+    for name, config in runs.items():
+        model, report = train(config)
+        yield f"{name}/params", "bits", model.params
+        yield f"{name}/report", "json", report.to_dict()
+    # the benchmark's ``train`` operation: the default 50+20 scenes, two epochs
+    model, report = train(TrainConfig(seed=0, epochs=2))
+    yield "train/default_epochs_2", "bits", [model.params, report.to_dict()]
+    yield "ablation", "json", ablation(SMALL, seeds=(0, 1))
+    yield "gradcheck", "json", gradcheck.run_all(20, 0)
+    for seed in range(10):
+        yield f"scene/{seed}", "bits", generate_scene(seed)
+    rng = np.random.default_rng(0)
+    for i in range(8):
+        box = _car_box(rng)
+        nlc = rng.uniform(0.05, 0.95, size=(40, 3))
+        pts = nlc_to_lidar(nlc, box) + rng.normal(0.0, 0.02, size=(40, 3))
+        yield f"solve_box/{i}", "json", solve_box(np.hstack([pts, nlc])).to_dict()
+    family = []
+    for seed in range(8):
+        rng = np.random.default_rng([seed, 20])
+        family.append((_car_box(rng), rng.uniform(0.05, 0.95, size=(8, 3)), rng.standard_normal(8)))
+    for spread in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
+        ranks, reports = [], []
+        for box, nlc, z in family:
+            nlc[:, 2] = 0.5 + spread * z
+            corrs = np.hstack([nlc_to_lidar(nlc, box), nlc])
+            ranks.append(str(dof_analysis(corrs, at=box)["jacobian_rank"]))
+            reports.append(solve_box(corrs, init=box).to_dict())
+        yield f"dof_analysis/z_spread_{spread:.0e}", "text", " ".join(ranks)
+        yield f"solve_box/z_spread_{spread:.0e}", "json", reports
+
+
+def _car_box(rng) -> Box3D:
+    return Box3D(center=rng.uniform(-20, 20, size=3), l=rng.uniform(3, 5),
+                 w=rng.uniform(1.5, 2), h=rng.uniform(1.3, 1.8), yaw=rng.uniform(-np.pi, np.pi))
