@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +56,12 @@ def rot_z(theta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Box3D:
-    """7-DOF oriented box: center (m), dimensions l/w/h (m), yaw (rad)."""
+    """7-DOF oriented box: center (m), dimensions l/w/h (m), yaw (rad).
+
+    The box keeps a read-only copy of its center, so that a change to the
+    array it was made from does not move it; its bird's-eye footprint is
+    computed once, when :func:`iou_3d` first reads it.
+    """
 
     center: np.ndarray
     l: float
@@ -64,8 +70,8 @@ class Box3D:
     yaw: float
 
     def __post_init__(self):
-        center = np.asarray(self.center, dtype=float).reshape(3)
-        if not np.all(np.isfinite(center)):
+        center = np.asarray(self.center, dtype=float).reshape(3).copy()
+        if not all(map(math.isfinite, center.tolist())):
             raise InvalidValue("box center must be finite")
         if not (self.l > 0 and self.w > 0 and self.h > 0):
             raise InvalidValue("box dimensions must be strictly positive")
@@ -73,6 +79,7 @@ class Box3D:
             raise InvalidValue("box dimensions must be finite")
         if not math.isfinite(self.yaw):
             raise InvalidValue("box yaw must be finite")
+        center.flags.writeable = False
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "yaw", float(normalize_angle(self.yaw)))
 
@@ -83,6 +90,13 @@ class Box3D:
     @property
     def volume(self) -> float:
         return self.l * self.w * self.h
+
+    @cached_property
+    def _bev_corners(self) -> np.ndarray:
+        """Counter-clockwise bird's-eye footprint, (4, 2), read-only."""
+        corners = box_corners(self)[:4, :2].copy()
+        corners.flags.writeable = False
+        return corners
 
 
 def _is_rotation(R: np.ndarray) -> bool:
@@ -225,11 +239,6 @@ def points_in_box(points: np.ndarray, box: Box3D) -> np.ndarray:
     return np.nonzero(inside)[0]
 
 
-def _bev_corners(box: Box3D) -> np.ndarray:
-    """Counter-clockwise BEV footprint, (4, 2)."""
-    return box_corners(box)[:4, :2]
-
-
 def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     """Sutherland-Hodgman clip of a convex subject by a convex CCW clip polygon."""
     output = subject.tolist()
@@ -262,7 +271,9 @@ def _shoelace_area(poly: np.ndarray) -> float:
     if len(poly) < 3:
         return 0.0
     x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    # each coordinate's successor around the polygon, the last wrapping to the first
+    x_next, y_next = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
+    return 0.5 * abs(np.dot(x, y_next) - np.dot(y, x_next))
 
 
 def _footprint_key(box: Box3D) -> tuple:
@@ -286,7 +297,7 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     if math.hypot(ax - bx, ay - by) > reach * (1 + 1e-9):
         return 0.0
     small, large = (a, b) if _footprint_key(a) <= _footprint_key(b) else (b, a)
-    inter_poly = _clip_polygon(_bev_corners(small), _bev_corners(large))
+    inter_poly = _clip_polygon(small._bev_corners, large._bev_corners)
     area = _shoelace_area(inter_poly)
     if area < 1e-12:
         return 0.0

@@ -22,6 +22,7 @@ _MAX_ITERATIONS = 100
 _TOL = 1e-10
 _LM_DAMPING_INIT = 1e-3
 _MAX_CONDITION = 1e8  # see _observability
+_MAX_LOG_DIM = 30.0  # see _clip_log_dims
 # closed-form start: the smallest divisor, and the ridge added to the trace-scaled moments
 _TINY = np.finfo(float).tiny
 _RIDGE = 1e-15
@@ -61,11 +62,10 @@ def _correspondences(correspondences, floor: int) -> np.ndarray:
 def _observability(jac: np.ndarray) -> tuple[float, int]:
     """sigma_max / sigma_min of ``jac`` (inf when sigma_min is 0) and its rank:
     the count of singular values within ``_MAX_CONDITION`` of sigma_max."""
-    sv = np.linalg.svd(jac, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = sv[0] / sv
-    condition = float(ratios[-1]) if sv[-1] > 0 else np.inf
-    return condition, int(np.count_nonzero(ratios <= _MAX_CONDITION))
+    sv = np.linalg.svd(jac, compute_uv=False).tolist()
+    top = sv[0]
+    condition = top / sv[-1] if sv[-1] > 0 else math.inf
+    return condition, sum(1 for s in sv if s > 0 and top / s <= _MAX_CONDITION)
 
 
 def _params_from_box(b: Box3D) -> np.ndarray:
@@ -79,27 +79,45 @@ def _box_from_params(q: np.ndarray) -> Box3D:
     return Box3D(center=q[:3], l=l, w=w, h=h, yaw=float(q[6]))
 
 
-def _residuals(q: np.ndarray, pts: np.ndarray, nlcs: np.ndarray):
+def _clip_log_dims(q: np.ndarray) -> None:
+    """Clip q's log-dimensions to [-30, 30] in place: beyond this range the
+    dimensions overflow or vanish, and the fit is hopeless."""
+    log_dims = q[3:6]
+    if any(abs(v) > _MAX_LOG_DIM for v in log_dims.tolist()):  # NaN stays NaN
+        np.maximum(log_dims, -_MAX_LOG_DIM, out=log_dims)
+        np.minimum(log_dims, _MAX_LOG_DIM, out=log_dims)
+
+
+def _residuals(q: np.ndarray, pts: np.ndarray, nlcs: np.ndarray, out=None):
     """Stacked residuals r = nlc(p; box) - n, and the intermediate values
     :func:`_jacobian` needs.
 
-    Parameters are (cx, cy, cz, log l, log w, log h, yaw).
+    Parameters are (cx, cy, cz, log l, log w, log h, yaw).  ``out``, when
+    given, is a (3N,) residual array and two (N, 3) arrays for the offsets
+    ``d`` and the box-frame coordinates ``n``; the values are written there.
     """
+    if out is None:
+        out = np.empty(3 * len(pts)), np.empty(pts.shape), np.empty(pts.shape)
+    res, d, n = out
     dims = np.exp(q[3:6])
     rot = rot_z(q[6])
-    d = pts - q[:3]  # (N, 3)
-    local = d @ rot  # R^T d
-    n = local / dims + 0.5
-    return (n - nlcs).ravel(), (rot, dims, d, n)
+    np.subtract(pts, q[:3], out=d)
+    np.matmul(d, rot, out=n)  # R^T d
+    n /= dims
+    n += 0.5
+    np.subtract(n, nlcs, out=res.reshape(n.shape))
+    return res, (rot, dims, d, n)
 
 
-def _jacobian(parts) -> np.ndarray:
-    """The analytic (3N, 7) Jacobian of :func:`_residuals` at the same q."""
+def _jacobian(parts, out=None) -> np.ndarray:
+    """The analytic (3N, 7) Jacobian of :func:`_residuals` at the same q,
+    written into ``out`` when given: an (N, 3, 7) array that is zero where
+    the Jacobian always is."""
     rot, dims, d, n = parts
     npts = len(d)
-    jac = np.zeros((npts, 3, 7))
+    jac = np.zeros((npts, 3, 7)) if out is None else out
     # d n / d c = -(1/dims) * R^T
-    jac[:, :, :3] = -(rot.T / dims[:, None])[None, :, :]
+    jac[:, :, :3] = -(rot.T / dims[:, None])
     # d n_k / d log(dim_k) = -(n_k - 0.5)
     jac.reshape(npts, 21)[:, 3::8] = -(n - 0.5)
     # d local / d theta = (dR/dtheta)^T d
@@ -107,6 +125,14 @@ def _jacobian(parts) -> np.ndarray:
     jac[:, 0, 6] = (-st * d[:, 0] + ct * d[:, 1]) / dims[0]
     jac[:, 1, 6] = (-ct * d[:, 0] - st * d[:, 1]) / dims[1]
     return jac.reshape(3 * npts, 7)
+
+
+def _normal_equations(jac: np.ndarray, res: np.ndarray):
+    """The undamped J^T J and -J^T r, and the Marquardt scale of the damping:
+    J^T J's diagonal, floored so unobservable parameters stay damped."""
+    jtj = jac.T @ jac
+    diag = jtj.diagonal()
+    return jtj, -(jac.T @ res), diag + 1e-12 * max(diag.max(), 1.0)
 
 
 def _default_init(pts: np.ndarray, nlcs: np.ndarray) -> Box3D:
@@ -122,7 +148,8 @@ def _default_init(pts: np.ndarray, nlcs: np.ndarray) -> Box3D:
     (collinear or constant NLCs, all points at one place) finite, with the
     unobservable part of ``M`` or ``h`` near 0; dimensions are floored at 0.1.
     """
-    p_mean, n_mean = pts.mean(axis=0), nlcs.mean(axis=0)
+    # the column means as np.mean computes them: the column sums over the count
+    p_mean, n_mean = np.add.reduce(pts) / len(pts), np.add.reduce(nlcs) / len(nlcs)
     p, n = pts - p_mean, nlcs - n_mean
     # moments S = n^T n and C = n^T p, scaled by S's trace so no product overflows
     (sxx, sxy, _), (_, syy, _), (_, _, szz) = (n.T @ n).tolist()
@@ -163,43 +190,44 @@ def solve_box(correspondences: np.ndarray, init: Box3D | None = None) -> SolveRe
     corrs = _correspondences(correspondences, 3)
     # canonical input order: the result is invariant to relabeling
     order = np.lexsort(tuple(corrs[:, k] for k in range(5, -1, -1)))
-    corrs = corrs[order]
-    pts, nlcs = corrs[:, :3], corrs[:, 3:]
+    pts, nlcs = corrs[order, :3], corrs[order, 3:]
 
     q = _params_from_box(init if init is not None else _default_init(pts, nlcs))
-    res, parts = _residuals(q, pts, nlcs)
-    jac = _jacobian(parts)
+    _clip_log_dims(q)
+    # every trial writes its residuals and box-frame values into these
+    # buffers, and every accepted step its Jacobian
+    npts = len(pts)
+    buffers = (np.empty(3 * npts), np.empty((npts, 3)), np.empty((npts, 3)))
+    jac_buffer = np.zeros((npts, 3, 7))
+    res, parts = _residuals(q, pts, nlcs, out=buffers)
+    jac = _jacobian(parts, out=jac_buffer)
     cost = float(res @ res)
+    # the normal equations of the last accepted step: a rejected step damps a copy
+    jtj, neg_jtr, scale = _normal_equations(jac, res)
     lam = _LM_DAMPING_INIT
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        jtj = jac.T @ jac
-        jtr = jac.T @ res
-        # Marquardt scaling, floored so unobservable parameters stay damped
-        diag = jtj.diagonal()
-        scale = diag + 1e-12 * max(diag.max(), 1.0)
-        jtj.ravel()[::8] += lam * scale  # damp the diagonal in place
+        damped = jtj.copy()
+        damped.ravel()[::8] += lam * scale  # damp the diagonal
         try:
-            step = np.linalg.solve(jtj, -jtr)
+            step = np.linalg.solve(damped, neg_jtr)
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
         q_new = q + step
-        # keep dimensions representable; beyond this range the fit is hopeless
-        log_dims = q_new[3:6]
-        np.maximum(log_dims, -30.0, out=log_dims)
-        np.minimum(log_dims, 30.0, out=log_dims)
-        res_new, parts = _residuals(q_new, pts, nlcs)
-        cost_new = float(res_new @ res_new)
+        _clip_log_dims(q_new)
+        res, parts = _residuals(q_new, pts, nlcs, out=buffers)
+        cost_new = float(res @ res)
         if cost_new <= cost:
-            rms_old = np.sqrt(cost / len(res))
-            rms_new = np.sqrt(cost_new / len(res))
-            q, res, jac, cost = q_new, res_new, _jacobian(parts), cost_new
+            rms_old = math.sqrt(cost / len(res))
+            rms_new = math.sqrt(cost_new / len(res))
+            q, jac, cost = q_new, _jacobian(parts, out=jac_buffer), cost_new
             lam *= 0.5
             if rms_old - rms_new < _TOL:
                 converged = True
                 break
+            jtj, neg_jtr, scale = _normal_equations(jac, res)
         else:
             lam *= 10.0
             if lam > 1e12:
@@ -208,7 +236,7 @@ def solve_box(correspondences: np.ndarray, init: Box3D | None = None) -> SolveRe
     condition, rank = _observability(jac)
     return SolveReport(
         box=_box_from_params(q),
-        rms_residual=float(np.sqrt(cost / len(res))),
+        rms_residual=math.sqrt(cost / len(res)),
         iterations=iterations,
         condition_estimate=condition,
         converged=converged and rank == 7,

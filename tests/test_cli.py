@@ -193,6 +193,21 @@ class TestSolve:
         assert [s["sigma"] for s in sweep] == [0.005, 0.01, 0.02, 0.05]
         assert all(np.isfinite(s["median_center_error"]) for s in sweep)
 
+    def test_init_outside_the_size_clip(self, tmp_path, rng, capsys):
+        box = Box3D(center=np.array([10.0, -3.0, 0.5]), l=4.2, w=1.8, h=1.5, yaw=0.8)
+        path = self._corrs_csv(tmp_path, rng, box)
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps(
+            {"center": [10.1, -2.9, 0.4], "l": 1e-300, "w": 2.0, "h": 1.4, "yaw": 0.7}
+        ))
+        assert main(["solve", "--corrs", str(path), "--init", str(init)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        report = json.loads(out)
+        assert report["rms_residual"] is not None and np.isfinite(report["rms_residual"])
+        sizes = [report["box"][k] for k in ("l", "w", "h")]
+        assert all(np.exp(-30.0) <= v <= np.exp(30.0) for v in sizes)
+
     def test_noise_sweep_starts_from_the_printed_fit(self, tmp_path, rng, capsys, monkeypatch):
         import nlcdet.cli as cli
 

@@ -18,7 +18,6 @@ from nlcdet import (
     project_points,
     rot_z,
 )
-from nlcdet.geometry import _bev_corners, _shoelace_area
 
 from conftest import random_box
 
@@ -164,6 +163,33 @@ class TestBox:
         with pytest.raises(ValueError):
             Box3D(**{**fields, field: value})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_center_rejected(self, value):
+        with pytest.raises(InvalidValue):
+            Box3D(center=np.array([0.0, value, 0.0]), l=1.0, w=1.0, h=1.0, yaw=0.0)
+
+    def test_center_is_a_read_only_copy(self):
+        source = np.array([1.0, 2.0, 3.0])
+        box = Box3D(center=source, l=4.0, w=2.0, h=1.5, yaw=0.3)
+        source[:] = 0.0
+        assert box.center.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError):
+            box.center[0] = 5.0
+        assert box.center.tolist() == [1.0, 2.0, 3.0]
+
+    def test_cached_footprint_changes_no_result(self, rng):
+        for _ in range(20):
+            a, b = random_box(rng, center_scale=2.0), random_box(rng, center_scale=2.0)
+            corners, iou = box_corners(a), iou_3d(a, b)
+            fresh = (Box3D(center=a.center, l=a.l, w=a.w, h=a.h, yaw=a.yaw),
+                     Box3D(center=b.center, l=b.l, w=b.w, h=b.h, yaw=b.yaw))
+            footprint = a._bev_corners  # filled here if iou_3d did not read it
+            assert np.array_equal(box_corners(a), corners)
+            assert np.array_equal(footprint, corners[:4, :2])
+            assert iou_3d(a, b) == iou_3d(b, a) == iou_3d(*fresh) == iou
+            with pytest.raises(ValueError):
+                footprint[0, 0] = 0.0
+
     def test_angle_just_above_pi_wraps_to_pi(self):
         # (pi - theta) % 2 pi rounds up to 2 pi here, which would give -pi
         theta = np.nextafter(np.pi, 4.0)
@@ -297,6 +323,15 @@ def reference_clip_polygon(subject, clip):
     return np.asarray(output).reshape(-1, 2)
 
 
+def reference_shoelace_area(poly):
+    """The shoelace formula with each coordinate's successor by ``np.roll``:
+    the arithmetic ``_shoelace_area`` must reproduce bit for bit."""
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
 def reference_iou(a, b):
     """``iou_3d`` with no prefilter: every pair is clipped, the smaller
     footprint by the larger."""
@@ -306,7 +341,8 @@ def reference_iou(a, b):
 
     small, large = (a, b) if key(a) <= key(b) else (b, a)
     with np.errstate(all="ignore"):
-        area = _shoelace_area(reference_clip_polygon(_bev_corners(small), _bev_corners(large)))
+        footprints = (box_corners(small)[:4, :2], box_corners(large)[:4, :2])
+        area = reference_shoelace_area(reference_clip_polygon(*footprints))
         if area < 1e-12:
             return 0.0
         dz = min(a.center[2] + a.h / 2, b.center[2] + b.h / 2) - max(

@@ -170,6 +170,17 @@ class TestRobustness:
         assert min(b.l, b.w, b.h) > 0
         assert np.isfinite(report.rms_residual)
 
+    @pytest.mark.parametrize("size", [1e-300, 1e50])
+    def test_start_outside_the_size_clip(self, rng, size):
+        # the start's log-sizes are clipped to [-30, 30] as every step's are
+        box = random_box(rng, dim_lo=1.0)
+        corrs = make_instance(rng, box, 12)
+        init = Box3D(center=box.center + 0.1, l=size, w=box.w, h=box.h, yaw=box.yaw + 0.1)
+        report = solve_box(corrs, init=init)  # a RuntimeWarning fails the test
+        assert np.isfinite(report.rms_residual)
+        b = report.box
+        assert all(np.exp(-30.0) <= v <= np.exp(30.0) for v in (b.l, b.w, b.h))
+
     def test_relabeling_invariance(self, rng):
         box = random_box(rng, dim_lo=1.0)
         corrs = make_instance(rng, box, 12)
@@ -278,20 +289,25 @@ def _reference_residuals_and_jacobian(q, pts, nlcs):
     return res, jac.reshape(3 * npts, 7)
 
 
-def reference_solve_box(correspondences, init=None):
+def reference_solve_box(correspondences, init=None, counts=None):
     """The Levenberg-Marquardt loop ``solve_box`` must reproduce bit for bit:
-    a Jacobian on every trial step, an explicit damping matrix and a
-    per-axis loop."""
+    a Jacobian on every trial step, the normal equations formed afresh on
+    every step, an explicit damping matrix and a per-axis loop.  ``counts``,
+    when given, is a dict whose ``"rejected"`` entry counts the rejected
+    steps."""
     corrs = np.asarray(correspondences, dtype=float).reshape(-1, 6)
     order = np.lexsort(tuple(corrs[:, k] for k in range(5, -1, -1)))
     corrs = corrs[order]
     pts, nlcs = corrs[:, :3], corrs[:, 3:]
     q = _params_from_box(init if init is not None else _default_init(pts, nlcs))
+    q[3:6] = np.clip(q[3:6], -30.0, 30.0)
     res, jac = _reference_residuals_and_jacobian(q, pts, nlcs)
     cost = float(res @ res)
     lam = _LM_DAMPING_INIT
     converged = False
     iterations = 0
+    counts = {} if counts is None else counts
+    counts.setdefault("rejected", 0)
     for iterations in range(1, _MAX_ITERATIONS + 1):
         jtj = jac.T @ jac
         jtr = jac.T @ res
@@ -314,6 +330,7 @@ def reference_solve_box(correspondences, init=None):
                 converged = True
                 break
         else:
+            counts["rejected"] += 1
             lam *= 10.0
             if lam > 1e12:
                 break
@@ -371,12 +388,34 @@ class TestReferenceLoop:
             perturbed(box, rng, pos=1.0, ang=0.5)),
     }
 
+    @staticmethod
+    def _assert_matches(report, reference, context):
+        got, want = _report_fields(report), _report_fields(reference)
+        for g, w in zip(got, want):
+            assert type(g) is type(w) and np.array_equal(g, w), (context, got, want)
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_every_field_matches_reference(self, case):
         for seed in range(12):
             rng = np.random.default_rng([seed, 8])
             corrs, init = self.CASES[case](rng)
-            got = _report_fields(solve_box(corrs, init=init))
-            want = _report_fields(reference_solve_box(corrs, init=init))
-            for g, w in zip(got, want):
-                assert type(g) is type(w) and np.array_equal(g, w), (case, seed, got, want)
+            self._assert_matches(
+                solve_box(corrs, init=init), reference_solve_box(corrs, init=init), (case, seed))
+
+    @pytest.mark.parametrize("seed", [2, 6, 8, 10])
+    def test_iteration_cap_matches_reference(self, seed):
+        # clutter instances of the "clutter" case above that run to the cap
+        corrs = _clutter(np.random.default_rng([seed, 8]))
+        reference = reference_solve_box(corrs)
+        assert reference.iterations == _MAX_ITERATIONS and not reference.converged
+        self._assert_matches(solve_box(corrs), reference, seed)
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_rejected_steps_match_reference(self, seed):
+        # clutter instances that converge after rejected steps: each rejected
+        # step damps the kept normal equations of the last accepted one
+        corrs = _clutter(np.random.default_rng([seed, 8]))
+        counts = {}
+        reference = reference_solve_box(corrs, counts=counts)
+        assert counts["rejected"] > 0 and reference.converged
+        self._assert_matches(solve_box(corrs), reference, seed)

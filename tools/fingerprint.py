@@ -6,7 +6,8 @@ Run from anywhere, with the checkout's own ``src`` on the path:
 
 Two checkouts that print the same lines compute the same bytes for the
 seeded training runs (small ones and the benchmark's ``train`` run), the ablation, the gradient checks, the synthetic
-scenes and the box solver.  The ``dof_analysis/...`` lines print the
+scenes, the box solver, and one decoded sequence: solve reports, IoUs,
+matches and AP.  The ``dof_analysis/...`` lines print the
 Jacobian ranks themselves, on near-coplanar correspondences whose NLC z
 spreads from 1e-6 to 1e-10, where the observability rule decides.  Run
 each checkout in its own process; BLAS is pinned to one thread so that sums
