@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue
+from .errors import InvalidValue, ShapeError
 from .geometry import Box3D, iou_3d
 
 __all__ = ["Detection", "match_detections", "average_precision", "evaluate"]
@@ -63,11 +63,17 @@ def average_precision(
     them.  Precision at recall r is the maximum precision attained at any
     recall >= r.  The 40-point protocol samples {1/40, ..., 40/40} (recall 0
     excluded); the legacy 11-point variant samples {0, 0.1, ..., 1.0}.
+    Flags and scores that are not 1-D of one length raise ShapeError, and
+    a non-finite score InvalidValue, as in :class:`Detection`.
     """
     if num_gt < 1:
         raise InvalidValue("num_gt must be >= 1")
     flags = np.asarray(match_flags, dtype=bool)
     scores = np.asarray(scores, dtype=float)
+    if flags.ndim != 1 or flags.shape != scores.shape:
+        raise ShapeError(f"match_flags {flags.shape} and scores {scores.shape} must be 1-D of one length")
+    if not np.all(np.isfinite(scores)):
+        raise InvalidValue("scores must be finite")
     order = np.lexsort((np.arange(len(scores)), -scores))
     flags = flags[order]
     tp = np.cumsum(flags)

@@ -152,9 +152,9 @@ def build_gt_nlc_map(
 def mmae(gt: NlcMap, pred: np.ndarray, object_pixels: list[np.ndarray]):
     """Mean-over-objects of the per-object mean absolute NLC error.
 
-    ``object_pixels`` lists, per object, an (n, 2) array of (row, col)
-    foreground pixels.  Objects with zero foreground pixels are excluded and
-    counted in the returned skip tally.
+    ``object_pixels`` lists, per object, an (n, 2) array of integral (row,
+    col) foreground pixels on the map, else InvalidValue.  Objects with zero
+    foreground pixels are excluded and counted in the returned skip tally.
 
     Returns ((mmae_x, mmae_y, mmae_z), skipped).
     """
@@ -164,11 +164,13 @@ def mmae(gt: NlcMap, pred: np.ndarray, object_pixels: list[np.ndarray]):
     per_object = []
     skipped = 0
     for pix in object_pixels:
-        pix = np.asarray(pix, dtype=int).reshape(-1, 2)
+        pix = np.asarray(pix).reshape(-1, 2)
         if len(pix) == 0:
             skipped += 1
             continue
-        r, c = pix[:, 0], pix[:, 1]
+        if not (np.all(pix == np.floor(pix)) and np.all((pix >= 0) & (pix < (gt.height, gt.width)))):
+            raise InvalidValue("object pixels must be integral (row, col) inside the map")
+        r, c = pix.astype(int).T
         err = np.abs(gt.values[r, c] - pred[r, c])
         per_object.append(err.mean(axis=0))
     if not per_object:

@@ -183,7 +183,7 @@ def generate_scene(seed: int, params: SceneParams = SceneParams()) -> SyntheticS
         y = rng.uniform(-0.9, 0.9, size=need) * x * (params.image_width / 2.0 - 1.0) / _FOCAL
         z = rng.uniform(-2.5, 0.8, size=need)
         cand = np.column_stack([x, y, z])
-        keep = np.ones(need, dtype=bool)
+        keep = np.full(need, True)
         for box in boxes:
             keep &= np.max(np.abs(_to_box_frame(cand, box) - 0.5), axis=1) > 0.55
         bg = np.vstack([bg, cand[keep]])
@@ -363,13 +363,11 @@ class Workspace:
     head and backward gradients, and the gradient :class:`ToyModel`.
 
     Each array lives on one side: point-side arrays have a row per point of
-    the largest of ``scenes``, image-side ones a row per pixel of the largest
+    the largest of ``scenes``, image-side arrays a row per pixel of the largest
     image.  A step on a smaller scene takes leading rows, which are
     C-contiguous like a new array.  Arrays are made on first use, so the
     workspace holds only what its steps write; a scene larger than the
-    workspace raises ShapeError.  Besides them each side keeps one column of
-    ones, filled when the workspace is made, which the bias gradients read.
-    ``scenes`` must be non-empty.
+    workspace raises ShapeError.  ``scenes`` must be non-empty.
     """
 
     def __init__(self, scenes):
@@ -379,16 +377,12 @@ class Workspace:
             "point": max(len(scene.points) for scene in scenes),
             "image": max(scene.image.shape[1] * scene.image.shape[2] for scene in scenes),
         }
-        self._ones = {side: np.ones((rows, 1)) for side, rows in self.capacity.items()}
         self._arrays: dict = {}
         self._grads: dict = {}
 
     def take(self, side: str, rows: int, prefix: str, name: str, cols: int, dtype=float) -> np.ndarray:
         """The leading ``rows`` rows of the (side capacity, ``cols``) array
-        named ``prefix``/``name``; the same storage on every call.  The name
-        ``ones`` gives the side's column of ones, whatever the prefix."""
-        if name == "ones":
-            return self._ones[side][:rows]
+        named ``prefix``/``name``; the same storage on every call."""
         key = (side, prefix, name, cols, dtype)
         array = self._arrays.get(key)
         if array is None:
@@ -518,7 +512,6 @@ def backward(
     h, w = scene.image.shape[1:]
     plan = scene.plan
     take = {"point": partial(at_points, "backward"), "image": partial(at_pixels, "backward")}
-    ones = {branch: take[branch]("ones", 1) for branch in take}
 
     # heads: gradients w.r.t. the last stage's point and image outputs
     d = {branch: take[branch]("d", cache[branch].shape[1]) for branch in take}
@@ -535,7 +528,7 @@ def backward(
         if comp == "nlc":
             d_out = _rows(plan.gather_grad(d_out))
         d[branch] += _linear_backward(L[head], cache[branch], d_out, grads[head],
-                                      take[branch]("sum", d[branch].shape[1]), ones[branch])
+                                      take[branch]("sum", d[branch].shape[1]))
     d_g, d_f = d["point"], d["image"]
 
     for i, (point, image, i2p, p2i) in reversed(list(enumerate(_STAGES))):
@@ -560,13 +553,11 @@ def backward(
         d_pre_points = _relu_backward(d_g_layer, st.pre_points, take["point"])
         d_pre_image = _relu_backward(d_f_layer, st.pre_image, take["image"])
         if i == 0:
-            _param_grad(st.points_in, d_pre_points, grads[point], ones["point"])
-            _param_grad(st.image_in, d_pre_image, grads[image], ones["image"])
+            _param_grad(st.points_in, d_pre_points, grads[point])
+            _param_grad(st.image_in, d_pre_image, grads[image])
         else:
-            d_g = _linear_backward(L[point], st.points_in, d_pre_points, grads[point], d_g,
-                                   ones["point"])
-            d_f = _linear_backward(L[image], st.image_in, d_pre_image, grads[image], d_f,
-                                   ones["image"])
+            d_g = _linear_backward(L[point], st.points_in, d_pre_points, grads[point], d_g)
+            d_f = _linear_backward(L[image], st.image_in, d_pre_image, grads[image], d_f)
     return out
 
 

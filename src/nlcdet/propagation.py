@@ -24,12 +24,10 @@ The dense layer, the ReLU and the fusion blocks write into arrays the caller
 passes, so that a training run can reuse one workspace: ``out=`` for the
 first two, and for a fusion block ``buffers``, a callable
 ``(name, cols[, dtype]) -> (M, cols) array`` that hands out the same array
-for the same name on every call.  The (M, 1) array named ``ones`` is read,
-never written: whoever hands it out fills it with 1.0 when making it, and
-the bias gradients read it.  Without buffers each call returns new arrays.
-A fusion forward writes ``pre1``, ``hidden``, ``pre2`` and ``out``, which
-hold its cache and output until the matching backward reads them; a
-backward writes ``mask``, ``masked``, ``d_hidden``, ``d_main`` and
+for the same name on every call.  Without buffers each call returns new
+arrays.  A fusion forward writes ``pre1``, ``hidden``, ``pre2`` and
+``out``, which hold its cache and output until the matching backward reads
+them; a backward writes ``mask``, ``masked``, ``d_hidden``, ``d_main`` and
 ``d_aux``, the last two the gradients it returns.  No fusion array is wider
 than the widest layer.
 """
@@ -90,34 +88,40 @@ def _linear(layer: DenseLayer, x: np.ndarray, out: np.ndarray | None = None) -> 
     return y
 
 
-def _bias_grad(d_out: np.ndarray, grad: DenseLayer, ones: np.ndarray | None = None) -> None:
+_ones = np.ones(0)
+_ones.flags.writeable = False
+
+
+def _bias_grad(d_out: np.ndarray, grad: DenseLayer) -> None:
     """Write the column sums of ``d_out`` into ``grad.bias``: one product with
-    a ones vector, several times faster than ``d_out.sum(axis=0)``.  ``ones``
-    is an (M, 1) column of ones with at least ``len(d_out)`` rows, a new one
-    when not given."""
-    ones = np.ones(len(d_out)) if ones is None else ones[: len(d_out), 0]
-    np.matmul(ones, d_out, out=grad.bias)
+    a ones vector, several times faster than ``d_out.sum(axis=0)``.  The
+    vector is the leading part of one read-only module vector that grows to
+    the longest ``d_out`` seen, so a call allocates nothing once it has."""
+    global _ones
+    ones = _ones  # this call's own reference, whatever another thread stores
+    if len(ones) < len(d_out):
+        ones = _ones = np.ones(len(d_out))
+        ones.flags.writeable = False
+    np.matmul(ones[: len(d_out)], d_out, out=grad.bias)
 
 
-def _param_grad(x: np.ndarray, d_out: np.ndarray, grad: DenseLayer,
-                ones: np.ndarray | None = None) -> None:
-    """Write the parameter gradients of :func:`_linear` into ``grad``'s arrays;
-    ``ones`` as in :func:`_bias_grad`."""
+def _param_grad(x: np.ndarray, d_out: np.ndarray, grad: DenseLayer) -> None:
+    """Write the parameter gradients of :func:`_linear` into ``grad``'s arrays."""
     np.matmul(x.T, d_out, out=grad.weights.T)
-    _bias_grad(d_out, grad, ones)
+    _bias_grad(d_out, grad)
 
 
 def _linear_backward(layer: DenseLayer, x: np.ndarray, d_out: np.ndarray, grad: DenseLayer,
-                     out: np.ndarray | None = None, ones: np.ndarray | None = None):
+                     out: np.ndarray | None = None):
     """Gradient of :func:`_linear` w.r.t. its input rows, into ``out`` when it
     is given; the parameter gradients are written into ``grad``, a layer
-    shaped like ``layer``, ``ones`` as in :func:`_bias_grad`.
+    shaped like ``layer``.
 
     The input gradient reads a C-contiguous (out, in) copy of the weights: on
     these shapes BLAS runs that product about twice as fast as on the
     transposed view of (in, out) storage, and the copy is a few hundred values.
     """
-    _param_grad(x, d_out, grad, ones)
+    _param_grad(x, d_out, grad)
     return np.matmul(d_out, np.ascontiguousarray(layer.weights), out=out)
 
 
@@ -317,11 +321,8 @@ def _relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _fresh(rows: int):
-    """Buffers for a call given none: a new (rows, cols) array per request,
-    and a new column of ones for ``ones``."""
-    def take(name: str, cols: int, dtype=float) -> np.ndarray:
-        return (np.ones if name == "ones" else np.empty)((rows, cols), dtype)
-    return take
+    """Buffers for a call given none: a new (rows, cols) array per request."""
+    return lambda name, cols, dtype=float: np.empty((rows, cols), dtype)
 
 
 def _relu_backward(d_out: np.ndarray, pre: np.ndarray, take) -> np.ndarray:
@@ -379,7 +380,6 @@ def _fuse_backward(grad_out: np.ndarray, cache: FusionCache, grads, buffers=None
     ``grads[1]``, and each input gradient of that layer is one product with
     a C-contiguous copy of its column block of the weights."""
     take = buffers or _fresh(len(grad_out))
-    ones = take("ones", 1)
     l1, l2 = cache.layers
     g1, g2 = grads
     k = l1.out_channels
@@ -387,13 +387,13 @@ def _fuse_backward(grad_out: np.ndarray, cache: FusionCache, grads, buffers=None
     g2_weights = g2.weights.T  # (in, out)
     np.matmul(cache.hidden.T, d_pre2, out=g2_weights[:k])
     np.matmul(cache.x_main.T, d_pre2, out=g2_weights[k:])
-    _bias_grad(d_pre2, g2, ones)
+    _bias_grad(d_pre2, g2)
     w2 = l2.weights  # (out, in)
     d_hidden = np.matmul(d_pre2, np.ascontiguousarray(w2[:, :k]), out=take("d_hidden", k))
     d_main = np.matmul(d_pre2, np.ascontiguousarray(w2[:, k:]),
                        out=take("d_main", cache.x_main.shape[1]))
     d_aux = _linear_backward(l1, cache.x_aux, _relu_backward(d_hidden, cache.pre1, take), g1,
-                             take("d_aux", l1.in_channels), ones)
+                             take("d_aux", l1.in_channels))
     return d_aux, d_main
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nlcdet import (
-    Box3D, Detection, InvalidValue, average_precision, evaluate, iou_3d, match_detections,
+    Box3D, Detection, InvalidValue, ShapeError, average_precision, evaluate, iou_3d,
+    match_detections,
 )
 
 from conftest import random_box
@@ -148,6 +149,16 @@ class TestAveragePrecision:
             average_precision([True], [0.5], 0)
         with pytest.raises(ValueError):
             average_precision([True], [0.5], 1, recall_positions=25)
+        # a flag without a score, a score without a flag, and 2-D input
+        with pytest.raises(ShapeError):
+            average_precision([True, False, True], [0.9, 0.8], 2)
+        with pytest.raises(ShapeError):
+            average_precision([True], [0.9, 0.8, 0.7], 2)
+        with pytest.raises(ShapeError):
+            average_precision([[True, False]], [[0.9, 0.8]], 2)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidValue, match="finite"):
+                average_precision([True, False], [0.9, bad], 2)
 
 
 class TestDetection:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from nlcdet import (
     Box3D,
     Calibration,
+    InvalidValue,
     NlcMap,
     ParseError,
     build_gt_nlc_map,
@@ -298,6 +299,15 @@ class TestMmae:
         gt, pix = self._setup(rng)
         with pytest.raises(ValueError):
             mmae(gt, gt.values[:-1], pix)
+
+    @pytest.mark.parametrize("bad", [(-1, -1), (1.7, 2.9), (48, 0), (0, 64), (np.nan, 0), (1e300, 0)])
+    def test_pixel_outside_or_not_integral_rejected(self, rng, bad):
+        gt, pix = self._setup(rng)  # a 48 x 64 map
+        with pytest.raises(InvalidValue, match="integral"):
+            mmae(gt, gt.values, [pix[0], np.vstack([pix[1], bad])])
+        # integral floats on the map read as their ints
+        assert np.array_equal(mmae(gt, gt.values + 0.5, [p.astype(float) for p in pix])[0],
+                              mmae(gt, gt.values + 0.5, pix)[0])
 
 
 class TestNlcmFormat:

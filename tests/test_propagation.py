@@ -20,10 +20,10 @@ from nlcdet import (
     point_to_pixel_backward,
     project_points,
 )
-from nlcdet import geometry, kitti_io
+from nlcdet import geometry, kitti_io, propagation
 from nlcdet.propagation import (
-    ProjectionPlan, _bilinear_weights, _fuse_backward, _fuse_forward, _grid, _linear_backward,
-    _rows, fuse_i2p_backward, fuse_p2i_backward,
+    ProjectionPlan, _bias_grad, _bilinear_weights, _fuse_backward, _fuse_forward, _grid,
+    _linear_backward, _rows, fuse_i2p_backward, fuse_p2i_backward,
 )
 
 
@@ -481,6 +481,17 @@ class TestDenseLayer:
         assert np.allclose(grad.bias, d_out.sum(axis=0), rtol=1e-12, atol=0.0)
         assert np.allclose(grad.weights, d_out.T @ x, rtol=1e-12, atol=1e-12)
         assert np.allclose(d_x, d_out @ layer.weights, rtol=1e-12, atol=1e-12)
+
+    def test_bias_gradient_ones_grow_and_stay_read_only(self, rng):
+        # the ones vector grows to the longest d_out seen; a shorter one reads its head
+        longest = len(propagation._ones) + 5
+        for rows in (3, longest, 7):
+            d_out = rng.normal(size=(rows, 4))
+            (grad,) = nan_layers(DenseLayer(np.zeros((4, 2)), np.zeros(4)))
+            _bias_grad(d_out, grad)
+            assert np.allclose(grad.bias, d_out.sum(axis=0), rtol=1e-12, atol=1e-12)
+        assert len(propagation._ones) == longest
+        assert not propagation._ones.flags.writeable
 
     def test_fusion_gradients_written_into_given_layers(self, rng):
         c, rows = 3, 20

@@ -4,14 +4,16 @@
 
 Each checkout computes the outputs listed in ``seeded_outputs.py`` (this
 tree's list, the one ``fingerprint.py`` hashes) in its own process, with its
-own ``src`` first on the path and BLAS pinned to one thread.  For each
-output the tool prints one line, ``name abs rel``: the largest absolute
-difference over the output's floating-point values, and the largest
-relative one, |a - b| / max(|a|, |b|) over the values that differ.  Both
-read 0 where the bits match.  An output whose structure, shapes, integers
-or strings differ prints ``differs`` and the path of the first difference.
-The exit status is 1 when any output differs in structure.
-"""
+own ``src`` first on the path and BLAS pinned to one thread, and walks each
+output into its leaves with ``seeded_outputs.leaves``, the walk that
+``fingerprint.py`` hashes.  For each output the tool prints one line,
+``name abs rel``: the largest absolute difference over the output's
+floating-point leaves, and the largest relative one, |a - b| / max(|a|, |b|)
+over the values that differ.  Both read 0 where the bits match.  An output
+whose structure, shapes, integers or strings differ prints ``differs at``
+and the path of the first leaf that differs: for a ``dof_analysis`` output,
+``[i]`` names the box whose Jacobian rank changed.  The exit status is 1
+when any output differs in structure."""
 
 from __future__ import annotations
 
@@ -20,47 +22,30 @@ import pickle
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+if __name__ == "__main__":  # before NumPy loads, here and in each --dump child
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402
-
-
-def _leaves(obj, path=""):
-    """``(path, value)`` pairs of ``obj``'s leaves, walking dataclasses, dicts,
-    lists and tuples; floats become 0-d arrays, so that only arrays and
-    builtins leave the process."""
-    if is_dataclass(obj):
-        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            yield from _leaves(value, f"{path}/{key}")
-    elif isinstance(obj, (list, tuple)):
-        for i, value in enumerate(obj):
-            yield from _leaves(value, f"{path}[{i}]")
-    elif isinstance(obj, (np.ndarray, float, np.floating)):
-        yield path, np.asarray(obj)
-    else:
-        yield path, repr(obj)
 
 
 def _dump(src: str, out: str) -> None:
     sys.path.insert(0, src)
     import nlcdet
-    from seeded_outputs import outputs
+    from seeded_outputs import leaves, outputs
 
     if Path(nlcdet.__file__).resolve().parent.parent != Path(src).resolve():
         raise SystemExit(f"imported nlcdet from {nlcdet.__file__}, not from {src}")
     with open(out, "wb") as fh:
-        pickle.dump([(name, list(_leaves(value))) for name, _, value in outputs()], fh)
+        pickle.dump([(name, list(leaves(value))) for name, value in outputs()], fh)
 
 
 def compare(old, new) -> tuple[float, float] | str:
-    """(largest absolute, largest relative) difference of two leaf lists, or
-    the path of the first leaf that differs in anything but float values."""
+    """(largest absolute, largest relative) difference of two lists of
+    ``seeded_outputs.leaves``, or the path of the first leaf that differs in
+    anything but float values."""
     if [p for p, _ in old] != [p for p, _ in new]:
         return "keys"
     worst_abs = worst_rel = 0.0

@@ -1,5 +1,6 @@
-"""The seeded outputs of the library that ``fingerprint.py`` hashes and
-``max_diff.py`` compares between two checkouts: one list for both tools.
+"""The seeded outputs of the library, and the one walk over their leaves
+that ``fingerprint.py`` hashes and ``max_diff.py`` compares between two
+checkouts: one list and one walk for both tools.
 
 This module imports ``nlcdet`` from whatever ``sys.path`` finds first, so
 each tool puts the ``src`` of the checkout it measures in front of the path,
@@ -8,7 +9,7 @@ and pins BLAS to one thread, before importing it.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 
@@ -22,36 +23,33 @@ SMALL = TrainConfig(epochs=3, train_scenes=6, val_scenes=3)
 
 
 def outputs():
-    """Yield ``(name, kind, value)`` for every seeded output.
+    """Yield ``(name, value)`` for every seeded output.
 
-    ``kind`` says how ``fingerprint.py`` hashes the value: ``"bits"`` by
-    its types, shapes and exact bits, ``"json"`` by its ``json.dumps``, and
-    ``"text"`` prints the value itself.  The ``dof_analysis`` lines are the
-    Jacobian ranks of a near-coplanar family: 8 boxes, each with 8 NLCs
-    whose z is 0.5 plus the spread times a standard normal draw.  The
-    ``decode`` line is one sequence decoded as the benchmark's ``decode``
-    workload does it (see :func:`decode`).
+    The ``dof_analysis`` outputs are the Jacobian ranks of a near-coplanar
+    family: 8 boxes, each with 8 NLCs whose z is 0.5 plus the spread times a
+    standard normal draw.  The ``decode`` output is one sequence decoded as
+    the benchmark's ``decode`` workload does it (see :func:`decode`).
     """
     runs = {f"train/{row}": replace(SMALL, **flags) for row, flags in ABLATION_ROWS.items()}
     runs["train/no_nlc"] = replace(SMALL, epochs=4, weights=LossWeights(nlc=0.0))
     runs["train/no_sem2d"] = replace(SMALL, epochs=4, weights=LossWeights(sem2d=0.0))
     for name, config in runs.items():
         model, report = train(config)
-        yield f"{name}/params", "bits", model.params
-        yield f"{name}/report", "json", report.to_dict()
+        yield f"{name}/params", model.params
+        yield f"{name}/report", report.to_dict()
     # the benchmark's ``train`` operation: the default 50+20 scenes, two epochs
     model, report = train(TrainConfig(seed=0, epochs=2))
-    yield "train/default_epochs_2", "bits", [model.params, report.to_dict()]
-    yield "ablation", "json", ablation(SMALL, seeds=(0, 1))
-    yield "gradcheck", "json", gradcheck.run_all(20, 0)
+    yield "train/default_epochs_2", [model.params, report.to_dict()]
+    yield "ablation", ablation(SMALL, seeds=(0, 1))
+    yield "gradcheck", gradcheck.run_all(20, 0)
     for seed in range(10):
-        yield f"scene/{seed}", "bits", generate_scene(seed)
+        yield f"scene/{seed}", generate_scene(seed)
     rng = np.random.default_rng(0)
     for i in range(8):
         box = _car_box(rng)
         nlc = rng.uniform(0.05, 0.95, size=(40, 3))
         pts = nlc_to_lidar(nlc, box) + rng.normal(0.0, 0.02, size=(40, 3))
-        yield f"solve_box/{i}", "json", solve_box(np.hstack([pts, nlc])).to_dict()
+        yield f"solve_box/{i}", solve_box(np.hstack([pts, nlc])).to_dict()
     family = []
     for seed in range(8):
         rng = np.random.default_rng([seed, 20])
@@ -61,11 +59,31 @@ def outputs():
         for box, nlc, z in family:
             nlc[:, 2] = 0.5 + spread * z
             corrs = np.hstack([nlc_to_lidar(nlc, box), nlc])
-            ranks.append(str(dof_analysis(corrs, at=box)["jacobian_rank"]))
+            ranks.append(int(dof_analysis(corrs, at=box)["jacobian_rank"]))
             reports.append(solve_box(corrs, init=box).to_dict())
-        yield f"dof_analysis/z_spread_{spread:.0e}", "text", " ".join(ranks)
-        yield f"solve_box/z_spread_{spread:.0e}", "json", reports
-    yield "decode", "bits", decode()
+        yield f"dof_analysis/z_spread_{spread:.0e}", ranks
+        yield f"solve_box/z_spread_{spread:.0e}", reports
+    yield "decode", decode()
+
+
+def leaves(value, path=""):
+    """Yield ``(path, leaf)`` for each leaf of ``value``, walking dataclasses
+    (by their fields), dicts, lists and tuples in order.  A leaf is an array
+    (a float becomes a 0-d array, so that it keeps its exact bits) or, for
+    any other value such as an int, a bool, None or a string, its ``repr``.
+    A dict key extends the path by ``/key``, a sequence item by ``[i]``."""
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaves(item, f"{path}/{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from leaves(item, f"{path}[{i}]")
+    elif isinstance(value, (np.ndarray, float, np.floating)):
+        yield path, np.asarray(value)
+    else:
+        yield path, repr(value)
 
 
 def decode():
