@@ -136,8 +136,8 @@ def cmd_nlcmap(args) -> int:
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(nlc_map_to_csv(nlc_map))
-    for bi in range(len(boxes)):
-        count = int(np.sum(obj_ids == bi))
+    counts = np.bincount(obj_ids[nlc_map.mask], minlength=len(boxes))
+    for bi, count in enumerate(counts.tolist()):
         print(f"object {bi}: {count} foreground pixels")
     return EXIT_OK
 

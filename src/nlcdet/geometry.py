@@ -159,13 +159,14 @@ def _pixel_cells(u: np.ndarray, v: np.ndarray, height: int, width: int):
 
     The bounds test runs on the float coordinates before any int cast, so
     NaN, +-inf and values beyond the int64 range are outside; outside points
-    get cell 0.
+    get cell 0.  The inside points are picked by their indices: on a KITTI
+    frame, where a third of the points land inside, that is several times
+    faster than indexing with the mask.
     """
     inside = (u >= 0) & (u < width) & (v >= 0) & (v < height)
+    at = np.flatnonzero(inside)
     cells = np.zeros(len(u), dtype=int)
-    cells[inside] = (
-        np.floor(v[inside]).astype(int) * width + np.floor(u[inside]).astype(int)
-    )
+    cells[at] = np.floor(v[at]).astype(int) * width + np.floor(u[at]).astype(int)
     return cells, inside
 
 
@@ -177,16 +178,27 @@ def _nearest_per_pixel(xyz, u, v, d, height: int, width: int):
     The order is a function of the point values alone, so the result does
     not depend on the order of the input points.  Returns the indices of the
     winning points and their flat cells, sorted by cell.
+
+    One sort by cell and a minimum depth per cell find the winners.  Only
+    when some pixel's nearest depth is shared by two of its points does the
+    five-key sort (cell, depth, x, y, z) run instead, to break the tie; in
+    any other case the nearest point of each pixel is the one it picks.
     """
     cells, inside = _pixel_cells(u, v, height, width)
     idx = np.nonzero(inside & (d > 0) & (d < np.inf))[0]
-    order = np.lexsort(
-        (xyz[idx, 2], xyz[idx, 1], xyz[idx, 0], d[idx], cells[idx])
-    )
-    idx, cells = idx[order], cells[idx[order]]
+    depth, cells = d[idx], cells[idx]
+    order = np.argsort(cells)
+    sorted_cells, sorted_depth = cells[order], depth[order]
     first = np.ones(len(idx), dtype=bool)
-    first[1:] = cells[1:] != cells[:-1]
-    return idx[first], cells[first]
+    first[1:] = sorted_cells[1:] != sorted_cells[:-1]
+    starts = np.flatnonzero(first)
+    nearest = np.minimum.reduceat(sorted_depth, starts)
+    win = order[sorted_depth == nearest[np.cumsum(first) - 1]]
+    if len(win) > len(starts):
+        # the five-key order sorts the cells as ``order`` does, so the first
+        # entry of each cell keeps its position
+        win = np.lexsort((xyz[idx, 2], xyz[idx, 1], xyz[idx, 0], depth, cells))[first]
+    return idx[win], cells[win]
 
 
 def project_point(p: np.ndarray, calib: Calibration):

@@ -15,7 +15,11 @@ coordinates.
 :class:`ProjectionPlan` is the one implementation of both directions: for a
 fixed set of coordinates it keeps, per direction, the pixels the points
 touch and one sparse matrix over those pixels only, each built on its first
-use, and its methods are deterministic for a fixed point order.  Products
+use, and its methods are deterministic for a fixed point order.  Both
+directions store that matrix as a (points x pixels) CSR, the gather matrix
+and the transpose of the scatter-average matrix, written straight from the
+binning and sampling rules with no COO matrix or sort; the products in the
+other orientation apply its CSC transpose view.  Products
 that read a grid take just the touched rows of its (H*W, C) view, not a copy
 of the whole grid, and products that write one place their rows into zeros.
 Each one-shot function is one method of a plan built over its coordinates.
@@ -125,12 +129,17 @@ def _linear_backward(layer: DenseLayer, x: np.ndarray, d_out: np.ndarray, grad: 
     return np.matmul(d_out, np.ascontiguousarray(layer.weights), out=out)
 
 
-def _bilinear_weights(uv: np.ndarray, height: int, width: int):
-    """Point rows, flat cells and weights of zero-padded bilinear sampling.
+def _bilinear_corners(uv: np.ndarray, height: int, width: int):
+    """The points of zero-padded bilinear sampling, and their four neighbors.
 
-    Only points with a bilinear neighbor in the image, u in [-1, W) and
-    v in [-1, H), reach the int cast, so NaN, +-inf and huge coordinates
-    sample nothing.
+    Returns the rows of the points with a bilinear neighbor in the image,
+    u in [-1, W) and v in [-1, H), and for each neighbor in the order 00,
+    01, 10, 11 (row offset, then column offset) a mask over those rows of
+    the ones that have it inside the image, with its flat cells and weights
+    there.  The order is ascending in cell for each point.  Only those
+    points reach the int cast, so NaN, +-inf and huge coordinates sample
+    nothing; their floors lie in [-1, W) x [-1, H), so one bound per axis
+    decides whether a neighbor is inside.
     """
     u, v = uv[:, 0], uv[:, 1]
     near = np.nonzero((u >= -1) & (u < width) & (v >= -1) & (v < height))[0]
@@ -138,34 +147,46 @@ def _bilinear_weights(uv: np.ndarray, height: int, width: int):
     x0 = np.floor(u).astype(int)
     y0 = np.floor(v).astype(int)
     fx, fy = u - x0, v - y0
-    rows, cells, weights = [], [], []
-    for dy, dx, wgt in (
-        (0, 0, (1 - fx) * (1 - fy)),
-        (0, 1, fx * (1 - fy)),
-        (1, 0, (1 - fx) * fy),
-        (1, 1, fx * fy),
-    ):
-        xs, ys = x0 + dx, y0 + dy
-        inside = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
-        rows.append(near[inside])
-        cells.append(ys[inside] * width + xs[inside])
-        weights.append(wgt[inside])
-    return np.concatenate(rows), np.concatenate(cells), np.concatenate(weights)
+    gx, gy = 1 - fx, 1 - fy
+    in_x, in_y = (x0 >= 0, x0 < width - 1), (y0 >= 0, y0 < height - 1)
+    base = y0 * width + x0
+    corners = []
+    for dy, dx, wgt in ((0, 0, gx * gy), (0, 1, fx * gy), (1, 0, gx * fy), (1, 1, fx * fy)):
+        inside = in_y[dy] & in_x[dx]
+        corners.append((inside, base[inside] + (dy * width + dx), wgt[inside]))
+    return near, corners
 
 
-def _touched(cells: np.ndarray, size: int):
-    """The distinct values of ``cells`` (flat cells below ``size``), sorted,
-    and each entry's index among them.
+def _index_dtype(count: int, size: int):
+    """The index dtype of the matrices of a plan over ``count`` points and
+    ``size`` pixels: int32, as SciPy picks for them, unless one of them could
+    reach 2**31 rows, columns or entries; each has at most 4 entries a row."""
+    return np.int32 if max(4 * count, size) < 2**31 else np.int64
+
+
+def _touched(size: int, dtype, *cells: np.ndarray):
+    """The distinct values of the ``cells`` arrays (flat cells below
+    ``size``), sorted, and for each array its entries' indices among them,
+    of ``dtype``.
 
     A mark over all cells and an index lookup, not a sort: at KITTI size
     (466k cells, 162k entries) this is about 2 ms, less than ``np.unique``.
     """
     mark = np.zeros(size, dtype=bool)
-    mark[cells] = True
+    for c in cells:
+        mark[c] = True
     pixels = np.flatnonzero(mark)
-    lookup = np.empty(size, dtype=np.intp)
-    lookup[pixels] = np.arange(len(pixels))
-    return pixels, lookup[cells]
+    lookup = np.empty(size, dtype=dtype)
+    lookup[pixels] = np.arange(len(pixels), dtype=dtype)
+    return pixels, [lookup[c] for c in cells]
+
+
+def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, columns: int):
+    """The CSR matrix of these arrays, which are in canonical order: each
+    row's columns ascending, none twice."""
+    from scipy import sparse
+
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, columns))
 
 
 def _rows(grid: np.ndarray) -> np.ndarray:
@@ -182,7 +203,7 @@ class _Operator(NamedTuple):
     """One direction of a plan."""
 
     pixels: np.ndarray  # (K,) flat cells its points touch, sorted
-    matrix: object  # sparse, over those K pixels only
+    matrix: object  # (points x K) CSR, over those K pixels only
     matrix_t: object  # its transpose, a CSC view that shares its arrays
 
 
@@ -190,12 +211,23 @@ class ProjectionPlan:
     """Sparse operators for a fixed set of projected coordinates.
 
     For each direction the plan keeps the pixels its points touch, sorted,
-    and one sparse matrix over those pixels only: the scatter-average matrix
-    (pixels x points) and the bilinear gather matrix (points x pixels), so
-    repeated propagation through the same scene costs one sparse product per
-    call instead of re-binning every call.  Each backward applies the
-    transpose of its forward matrix, a CSC view that shares its arrays, so
-    the adjoint identity holds by construction.
+    and one sparse matrix over those pixels only, so repeated propagation
+    through the same scene costs one sparse product per call instead of
+    re-binning every call.  Both directions store a (points x pixels) CSR
+    matrix and its transpose, a CSC view that shares its arrays: for the
+    gather direction that CSR is the bilinear gather matrix, and for the
+    scatter direction it is the transpose of the scatter-average matrix, so
+    ``scatter`` applies the view and ``scatter_grad`` the CSR.  Each
+    backward thus applies the transpose of its forward matrix, and the
+    adjoint identity holds by construction.
+
+    Each CSR is written straight from the binning or sampling rule in
+    canonical order, with int32 indices (int64 only where a matrix could
+    outgrow them), as SciPy's COO path would leave it but without its copies
+    and sort: a scatter row holds at most one entry, the point's pixel, and
+    a gather row its in-image neighbors in the order 00, 01, 10, 11, which
+    is ascending in pixel.  Each output row of a product therefore sums its
+    terms in ascending point or pixel order.
 
     The reading products (``gather``, ``scatter_grad``) index the touched
     rows of the grid's (H*W, C) view: a product with the whole view would
@@ -216,26 +248,35 @@ class ProjectionPlan:
 
     @cached_property
     def _scatter(self) -> _Operator:
-        from scipy import sparse
-
+        size = self.height * self.width
+        dtype = _index_dtype(self.count, size)
         cells, valid = _pixel_cells(self.uv[:, 0], self.uv[:, 1], self.height, self.width)
-        pixels, index = _touched(cells[valid], self.height * self.width)
+        pixels, (index,) = _touched(size, dtype, cells[np.flatnonzero(valid)])
         counts = np.bincount(index, minlength=len(pixels)).astype(float)
-        matrix = sparse.csr_matrix(
-            (1.0 / counts[index], (index, np.nonzero(valid)[0])),
-            shape=(len(pixels), self.count),
-        )
+        indptr = np.zeros(self.count + 1, dtype)
+        np.cumsum(valid, out=indptr[1:])
+        matrix = _csr(1.0 / counts[index], index, indptr, len(pixels))
         return _Operator(pixels, matrix, matrix.T)
 
     @cached_property
     def _gather(self) -> _Operator:
-        from scipy import sparse
-
-        rows, cells, weights = _bilinear_weights(self.uv, self.height, self.width)
-        pixels, index = _touched(cells, self.height * self.width)
-        matrix = sparse.csr_matrix(
-            (weights, (rows, index)), shape=(self.count, len(pixels))
-        )
+        size = self.height * self.width
+        dtype = _index_dtype(self.count, size)
+        near, corners = _bilinear_corners(self.uv, self.height, self.width)
+        pixels, indices = _touched(size, dtype, *(cells for _, cells, _ in corners))
+        # each near point's entry count, then each corner's entries at their
+        # rows' next free positions: one 1-D pass per corner
+        indptr = np.zeros(self.count + 1, dtype)
+        indptr[near + 1] = sum(inside for inside, _, _ in corners)
+        np.cumsum(indptr, out=indptr)
+        at = indptr[near]
+        data, columns = np.empty(indptr[-1]), np.empty(indptr[-1], dtype)
+        for (inside, _, weights), index in zip(corners, indices):
+            here = at[inside]
+            data[here] = weights
+            columns[here] = index
+            at += inside
+        matrix = _csr(data, columns, indptr, len(pixels))
         return _Operator(pixels, matrix, matrix.T)
 
     def _read(self, grid: np.ndarray, pixels: np.ndarray) -> np.ndarray:
@@ -261,11 +302,11 @@ class ProjectionPlan:
     def scatter(self, features: np.ndarray) -> np.ndarray:
         self._check_count(len(features))
         op = self._scatter
-        return self._write(op.matrix @ features, op.pixels)
+        return self._write(op.matrix_t @ features, op.pixels)
 
     def scatter_grad(self, grad_output: np.ndarray) -> np.ndarray:
         op = self._scatter
-        return op.matrix_t @ self._read(grad_output, op.pixels)
+        return op.matrix @ self._read(grad_output, op.pixels)
 
     def gather(self, grid: np.ndarray) -> np.ndarray:
         op = self._gather

@@ -59,6 +59,24 @@ class TestNlcmap:
         assert "object 0:" in capsys.readouterr().out
         assert csv_out.read_text().startswith("row,col,")
 
+    def test_counts_printed_per_object_with_an_empty_one(self, tmp_path, rng, capsys):
+        # a second box, beside the first, holds no points: its line reads 0
+        calib, label, velo, box = make_fixture(tmp_path, rng)
+        empty = Box3D(center=np.array([20.0, 6.0, 0.0]), l=4.0, w=2.0, h=1.6, yaw=0.0)
+        kcal = parse_calib(calib.read_text())
+        label.write_text(emit_labels([lidar_box_to_label(b, kcal) for b in (box, empty)]))
+        out = tmp_path / "map.nlcm"
+        code = main([
+            "nlcmap", "--calib", str(calib), "--label", str(label),
+            "--velodyne", str(velo), "--out", str(out), "--height", "96", "--width", "128",
+        ])
+        assert code == EXIT_OK
+        mask_pixels = int(read_nlc_map(out.read_bytes()).mask.sum())
+        assert mask_pixels > 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"object 0: {mask_pixels} foreground pixels", "object 1: 0 foreground pixels",
+        ]
+
     def test_idempotent(self, tmp_path, rng):
         calib, label, velo, _ = make_fixture(tmp_path, rng)
         args = [

@@ -18,6 +18,7 @@ from nlcdet import (
     project_points,
     rot_z,
 )
+from nlcdet import geometry
 
 from conftest import random_box
 
@@ -229,6 +230,80 @@ class TestPointsInBox:
                 if np.all(np.abs(local) <= box.dims / 2):
                     expected.add(i)
             assert got == expected
+
+
+def five_key_nearest(xyz, u, v, d, height, width):
+    """The z-buffer as one five-key sort: candidates ordered by (cell, depth,
+    x, y, z), the first of each cell kept."""
+    cells, inside = geometry._pixel_cells(u, v, height, width)
+    idx = np.nonzero(inside & (d > 0) & (d < np.inf))[0]
+    order = np.lexsort((xyz[idx, 2], xyz[idx, 1], xyz[idx, 0], d[idx], cells[idx]))
+    idx, cells = idx[order], cells[idx[order]]
+    first = np.ones(len(idx), dtype=bool)
+    first[1:] = cells[1:] != cells[:-1]
+    return idx[first], cells[first]
+
+
+def _cloud(seed, ties, duplicates, height=6, width=8):
+    """A seeded cloud over a (height, width) image with the camera looking
+    along +z, so a point's depth is its z: points in front and behind the
+    camera, ``ties`` copies of points moved sideways by one ulp (equal
+    depth, same pixel as a rule), ``duplicates`` exact copies, all in a
+    shuffled order, then NaN written into a few rows of (u, v, d).  Only the
+    copies give two points one depth."""
+    rng = np.random.default_rng(seed)
+    calib = Calibration(K=np.array([[4.0, 0.0, width / 2], [0.0, 4.0, height / 2], [0.0, 0.0, 1.0]]))
+    z = np.where(rng.uniform(size=200) < 0.1, -3.0, rng.uniform(2.0, 5.0, size=200))
+    xyz = np.column_stack([rng.uniform(-1, 1, size=(200, 2)) * np.abs(z)[:, None], z])
+    moved = xyz[rng.integers(0, 200, size=ties)]
+    moved[:, 0] = np.nextafter(moved[:, 0], np.inf)
+    xyz = np.vstack([xyz, moved, xyz[rng.integers(0, 200, size=duplicates)]])
+    xyz = xyz[rng.permutation(len(xyz))]
+    u, v, d = project_points(xyz, calib)
+    for arr in (u, v, d):
+        arr[rng.integers(0, len(xyz), size=5)] = np.nan
+    return xyz, u, v, d, height, width
+
+
+def _nearest_depth_shared(xyz, u, v, d, height, width):
+    """Whether some pixel's nearest depth belongs to two of its candidates."""
+    win, cells = five_key_nearest(xyz, u, v, d, height, width)
+    all_cells, inside = geometry._pixel_cells(u, v, height, width)
+    ok = inside & (d > 0) & (d < np.inf)
+    return any(np.sum(ok & (all_cells == c) & (d == d[w])) > 1 for w, c in zip(win, cells))
+
+
+class TestNearestPerPixel:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("ties, duplicates", [(0, 0), (40, 0), (0, 40), (40, 40)])
+    def test_matches_five_key_sort(self, seed, ties, duplicates):
+        cloud = _cloud(seed, ties, duplicates)
+        # with copies, some pixel's nearest depth is shared and the
+        # tie-breaking sort runs; without, the first sort decides alone
+        assert _nearest_depth_shared(*cloud) == bool(ties or duplicates)
+        win, cells = geometry._nearest_per_pixel(*cloud)
+        ref_win, ref_cells = five_key_nearest(*cloud)
+        assert np.array_equal(win, ref_win) and win.dtype == ref_win.dtype
+        assert np.array_equal(cells, ref_cells) and cells.dtype == ref_cells.dtype
+        assert len(win) > 0
+
+    def test_winners_do_not_depend_on_input_order(self):
+        xyz, u, v, d, h, w = _cloud(0, 40, 40)
+        perm = np.random.default_rng(1).permutation(len(xyz))
+        win, cells = geometry._nearest_per_pixel(xyz, u, v, d, h, w)
+        pwin, pcells = geometry._nearest_per_pixel(xyz[perm], u[perm], v[perm], d[perm], h, w)
+        assert np.array_equal(cells, pcells)
+        assert np.array_equal(xyz[win], xyz[perm][pwin])
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_no_candidates(self, rows):
+        # no points at all, or only NaN and behind-camera rows
+        xyz = np.tile([[0.0, 0.0, -1.0]], (rows, 1))
+        u, v, d = np.full(rows, np.nan), np.full(rows, np.nan), np.array([-1.0, np.nan, 2.0][:rows])
+        win, cells = geometry._nearest_per_pixel(xyz, u, v, d, 6, 8)
+        ref_win, ref_cells = five_key_nearest(xyz, u, v, d, 6, 8)
+        assert len(win) == len(cells) == 0
+        assert win.dtype == ref_win.dtype and cells.dtype == ref_cells.dtype
 
 
 def mc_iou(a, b, samples, rng):

@@ -22,7 +22,7 @@ from nlcdet import (
 )
 from nlcdet import geometry, kitti_io, propagation
 from nlcdet.propagation import (
-    ProjectionPlan, _bias_grad, _bilinear_weights, _fuse_backward, _fuse_forward, _grid,
+    ProjectionPlan, _bias_grad, _fuse_backward, _fuse_forward, _grid,
     _linear_backward, _rows, fuse_i2p_backward, fuse_p2i_backward,
 )
 
@@ -299,6 +299,74 @@ def _kept_sparse(plan):
     ]
 
 
+def bilinear_weights(uv, height, width):
+    """Point rows, flat cells and weights of zero-padded bilinear sampling,
+    the COO triplets of the gather matrix: all in-image 00 neighbors, then
+    the 01, 10 and 11 neighbors, each tested against all four image bounds.
+    Only points with u in [-1, W) and v in [-1, H) reach the int cast."""
+    u, v = uv[:, 0], uv[:, 1]
+    near = np.nonzero((u >= -1) & (u < width) & (v >= -1) & (v < height))[0]
+    u, v = u[near], v[near]
+    x0 = np.floor(u).astype(int)
+    y0 = np.floor(v).astype(int)
+    fx, fy = u - x0, v - y0
+    rows, cells, weights = [], [], []
+    for dy, dx, wgt in (
+        (0, 0, (1 - fx) * (1 - fy)),
+        (0, 1, fx * (1 - fy)),
+        (1, 0, (1 - fx) * fy),
+        (1, 1, fx * fy),
+    ):
+        xs, ys = x0 + dx, y0 + dy
+        inside = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
+        rows.append(near[inside])
+        cells.append(ys[inside] * width + xs[inside])
+        weights.append(wgt[inside])
+    return np.concatenate(rows), np.concatenate(cells), np.concatenate(weights)
+
+
+def coo_operators(coords, height, width):
+    """Each direction's touched pixels and (points x pixels) CSR matrix, as
+    SciPy's COO path builds them from the binning and sampling rules: the
+    transposed scatter-average matrix, then the bilinear gather matrix."""
+    from scipy import sparse
+
+    uv = np.asarray(coords, dtype=float).reshape(-1, 2)
+    cells, inside = geometry._pixel_cells(uv[:, 0], uv[:, 1], height, width)
+    pixels, index, counts = np.unique(cells[inside], return_inverse=True, return_counts=True)
+    scatter = sparse.csr_matrix(
+        (1.0 / counts[index], (np.flatnonzero(inside), index)), shape=(len(uv), len(pixels))
+    )
+    rows, cells, weights = bilinear_weights(uv, height, width)
+    gather_pixels, index = np.unique(cells, return_inverse=True)
+    gather = sparse.csr_matrix((weights, (rows, index)), shape=(len(uv), len(gather_pixels)))
+    return (pixels, scatter), (gather_pixels, gather)
+
+
+@pytest.mark.parametrize("height, width, n", [(5, 7, 60), (375, 1242, 20_000)])
+def test_operators_equal_scipys_coo_path(height, width, n):
+    rng = np.random.default_rng(n)
+    uv = np.column_stack([rng.uniform(-1.5, width + 0.5, size=n),
+                          rng.uniform(-1.5, height + 0.5, size=n)])
+    k = n // 10
+    uv[:k, 0] = rng.uniform(-1.0, 0.0, size=k)  # margin points: the left neighbors are outside
+    uv[k:2 * k:2, 1] = np.nan
+    uv[k + 1:2 * k:2, 0] = np.inf
+    uv[2 * k:3 * k] = np.floor(uv[2 * k:3 * k])  # integral, so three of the four weights are 0
+    uv[3 * k:4 * k] = uv[4 * k:5 * k]  # shared pixels and neighbors
+    plan = ProjectionPlan(uv, height, width)
+    for name, (pixels, expected) in zip(("_scatter", "_gather"), coo_operators(uv, height, width)):
+        op = getattr(plan, name)
+        assert np.array_equal(op.pixels, pixels), name
+        got = op.matrix
+        assert got.format == "csr" and got.shape == expected.shape, name
+        assert got.data.dtype == expected.data.dtype and got.data.tobytes() == expected.data.tobytes(), name
+        for part in ("indices", "indptr"):
+            a, b = getattr(got, part), getattr(expected, part)
+            assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b), (name, part)
+        assert got.has_sorted_indices and expected.has_sorted_indices, name
+
+
 def full_grid_operators(coords, height, width):
     """The scatter-average (H*W x N) and bilinear gather (N x H*W) matrices
     over every pixel, built from the binning and sampling rules alone."""
@@ -312,7 +380,7 @@ def full_grid_operators(coords, height, width):
     scatter = sparse.csr_matrix(
         (1.0 / counts[cells], (cells, np.flatnonzero(inside))), shape=(size, len(uv))
     )
-    rows, cells, weights = _bilinear_weights(uv, height, width)
+    rows, cells, weights = bilinear_weights(uv, height, width)
     gather = sparse.csr_matrix((weights, (rows, cells)), shape=(len(uv), size))
     return scatter, gather
 

@@ -14,9 +14,11 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 
 from nlcdet import (
-    Box3D, Detection, LossWeights, average_precision, dof_analysis, gradcheck, iou_3d,
-    match_detections, nlc_to_lidar, solve_box,
+    Box3D, Calibration, Detection, LossWeights, average_precision, dof_analysis, gradcheck,
+    iou_3d, match_detections, nlc_to_lidar, project_points, solve_box,
 )
+from nlcdet.geometry import _nearest_per_pixel
+from nlcdet.propagation import ProjectionPlan
 from nlcdet.pipeline import ABLATION_ROWS, TrainConfig, ablation, generate_scene, train
 
 SMALL = TrainConfig(epochs=3, train_scenes=6, val_scenes=3)
@@ -28,7 +30,10 @@ def outputs():
     The ``dof_analysis`` outputs are the Jacobian ranks of a near-coplanar
     family: 8 boxes, each with 8 NLCs whose z is 0.5 plus the spread times a
     standard normal draw.  The ``decode`` output is one sequence decoded as
-    the benchmark's ``decode`` workload does it (see :func:`decode`).
+    the benchmark's ``decode`` workload does it (see :func:`decode`), the
+    ``plan`` output a plan's products at KITTI size (see :func:`plan`) and
+    the ``zbuffer`` output the z-buffer of a cloud with equal-depth ties
+    (see :func:`zbuffer`).
     """
     runs = {f"train/{row}": replace(SMALL, **flags) for row, flags in ABLATION_ROWS.items()}
     runs["train/no_nlc"] = replace(SMALL, epochs=4, weights=LossWeights(nlc=0.0))
@@ -64,6 +69,8 @@ def outputs():
         yield f"dof_analysis/z_spread_{spread:.0e}", ranks
         yield f"solve_box/z_spread_{spread:.0e}", reports
     yield "decode", decode()
+    yield "plan/375x1242", plan()
+    yield "zbuffer/ties", zbuffer()
 
 
 def leaves(value, path=""):
@@ -127,6 +134,52 @@ def decode():
         scores += [d.score for d in dets]
         num_gt += len(gts)
     return [reports, ious, matches, average_precision(flags, scores, num_gt, 40)]
+
+
+def plan(height=375, width=1242, n=60_000):
+    """The four products of a ``ProjectionPlan`` with 2 channels: scatter,
+    scatter_grad, gather and gather_grad, in that order.
+
+    The coordinates spread over the image and a margin of two pixels around
+    it.  Of each tenth of them, the first has NaN u, the second infinite v,
+    the third u in [-1, 0) (a point outside with neighbors inside), the
+    fourth integral coordinates, and the fifth repeats the sixth.
+    """
+    rng = np.random.default_rng([0, 27])
+    uv = np.column_stack([rng.uniform(-2.0, width + 2.0, size=n),
+                          rng.uniform(-2.0, height + 2.0, size=n)])
+    k = n // 10
+    uv[:k, 0] = np.nan
+    uv[k:2 * k, 1] = np.inf
+    uv[2 * k:3 * k, 0] = rng.uniform(-1.0, 0.0, size=k)
+    uv[3 * k:4 * k] = np.floor(uv[3 * k:4 * k])
+    uv[4 * k:5 * k] = uv[5 * k:6 * k]
+    points = rng.normal(size=(n, 2))
+    grid = rng.normal(size=(2, height, width))
+    p = ProjectionPlan(uv, height, width)
+    return [p.scatter(points), p.scatter_grad(grid), p.gather(grid), p.gather_grad(points)]
+
+
+def zbuffer(height=60, width=80, n=5000):
+    """The winning points and cells of the z-buffer over a seeded cloud.
+
+    A tenth of the ``n`` points lie behind the camera.  To them come 600
+    copies of points moved by one ulp along x, so at the same depth and as
+    a rule in the same pixel, and 300 exact copies; all are shuffled, and
+    50 rows each of the projected u, v and depth are set to NaN.
+    """
+    rng = np.random.default_rng([1, 27])
+    calib = Calibration(K=np.array([[40.0, 0.0, width / 2], [0.0, 40.0, height / 2], [0.0, 0.0, 1.0]]))
+    z = np.where(rng.uniform(size=n) < 0.1, -3.0, rng.uniform(2.0, 30.0, size=n))
+    xyz = np.column_stack([rng.uniform(-1.0, 1.0, size=(n, 2)) * np.abs(z)[:, None], z])
+    moved = xyz[rng.integers(0, n, size=600)]
+    moved[:, 0] = np.nextafter(moved[:, 0], np.inf)
+    xyz = np.vstack([xyz, moved, xyz[rng.integers(0, n, size=300)]])
+    xyz = xyz[rng.permutation(len(xyz))]
+    u, v, d = project_points(xyz, calib)
+    for values in (u, v, d):
+        values[rng.integers(0, len(xyz), size=50)] = np.nan
+    return list(_nearest_per_pixel(xyz, u, v, d, height, width))
 
 
 def _car_box(rng) -> Box3D:
