@@ -23,7 +23,7 @@ from .kitti_io import (
     label_to_lidar_box, parse_calib, parse_labels, read_velodyne, to_calibration,
 )
 from .metrics import Detection, evaluate
-from .nlc import build_gt_nlc_map, nlc_map_to_csv, write_nlc_map
+from .nlc import _csv_text, _foreground, _write_nlcm
 from .pipeline import ablation, parse_train_config, train
 from .solver import solve_box
 from . import gradcheck as gc
@@ -123,6 +123,9 @@ def _read_csv(path: str, columns: int, header: tuple[str, ...], parse) -> list:
 
 
 def cmd_nlcmap(args) -> int:
+    """The ground truth as its foreground pixels, streamed plane by plane into
+    ``--out`` and formatted for ``--csv``: no dense map and no file-sized
+    buffer is built."""
     calib = parse_calib(Path(args.calib).read_bytes())
     labels = parse_labels(Path(args.label).read_bytes())
     points = read_velodyne(Path(args.velodyne).read_bytes())
@@ -130,13 +133,13 @@ def cmd_nlcmap(args) -> int:
     boxes = [
         label_to_lidar_box(lb, calib) for lb in labels if not lb.is_dont_care
     ]
-    nlc_map, obj_ids = build_gt_nlc_map(points, boxes, cal, args.height, args.width)
+    cells, nlc, depth, owner = _foreground(points, boxes, cal, args.height, args.width)
     with open(args.out, "wb") as fh:
-        fh.write(write_nlc_map(nlc_map))
+        _write_nlcm(fh, args.height, args.width, cells, nlc, depth)
     if args.csv:
         with open(args.csv, "w") as fh:
-            fh.write(nlc_map_to_csv(nlc_map))
-    counts = np.bincount(obj_ids[nlc_map.mask], minlength=len(boxes))
+            fh.write(_csv_text(*np.divmod(cells, args.width), nlc, depth))
+    counts = np.bincount(owner, minlength=len(boxes))
     for bi, count in enumerate(counts.tolist()):
         print(f"object {bi}: {count} foreground pixels")
     return EXIT_OK

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BehindCamera, InvalidValue
+from .errors import BehindCamera, InvalidValue, ShapeError
 
 __all__ = [
     "Box3D",
@@ -39,6 +39,16 @@ def _require_bounded(values, what: str) -> None:
     +-``MAX_ABS_VALUE``; NaN and +-inf are not."""
     if not np.all(np.abs(values) <= MAX_ABS_VALUE):
         raise InvalidValue(f"{what} must be numbers within +-{MAX_ABS_VALUE:g}")
+
+
+def _float_rows(values, width: int, what: str) -> np.ndarray:
+    """``values`` as a float (N, ``width``) array: an (N, ``width``) array,
+    one (``width``,) row, or an empty array; any other shape raises ShapeError
+    rather than being read as rows of another width."""
+    rows = np.asarray(values, dtype=float)
+    if rows.shape[-1:] == (width,) and rows.ndim <= 2 or rows.size == 0:
+        return rows.reshape(-1, width)
+    raise ShapeError(f"{what} must be (N, {width}), got shape {rows.shape}")
 
 
 def normalize_angle(theta: float) -> float:
@@ -142,7 +152,7 @@ def project_points(points: np.ndarray, calib: Calibration):
     and sampling rule treats as outside the image.  A coordinate that is
     NaN, infinite or beyond +-``MAX_ABS_VALUE`` raises InvalidValue.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    pts = _float_rows(points, 3, "points")
     _require_bounded(pts, "point coordinates")
     cam = pts @ calib.R.T + calib.T
     hom = cam @ calib.K.T
@@ -211,15 +221,18 @@ def project_point(p: np.ndarray, calib: Calibration):
 
 
 def _to_box_frame(points: np.ndarray, box: Box3D) -> np.ndarray:
-    """Map LiDAR points to the box-normalized frame ([0,1]^3 inside the box)."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    """Map LiDAR points, (N, 3) or one (3,) point, to the box-normalized
+    frame ([0,1]^3 inside the box), as (N, 3) rows."""
+    pts = _float_rows(points, 3, "points")
     local = (pts - box.center) @ rot_z(box.yaw)
     return local / box.dims + 0.5
 
 
 def _from_box_frame(nlc: np.ndarray, box: Box3D) -> np.ndarray:
-    """Inverse of :func:`_to_box_frame`: (N, 3) box-normalized coordinates to LiDAR points."""
-    return box.center + ((nlc - 0.5) * box.dims) @ rot_z(box.yaw).T
+    """Inverse of :func:`_to_box_frame`: box-normalized coordinates, (N, 3) or
+    one (3,) point, to (N, 3) LiDAR points."""
+    n = _float_rows(nlc, 3, "normalized coordinates")
+    return box.center + ((n - 0.5) * box.dims) @ rot_z(box.yaw).T
 
 
 # Corner ordering: images of these normalized coordinates, bottom face first,

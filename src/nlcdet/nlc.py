@@ -4,6 +4,12 @@ The normalized local coordinate (NLC) of a point expresses its position in
 its object's box frame, scaled by the box dimensions and shifted so the box
 interior maps to [0, 1]^3.
 
+The ground truth of an image is its foreground pixels: the flat cells that
+foreground points claim, each with its NLC triple, depth and owning box.
+:func:`build_gt_nlc_map` builds the dense map from them, and one writer
+streams the NLCM planes from them, so ``nlcdet nlcmap`` writes a map and its
+CSV without a dense map or a file-sized buffer.
+
 NLCM, the binary form of a map, is little-endian: a 16-byte header (magic
 ``NLCM``, then uint32 version 1, H and W), then (H, W) row-major planes: the
 x, y and z NLC values as float32, the mask as uint8 (0 or 1), and the depth
@@ -13,13 +19,14 @@ as float32; where the mask is 0 the values are 0 and the depth is +inf.
 from __future__ import annotations
 
 import io
+import numbers
 import struct
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import InvalidValue, ParseError
+from .errors import InvalidValue, ParseError, ShapeError
 from .geometry import (
     Box3D, Calibration, _from_box_frame, _nearest_per_pixel, _to_box_frame, points_in_box,
     project_points,
@@ -69,18 +76,70 @@ def lidar_to_nlc(points: np.ndarray, box: Box3D) -> np.ndarray:
     Accepts a single (3,) point or an (N, 3) array; returns the same shape.
     Values outside [0, 1]^3 are legal and mean "outside the box".
     """
-    pts = np.asarray(points, dtype=float)
-    n = _to_box_frame(pts, box)
-    return n[0] if pts.ndim == 1 else n
+    n = _to_box_frame(points, box)
+    return n[0] if np.shape(points) == (3,) else n
 
 
 def nlc_to_lidar(nlc: np.ndarray, box: Box3D) -> np.ndarray:
     """Exact inverse of :func:`lidar_to_nlc`."""
-    n = np.asarray(nlc, dtype=float)
-    single = n.ndim == 1
-    n = n.reshape(-1, 3)
-    pts = _from_box_frame(n, box)
-    return pts[0] if single else pts
+    pts = _from_box_frame(nlc, box)
+    return pts[0] if np.shape(nlc) == (3,) else pts
+
+
+def _foreground(points, boxes: list[Box3D], calib: Calibration, height: int, width: int):
+    """The ground truth of :func:`build_gt_nlc_map` as its foreground pixels.
+
+    Returns the claimed flat cells ``row * width + col``, ascending, and for
+    each its NLC triple (K, 3), depth (K,) and owning box index (K,).  Points
+    are (N, >=3), only the first three columns read, or empty; any other
+    shape raises ShapeError, and a height or width that is not an integer of
+    at least 1 InvalidValue.  Only the coordinates a test reads are converted
+    to float64: x of every point, y of the points whose x passes the owner
+    prefilter, then xyz of the points that pass it.
+    """
+    for size in (height, width):
+        if not isinstance(size, numbers.Integral) or isinstance(size, bool) or size < 1:
+            raise InvalidValue(f"map dimensions must be positive integers, got {height!r}x{width!r}")
+    pts = np.asarray(points)
+    if pts.size and (pts.ndim != 2 or pts.shape[1] < 3):
+        raise ShapeError(f"points must be (N, >=3), got shape {pts.shape}")
+    if pts.size == 0 or not boxes:
+        return np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int)
+
+    # assign each foreground point to its nearest-center containing box; a
+    # point inside a box lies within half the box's bird's-eye diagonal of
+    # its center along x and along y (padded against rounding), so only the
+    # points that pass both tests are transformed.  A point with an infinite
+    # z can pass them: its box-frame coordinates are NaN, outside every box.
+    owner = np.full(len(pts), -1, dtype=int)
+    owner_dist = np.full(len(pts), np.inf)
+    x = pts[:, 0].astype(float)
+    with np.errstate(invalid="ignore"):
+        for bi, box in enumerate(boxes):
+            r = 0.5 * np.hypot(box.l, box.w) * (1.0 + 1e-9)
+            cx, cy = box.center[:2]
+            near = np.flatnonzero(np.abs(x - cx) <= r)
+            near = near[np.abs(pts[near, 1].astype(float, copy=False) - cy) <= r]
+            xyz = pts[near, :3].astype(float, copy=False)
+            inside = points_in_box(xyz, box)
+            if len(inside) == 0:
+                continue
+            idx = near[inside]
+            d = np.linalg.norm(xyz[inside] - box.center, axis=1)
+            better = d < owner_dist[idx]
+            owner[idx[better]] = bi
+            owner_dist[idx[better]] = d[better]
+
+    fg = np.flatnonzero(owner >= 0)
+    xyz = pts[fg, :3].astype(float, copy=False)
+    u, v, d = project_points(xyz, calib)
+    win, cells = _nearest_per_pixel(xyz, u, v, d, height, width)
+    win_owner = owner[fg[win]]
+    nlc = np.empty((len(win), 3))
+    for bi in np.unique(win_owner).tolist():
+        sel = win_owner == bi
+        nlc[sel] = lidar_to_nlc(xyz[win[sel]], boxes[bi])
+    return cells, nlc, d[win], win_owner
 
 
 def build_gt_nlc_map(
@@ -99,53 +158,20 @@ def build_gt_nlc_map(
     coordinates), and a point inside several boxes belongs to the box whose
     center is nearest (ties broken by box index).
 
-    Returns the map and an (H, W) int array of per-pixel object ids: the
-    claiming box index per mask-true pixel, -1 elsewhere.
+    ``points`` is (N, >=3), its first three columns xyz, or empty, else
+    ShapeError; ``height`` and ``width`` are integers of at least 1, else
+    InvalidValue.  Returns the map and an (H, W) int array of per-pixel
+    object ids: the claiming box index per mask-true pixel, -1 elsewhere.
     """
-    if height <= 0 or width <= 0:
-        raise InvalidValue("map dimensions must be positive")
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        xyz = pts.reshape(0, 3)
-    else:
-        xyz = pts.reshape(len(pts), -1)[:, :3]
-
+    cells, nlc, pixel_depth, owner = _foreground(points, boxes, calib, height, width)
     values = np.zeros((height, width, 3))
     mask = np.zeros((height, width), dtype=bool)
     depth = np.full((height, width), np.inf)
     obj_ids = np.full((height, width), -1, dtype=int)
-
-    if len(xyz) and boxes:
-        # assign each foreground point to its nearest-center containing box;
-        # a point inside a box lies within half the box's bird's-eye diagonal
-        # of its center along x and y (padded against rounding), so only
-        # those points are transformed
-        owner = np.full(len(xyz), -1, dtype=int)
-        owner_dist = np.full(len(xyz), np.inf)
-        x, y = np.ascontiguousarray(xyz[:, 0]), np.ascontiguousarray(xyz[:, 1])
-        for bi, box in enumerate(boxes):
-            r = 0.5 * np.hypot(box.l, box.w) * (1.0 + 1e-9)
-            cx, cy = box.center[:2]
-            near = np.nonzero((np.abs(x - cx) <= r) & (np.abs(y - cy) <= r))[0]
-            idx = near[points_in_box(xyz[near], box)]
-            if len(idx) == 0:
-                continue
-            d = np.linalg.norm(xyz[idx] - box.center, axis=1)
-            better = d < owner_dist[idx]
-            owner[idx[better]] = bi
-            owner_dist[idx[better]] = d[better]
-
-        fg = np.nonzero(owner >= 0)[0]
-        u, v, d = project_points(xyz[fg], calib)
-        win, cells = _nearest_per_pixel(xyz[fg], u, v, d, height, width)
-        win_owner = owner[fg[win]]
-        depth.flat[cells] = d[win]
-        mask.flat[cells] = True
-        obj_ids.flat[cells] = win_owner
-        for bi in np.unique(win_owner):
-            sel = win_owner == bi
-            values.reshape(-1, 3)[cells[sel]] = lidar_to_nlc(xyz[fg[win[sel]]], boxes[bi])
-
+    values.reshape(-1, 3)[cells] = nlc
+    mask.flat[cells] = True
+    depth.flat[cells] = pixel_depth
+    obj_ids.flat[cells] = owner
     return NlcMap(values=values, mask=mask, depth=depth), obj_ids
 
 
@@ -185,21 +211,45 @@ def object_pixel_sets(obj_ids: np.ndarray, num_objects: int) -> list[np.ndarray]
     ]
 
 
+def _pixels(m: NlcMap):
+    """The masked-on pixels of ``m``, ascending: their rows, columns, NLC
+    triples (K, 3) and depths (K,).  ShapeError unless ``values`` is
+    (H, W, 3) and ``mask`` and ``depth`` are (H, W)."""
+    shape = np.shape(m.mask)
+    if len(shape) != 2 or np.shape(m.values) != shape + (3,) or np.shape(m.depth) != shape:
+        raise ShapeError(
+            f"map arrays must share one (H, W): values {np.shape(m.values)}, "
+            f"mask {shape}, depth {np.shape(m.depth)}"
+        )
+    rows, cols = np.nonzero(m.mask)
+    return rows, cols, m.values[rows, cols], m.depth[rows, cols]
+
+
+def _write_nlcm(sink, height: int, width: int, cells, nlc, depth) -> None:
+    """Write the NLCM form of the map whose masked-on pixels are the
+    ascending flat ``cells``, with NLC triples ``nlc`` and depths ``depth``,
+    into the binary sink: the header, then each plane, its fill with those
+    pixels written over it.  All planes are written from one reused buffer,
+    so a call allocates one plane, not a file-sized buffer."""
+    sink.write(NLCM_MAGIC + struct.pack("<III", NLCM_VERSION, height, width))
+    size = height * width
+    buffer = np.empty(size, "<f4")
+    sources = (np.transpose(nlc), np.ones((1, len(cells)), "u1"), np.reshape(depth, (1, -1)))
+    for (dtype, _, fill), group in zip(_NLCM_PLANES, sources):
+        plane = buffer.view(dtype)[:size]
+        for source in group:
+            plane.fill(fill)
+            plane[cells] = source
+            sink.write(plane)
+
+
 def write_nlc_map(m: NlcMap) -> bytes:
     """Serialize to the NLCM binary format described in the module docstring;
-    masked-off pixels are written as (0, 0, 0) and depth +inf whatever ``m`` holds there."""
-    on = np.flatnonzero(m.mask)
-    # one plane at a time into one growing buffer: a fresh file-sized
-    # buffer per call faults in thousands of pages on a KITTI-sized map;
-    # each plane is its fill with the few masked-on pixels copied over it
+    masked-off pixels are written as (0, 0, 0) and depth +inf whatever ``m``
+    holds there.  The map's arrays must share one (H, W), else ShapeError."""
+    rows, cols, nlc, depth = _pixels(m)
     out = io.BytesIO()
-    out.write(NLCM_MAGIC + struct.pack("<III", NLCM_VERSION, m.height, m.width))
-    for (dtype, count, fill), group in zip(_NLCM_PLANES, (m.values.transpose(2, 0, 1), m.mask, m.depth)):
-        plane = np.empty(m.height * m.width, dtype)
-        for source in np.reshape(group, (count, -1)):
-            plane.fill(fill)
-            plane[on] = source[on]
-            out.write(plane)
+    _write_nlcm(out, m.height, m.width, rows * m.width + cols, nlc, depth)
     return out.getvalue()
 
 
@@ -232,10 +282,18 @@ def read_nlc_map(data: bytes) -> NlcMap:
     )
 
 
-def nlc_map_to_csv(m: NlcMap) -> str:
-    """CSV export: one ``row,col,x_nlc,y_nlc,z_nlc,depth`` line per valid pixel."""
+def _csv_text(rows, cols, nlc, depth) -> str:
+    """The CSV export of the masked-on pixels at ``rows``, ``cols``, in order."""
     lines = ["row,col,x_nlc,y_nlc,z_nlc,depth"]
-    for r, c in np.argwhere(m.mask):
-        x, y, z = (float(t) for t in m.values[r, c])
-        lines.append(f"{r},{c},{x!r},{y!r},{z!r},{float(m.depth[r, c])!r}")
+    for r, c, (x, y, z), d in zip(
+        rows.tolist(), cols.tolist(),
+        np.asarray(nlc, dtype=float).tolist(), np.asarray(depth, dtype=float).tolist(),
+    ):
+        lines.append(f"{r},{c},{x!r},{y!r},{z!r},{d!r}")
     return "\n".join(lines) + "\n"
+
+
+def nlc_map_to_csv(m: NlcMap) -> str:
+    """CSV export: one ``row,col,x_nlc,y_nlc,z_nlc,depth`` line per valid
+    pixel, row-major.  The map's arrays must share one (H, W), else ShapeError."""
+    return _csv_text(*_pixels(m))

@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ShapeError
-from .geometry import _pixel_cells
+from .geometry import _float_rows, _pixel_cells
 
 __all__ = [
     "DenseLayer",
@@ -243,7 +243,7 @@ class ProjectionPlan:
     """
 
     def __init__(self, coords: np.ndarray, height: int, width: int):
-        self.uv = np.array(coords, dtype=float).reshape(-1, 2)
+        self.uv = _float_rows(coords, 2, "coordinates").copy()
         self.height, self.width, self.count = height, width, len(self.uv)
 
     @cached_property

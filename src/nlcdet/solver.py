@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import Underdetermined
-from .geometry import Box3D, _require_bounded, rot_z
+from .geometry import Box3D, _float_rows, _require_bounded, rot_z
 
 __all__ = ["SolveReport", "solve_box", "dof_analysis"]
 
@@ -50,9 +50,10 @@ class SolveReport:
 
 
 def _correspondences(correspondences, floor: int) -> np.ndarray:
-    """``correspondences`` as a float (N, 6) array; Underdetermined for fewer
-    than ``floor`` rows, InvalidValue for an unbounded value (see solve_box)."""
-    corrs = np.asarray(correspondences, dtype=float).reshape(-1, 6)
+    """``correspondences`` as a float (N, 6) array; ShapeError for another
+    width, Underdetermined for fewer than ``floor`` rows, InvalidValue for an
+    unbounded value (see solve_box)."""
+    corrs = _float_rows(correspondences, 6, "correspondences")
     if len(corrs) < floor:
         raise Underdetermined(f"need at least {floor} correspondences, got {len(corrs)}")
     _require_bounded(corrs, "correspondences")

@@ -11,11 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlcdet import Box3D, nlc_to_lidar, read_nlc_map, solve_box
+from nlcdet import (
+    Box3D, build_gt_nlc_map, nlc_map_to_csv, nlc_to_lidar, read_nlc_map, solve_box, write_nlc_map,
+)
 from nlcdet import gradcheck as gc
 from nlcdet.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, _emit_json, main
 from nlcdet.kitti_io import (
-    KittiCalib, emit_calib, emit_labels, lidar_box_to_label, parse_calib, write_velodyne,
+    KittiCalib, emit_calib, emit_labels, label_to_lidar_box, lidar_box_to_label, parse_calib,
+    parse_labels, read_velodyne, to_calibration, write_velodyne,
 )
 from nlcdet.propagation import ProjectionPlan
 
@@ -149,6 +152,77 @@ class TestKittiPrintedCalibration:
         paths = _kitti_printed_fixture(tmp_path, rng, scale=1.0 + 1e-4)
         assert self._nlcmap(tmp_path, paths) == EXIT_DATA
         assert capsys.readouterr().err.startswith("error: not a pinhole camera: R must be")
+
+
+def _cross_path_frame(tmp_path, rng, case):
+    """The fixture's files, changed for one case of the cross-path test; the
+    camera looks along LiDAR x, so a point's depth is its x."""
+    calib_path, label_path, velo_path, box = make_fixture(tmp_path, rng)
+    kcal = parse_calib(calib_path.read_text())
+    cloud = read_velodyne(velo_path.read_bytes())
+    boxes, types = [box], ["Car"]
+    if case == "dont_care_only":
+        types = ["DontCare"]
+    elif case == "box_without_points":
+        boxes.append(Box3D(center=np.array([20.0, 6.0, 0.0]), l=4.0, w=2.0, h=1.6, yaw=0.0))
+        types.append("Car")
+    elif case == "behind_camera":
+        # the mirror of the fixture's box: its points are foreground, at negative depth
+        boxes.append(Box3D(center=np.array([-20.0, 0.0, 0.0]), l=4.0, w=2.0, h=1.6, yaw=0.4))
+        types.append("Car")
+        pts = nlc_to_lidar(rng.uniform(0.05, 0.95, size=(200, 3)), boxes[-1])
+        cloud = np.vstack([cloud, np.column_stack([pts, np.zeros(200)])])
+    elif case == "equal_depth_pair":
+        # two points of a box ahead of the fixture's, both in pixel (48, 90) at depth 11.5
+        boxes.append(Box3D(center=np.array([12.0, -3.0, 0.0]), l=2.0, w=2.0, h=2.0, yaw=0.0))
+        types.append("Car")
+        cloud = np.vstack([cloud, [[11.5, -3.0, 0.0, 0.5], [11.5, -3.004, 0.0, 0.5]]])
+    elif case == "non_finite_rows":
+        # NaN and +-inf in each column, among them an infinite z under the box
+        for row, column, value in [(0, 0, np.nan), (1, 1, np.inf), (2, 2, -np.inf), (3, 2, np.inf),
+                                   (4, 0, -np.inf), (5, 2, np.nan), (6, 3, np.nan), (7, 3, np.inf)]:
+            cloud[row, column] = value
+    label_path.write_text(emit_labels(
+        [lidar_box_to_label(b, kcal, type_name=t) for b, t in zip(boxes, types)]
+    ))
+    velo_path.write_bytes(write_velodyne(cloud))
+    return calib_path, label_path, velo_path
+
+
+class TestNlcmapCrossPath:
+    """``nlcmap`` writes, formats and counts what the library's dense map of
+    the same files gives."""
+
+    @pytest.mark.parametrize("case", [
+        "dont_care_only", "box_without_points", "behind_camera", "equal_depth_pair",
+        "non_finite_rows",
+    ])
+    def test_outputs_equal_the_dense_maps(self, tmp_path, rng, capsys, case):
+        calib, label, velo = _cross_path_frame(tmp_path, rng, case)
+        out, csv_out = tmp_path / "m.nlcm", tmp_path / "m.csv"
+        assert main([
+            "nlcmap", "--calib", str(calib), "--label", str(label), "--velodyne", str(velo),
+            "--out", str(out), "--csv", str(csv_out), "--height", "96", "--width", "128",
+        ]) == EXIT_OK
+        printed = capsys.readouterr().out
+
+        kcal = parse_calib(calib.read_bytes())
+        boxes = [
+            label_to_lidar_box(lb, kcal) for lb in parse_labels(label.read_bytes()) if not lb.is_dont_care
+        ]
+        m, obj = build_gt_nlc_map(read_velodyne(velo.read_bytes()), boxes, to_calibration(kcal), 96, 128)
+        counts = np.bincount(obj[m.mask], minlength=len(boxes)).tolist()
+        assert out.read_bytes() == write_nlc_map(m)
+        assert csv_out.read_text() == nlc_map_to_csv(m)
+        assert printed == "".join(f"object {i}: {c} foreground pixels\n" for i, c in enumerate(counts))
+        expected = {
+            "dont_care_only": lambda: counts == [] and not m.mask.any(),
+            "box_without_points": lambda: counts[0] > 0 and counts[1] == 0,
+            "behind_camera": lambda: counts[0] > 0 and counts[1] == 0,
+            "equal_depth_pair": lambda: counts[1] == 1 and m.depth[48, 90] == 11.5,
+            "non_finite_rows": lambda: counts[0] > 0 and np.isfinite(m.values[m.mask]).all(),
+        }[case]
+        assert expected()
 
 
 class TestOutputPaths:

@@ -10,15 +10,21 @@ from nlcdet import (
     Box3D,
     Calibration,
     InvalidValue,
+    ShapeError,
     box_corners,
+    dof_analysis,
     iou_3d,
+    lidar_to_nlc,
+    nlc_to_lidar,
     normalize_angle,
     points_in_box,
     project_point,
     project_points,
     rot_z,
+    solve_box,
 )
 from nlcdet import geometry
+from nlcdet.propagation import ProjectionPlan
 
 from conftest import random_box
 
@@ -551,3 +557,61 @@ class TestIouReference:
             huge = _placed([0.0, 0.0, 0.0], [1e150, 4.0, 1.5], yaw)
             assert iou_3d(small, huge) == iou_3d(huge, small) == pytest.approx(2e-150, rel=1e-12)
 
+
+
+_ROW_BOX = Box3D(center=np.array([10.0, 1.0, 0.0]), l=4.0, w=2.0, h=1.5, yaw=0.3)
+
+# each entry point that reads rows of a fixed width, and that width
+_ROW_READERS = {
+    "solve_box": (lambda a: solve_box(a), 6),
+    "dof_analysis": (lambda a: dof_analysis(a, at=_ROW_BOX), 6),
+    "lidar_to_nlc": (lambda a: lidar_to_nlc(a, _ROW_BOX), 3),
+    "nlc_to_lidar": (lambda a: nlc_to_lidar(a, _ROW_BOX), 3),
+    "points_in_box": (lambda a: points_in_box(a, _ROW_BOX), 3),
+    "project_points": (lambda a: project_points(a, identity_calib()), 3),
+    "ProjectionPlan": (lambda a: ProjectionPlan(a, 4, 5), 2),
+}
+
+
+class TestRowWidth:
+    """An array of another width raises ShapeError instead of being read as
+    rows of the expected width."""
+
+    @pytest.mark.parametrize("reader, shape", [
+        ("solve_box", (12, 3)),
+        ("dof_analysis", (12, 3)),
+        ("lidar_to_nlc", (3, 2)),
+        ("nlc_to_lidar", (3, 2)),
+        ("points_in_box", (3, 2)),
+        ("project_points", (3, 2)),
+        ("project_points", (4, 2)),
+        ("ProjectionPlan", (3, 4)),
+        ("ProjectionPlan", (2, 3, 2)),
+    ])
+    def test_wrong_width_rejected(self, reader, shape):
+        call, width = _ROW_READERS[reader]
+        values = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape) / 10
+        with pytest.raises(ShapeError, match=rf"must be \(N, {width}\), got shape"):
+            call(values)
+
+    @pytest.mark.parametrize("reader", sorted(_ROW_READERS))
+    def test_rows_and_one_row_accepted(self, reader):
+        call, width = _ROW_READERS[reader]
+        nlc = np.random.default_rng(0).uniform(0.1, 0.9, size=(4, 3))
+        pts = nlc_to_lidar(nlc, _ROW_BOX)
+        rows = {6: np.hstack([pts, nlc]), 3: pts, 2: nlc[:, :2]}[width]
+        call(rows)
+        if reader != "solve_box":  # which needs three rows
+            call(rows[0])
+
+    def test_single_point_keeps_its_shape(self):
+        p = np.array([10.5, 1.2, 0.1])
+        assert lidar_to_nlc(p, _ROW_BOX).shape == (3,)
+        assert nlc_to_lidar(p, _ROW_BOX).shape == (3,)
+        assert np.array_equal(lidar_to_nlc(p, _ROW_BOX), lidar_to_nlc(p[None], _ROW_BOX)[0])
+
+    @pytest.mark.parametrize("empty", [[], np.zeros(0), np.zeros((0, 3))], ids=["list", "1d", "2d"])
+    def test_no_points_give_no_rows(self, empty):
+        assert lidar_to_nlc(empty, _ROW_BOX).shape == (0, 3)
+        assert nlc_to_lidar(empty, _ROW_BOX).shape == (0, 3)
+        assert len(points_in_box(empty, _ROW_BOX)) == 0

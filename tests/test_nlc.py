@@ -14,6 +14,7 @@ from nlcdet import (
     InvalidValue,
     NlcMap,
     ParseError,
+    ShapeError,
     build_gt_nlc_map,
     lidar_to_nlc,
     mmae,
@@ -104,6 +105,35 @@ class TestGtMap:
     def test_non_positive_size_rejected(self, height, width):
         with pytest.raises(ValueError, match="positive"):
             build_gt_nlc_map(np.zeros((0, 3)), [], simple_calib(), height, width)
+
+    @pytest.mark.parametrize("points", [
+        np.array([10.0, 0.5, 0.5]), np.ones((2, 2)), np.ones((3, 2)), np.ones((2, 3, 3)),
+    ], ids=["one_point_1d", "2x2", "3x2", "3d"])
+    def test_points_of_another_shape_rejected(self, points):
+        box = Box3D(center=np.array([10.0, 0, 0]), l=4, w=4, h=4, yaw=0.0)
+        with pytest.raises(ShapeError, match=r"points must be \(N, >=3\)"):
+            build_gt_nlc_map(points, [box], simple_calib(), 48, 64)
+
+    @pytest.mark.parametrize("height, width", [(24.5, 12), (10, 12.0), (True, 12), ("10", 12), (None, 12)])
+    def test_size_that_is_not_an_integer_rejected(self, height, width):
+        with pytest.raises(InvalidValue, match="positive integers"):
+            build_gt_nlc_map(np.zeros((0, 3)), [], simple_calib(), height, width)
+
+    @pytest.mark.parametrize("points", [[], np.zeros(0), np.zeros((0, 3)), np.zeros((0, 2))])
+    def test_empty_points_accepted(self, points):
+        box = Box3D(center=np.array([10.0, 0, 0]), l=4, w=4, h=4, yaw=0.0)
+        m, obj = build_gt_nlc_map(points, [box], simple_calib(), np.int64(10), 12)
+        assert m.values.shape == (10, 12, 3) and not m.mask.any() and np.all(obj == -1)
+
+    def test_extra_columns_ignored(self, rng):
+        box = Box3D(center=np.array([10.0, 0, 0]), l=4, w=4, h=4, yaw=0.0)
+        pts = nlc_to_lidar(rng.uniform(0, 1, size=(50, 3)), box)
+        with_reflectance = np.column_stack([pts, rng.uniform(size=50)]).astype(np.float32)
+        m, obj = build_gt_nlc_map(with_reflectance, [box], simple_calib(), 48, 64)
+        ref, ref_obj = build_gt_nlc_map(with_reflectance[:, :3].astype(float), [box], simple_calib(), 48, 64)
+        assert m.mask.any()
+        assert np.array_equal(m.values, ref.values) and np.array_equal(m.depth, ref.depth)
+        assert np.array_equal(obj, ref_obj)
 
     def test_single_interior_point(self):
         box = Box3D(center=np.array([10.0, 0, 0]), l=4, w=4, h=4, yaw=0.0)
@@ -399,6 +429,16 @@ class TestNlcmFormat:
                 read_nlc_map(blob)
             except ParseError:
                 pass
+
+    @pytest.mark.parametrize("field, shape", [
+        ("mask", (3, 3)), ("depth", (3, 3)), ("values", (2, 2, 2)), ("mask", (4,)),
+    ])
+    def test_arrays_of_different_shapes_rejected(self, rng, field, shape):
+        m = self._map(rng, h=2, w=2)
+        setattr(m, field, np.ones(shape, dtype=getattr(m, field).dtype))
+        for writer in (write_nlc_map, nlc_map_to_csv):
+            with pytest.raises(ShapeError, match="share one"):
+                writer(m)
 
     def test_csv_lists_exactly_valid_pixels(self, rng):
         m = self._map(rng)

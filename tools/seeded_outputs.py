@@ -9,15 +9,20 @@ and pins BLAS to one thread, before importing it.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import tempfile
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from nlcdet import (
-    Box3D, Calibration, Detection, LossWeights, average_precision, dof_analysis, gradcheck,
+    Box3D, Calibration, Detection, LossWeights, average_precision, cli, dof_analysis, gradcheck,
     iou_3d, match_detections, nlc_to_lidar, project_points, solve_box,
 )
 from nlcdet.geometry import _nearest_per_pixel
+from nlcdet.kitti_io import KittiCalib, emit_calib, emit_labels, lidar_box_to_label, write_velodyne
 from nlcdet.propagation import ProjectionPlan
 from nlcdet.pipeline import ABLATION_ROWS, TrainConfig, ablation, generate_scene, train
 
@@ -71,6 +76,7 @@ def outputs():
     yield "decode", decode()
     yield "plan/375x1242", plan()
     yield "zbuffer/ties", zbuffer()
+    yield "nlcmap/375x1242", nlcmap()
 
 
 def leaves(value, path=""):
@@ -180,6 +186,63 @@ def zbuffer(height=60, width=80, n=5000):
     for values in (u, v, d):
         values[rng.integers(0, len(xyz), size=50)] = np.nan
     return list(_nearest_per_pixel(xyz, u, v, d, height, width))
+
+
+def nlcmap(height=375, width=1242, n=120_000):
+    """The NLCM bytes (as uint8), the ``--csv`` text and the printed lines of
+    ``nlcdet nlcmap`` on one seeded KITTI-sized frame.
+
+    The camera looks along LiDAR x.  Ten car boxes lie 8-45 m ahead: each
+    of the first eight has 2000 points on its faces, the ninth only the
+    background points that fall in it, and the tenth is labelled DontCare.
+    The rest of the ``n`` points spread all round, behind the camera too.  To them come 300 exact copies
+    of points and 300 copies moved by one float32 ulp along y (equal depth,
+    as a rule in the same pixel), and of 100 rows one coordinate is NaN or
+    +-inf.
+    """
+    rng = np.random.default_rng([0, 28])
+    axes = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+    calib = KittiCalib(
+        P2=np.array([[721.5, 0.0, width / 2, 0.0], [0.0, 721.5, height / 2, 0.0], [0.0, 0.0, 1.0, 0.0]]),
+        R0_rect=np.eye(3), Tr_velo_to_cam=np.column_stack([axes, [0.0, -0.08, -0.27]]),
+    )
+    boxes = []
+    for _ in range(10):
+        x = rng.uniform(8.0, 45.0)
+        boxes.append(Box3D(center=[x, x * rng.uniform(-0.5, 0.5), -0.9], l=rng.uniform(3.5, 4.8),
+                           w=rng.uniform(1.6, 2.0), h=rng.uniform(1.4, 1.8), yaw=rng.uniform(-np.pi, np.pi)))
+    parts = []
+    for box in boxes[:8]:
+        nlc = rng.uniform(0.03, 0.97, size=(2000, 3))
+        nlc[np.arange(2000), rng.integers(0, 3, size=2000)] = rng.choice([0.03, 0.97], size=2000)
+        parts.append(nlc_to_lidar(nlc, box))
+    k = n - 16_000
+    azimuth, radius = rng.uniform(-np.pi, np.pi, size=k), rng.uniform(3.0, 60.0, size=k)
+    parts.append(np.column_stack([radius * np.cos(azimuth), radius * np.sin(azimuth),
+                                  rng.uniform(-1.7, 2.5, size=k)]))
+    xyz = np.vstack(parts).astype("<f4")
+    moved = xyz[rng.integers(0, 16_000, size=300)]
+    moved[:, 1] = np.nextafter(moved[:, 1], np.float32(np.inf))
+    xyz = np.vstack([xyz, xyz[rng.integers(0, 16_000, size=300)], moved])
+    xyz[rng.integers(0, len(xyz), size=100), rng.integers(0, 3, size=100)] = rng.choice(
+        [np.nan, np.inf, -np.inf], size=100)
+    points = np.column_stack([xyz, rng.uniform(0.0, 1.0, size=len(xyz))])[rng.permutation(len(xyz))]
+    labels = [lidar_box_to_label(box, calib) for box in boxes[:9]]
+    labels.insert(4, lidar_box_to_label(boxes[9], calib, type_name="DontCare"))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / name for name in ("calib", "label", "velodyne", "nlcm", "csv")}
+        paths["calib"].write_text(emit_calib(calib))
+        paths["label"].write_text(emit_labels(labels))
+        paths["velodyne"].write_bytes(write_velodyne(points))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main([
+                "nlcmap", "--calib", str(paths["calib"]), "--label", str(paths["label"]),
+                "--velodyne", str(paths["velodyne"]), "--out", str(paths["nlcm"]),
+                "--csv", str(paths["csv"]), "--height", str(height), "--width", str(width),
+            ])
+        return [code, np.frombuffer(paths["nlcm"].read_bytes(), np.uint8),
+                paths["csv"].read_text(), stdout.getvalue()]
 
 
 def _car_box(rng) -> Box3D:
