@@ -51,6 +51,15 @@ def _float_rows(values, width: int, what: str) -> np.ndarray:
     raise ShapeError(f"{what} must be (N, {width}), got shape {rows.shape}")
 
 
+def _float_shaped(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``values`` as a float array of ``shape``, read from an array of any
+    shape that holds as many values; another count raises ShapeError."""
+    array = np.asarray(values, dtype=float)
+    if array.size != math.prod(shape):
+        raise ShapeError(f"{what} must hold {math.prod(shape)} values, got shape {array.shape}")
+    return array.reshape(shape)
+
+
 def normalize_angle(theta: float) -> float:
     """Wrap an angle to the canonical interval (-pi, pi]."""
     wrapped = np.pi - (np.pi - theta) % (2.0 * np.pi)
@@ -80,7 +89,7 @@ class Box3D:
     yaw: float
 
     def __post_init__(self):
-        center = np.asarray(self.center, dtype=float).reshape(3).copy()
+        center = _float_shaped(self.center, (3,), "box center").copy()
         if not all(map(math.isfinite, center.tolist())):
             raise InvalidValue("box center must be finite")
         if not (self.l > 0 and self.w > 0 and self.h > 0):
@@ -127,9 +136,9 @@ class Calibration:
     T: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        K = np.asarray(self.K, dtype=float).reshape(3, 3)
-        R = np.asarray(self.R, dtype=float).reshape(3, 3)
-        T = np.asarray(self.T, dtype=float).reshape(3)
+        K = _float_shaped(self.K, (3, 3), "K")
+        R = _float_shaped(self.R, (3, 3), "R")
+        T = _float_shaped(self.T, (3,), "T")
         _require_bounded(K, "K")
         _require_bounded(T, "T")
         if not (K[1, 0] == 0 and K[2, 0] == 0 and K[2, 1] == 0):
@@ -214,7 +223,7 @@ def _nearest_per_pixel(xyz, u, v, d, height: int, width: int):
 def project_point(p: np.ndarray, calib: Calibration):
     """Project a single point as :func:`project_points` does; raises
     BehindCamera where that gives it no finite (u, v)."""
-    u, v, d = project_points(np.asarray(p, dtype=float).reshape(1, 3), calib)
+    u, v, d = project_points(_float_shaped(p, (1, 3), "point"), calib)
     if not (np.isfinite(u[0]) and np.isfinite(v[0])):
         raise BehindCamera(f"no finite image position at depth {d[0]:.3g}")
     return float(u[0]), float(v[0]), float(d[0])

@@ -10,7 +10,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import EmptyForeground, InvalidValue, LabelError
+from .errors import EmptyForeground, InvalidValue, LabelError, ShapeError
 
 __all__ = [
     "LossWeights",
@@ -86,14 +86,19 @@ def center_loss(pred_offsets, gt_offsets, foreground, delta: float):
 
 
 def cross_entropy(logits, labels):
-    """Mean cross-entropy over rows of (M, K) logits.
+    """Mean cross-entropy over rows of (M, K) logits, one label per row.
 
     Numerically stabilized by max-subtraction.  Returns (loss, grad) with
-    grad = (softmax - one_hot) / M.
+    grad = (softmax - one_hot) / M.  Logits that are not 2-D, or a label
+    count other than M, raise ShapeError.
     """
     logits = np.asarray(logits, dtype=float)
     labels = np.asarray(labels, dtype=int).reshape(-1)
+    if logits.ndim != 2:
+        raise ShapeError(f"logits must be (M, K), got shape {logits.shape}")
     m, k = logits.shape
+    if len(labels) != m:
+        raise ShapeError(f"need one label per row: {len(labels)} labels for {m} rows")
     if k < 2:
         raise InvalidValue("need at least 2 classes")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:

@@ -663,6 +663,7 @@ def train(
     config: TrainConfig,
     train_scenes=None,
     val_scenes=None,
+    workspace: Workspace | None = None,
 ) -> tuple[ToyModel, TrainingReport]:
     """Plain gradient descent over the synthetic scenes; fully deterministic.
 
@@ -670,8 +671,13 @@ def train(
     image-branch parameter gradients, plus the norm of the point-branch
     gradient produced by image-branch objectives alone (measured on the
     first scene) to expose the gradient path through point-to-pixel scatter.
-    A step whose loss or gradient norm is not finite ends the run as diverged.
+    A step whose loss or gradient norm is not finite ends the run as
+    diverged, in its report and not in overflow warnings.
     Either scene list, when given, must be non-empty.
+
+    Every step and the validation write into ``workspace``, which must hold
+    the largest of the scenes, or into one made for both scene lists and
+    freed when the run ends.
     """
     if train_scenes is None or val_scenes is None:
         generated_train, generated_val = make_scenes(config)
@@ -681,22 +687,13 @@ def train(
         raise InvalidValue("need at least one training scene")
     if not val_scenes:
         raise InvalidValue("need at least one validation scene")
-
-    # one workspace for the run's steps and its validation, freed when the run ends
-    return _run(config, train_scenes, val_scenes, Workspace([*train_scenes, *val_scenes]))
-
-
-def _run(config: TrainConfig, train_scenes, val_scenes,
-         workspace: Workspace) -> tuple[ToyModel, TrainingReport]:
-    """``train`` on non-empty scene lists, every step and the validation in
-    ``workspace``, which must hold the largest of them; a diverging run
-    ends in its report, not in overflow warnings."""
+    ws = Workspace([*train_scenes, *val_scenes]) if workspace is None else workspace
     model = ToyModel.init(
         config.seed, c_point=config.point_channels, c_image=config.image_channels
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        epochs_log, diverged = _descend(model, train_scenes, config, workspace)
-        final_val = evaluate_model(model, val_scenes, config, workspace)
+        epochs_log, diverged = _descend(model, train_scenes, config, ws)
+        final_val = evaluate_model(model, val_scenes, config, ws)
     report = TrainingReport(
         config=config,
         epochs=epochs_log,
@@ -725,7 +722,8 @@ def ablation(
     The reported metric per run is the validation NLC loss plus center loss.
     Returns per-row per-seed metrics, row means, and final gradient telemetry.
     Every run is the ``train`` run of its row and seed on the shared scenes,
-    and all of them write into one workspace.
+    and the call makes one workspace for those scenes and passes it to every
+    run.
     """
     if len(seeds) < 2:
         raise InvalidValue("need at least 2 seeds per row")
@@ -736,25 +734,20 @@ def ablation(
     train_scenes, val_scenes = make_scenes(base_config)
     workspace = Workspace([*train_scenes, *val_scenes])
     for row in rows:
-        flags = ABLATION_ROWS[row]
         runs = []
         for seed in seeds:
-            cfg = replace(base_config, seed=seed, **flags)
-            _, run_report = _run(cfg, train_scenes, val_scenes, workspace)
-            fv = run_report.final_val
-            runs.append(
-                {
-                    "seed": seed,
-                    "metric": fv["nlc"] + fv["ctr"],
-                    "val": fv,
-                    "diverged": run_report.diverged,
-                    "final_image_to_point_grad_norm": (
-                        run_report.epochs[-1]["image_to_point_grad_norm"]
-                        if run_report.epochs
-                        else 0.0
-                    ),
-                }
-            )
+            config = replace(base_config, seed=seed, **ABLATION_ROWS[row])
+            _, run = train(config, train_scenes, val_scenes, workspace)
+            fv = run.final_val
+            runs.append({
+                "seed": seed,
+                "metric": fv["nlc"] + fv["ctr"],
+                "val": fv,
+                "diverged": run.diverged,
+                "final_image_to_point_grad_norm": (
+                    run.epochs[-1]["image_to_point_grad_norm"] if run.epochs else 0.0
+                ),
+            })
         report["rows"][row] = {
             "runs": runs,
             "mean_metric": float(np.mean([r["metric"] for r in runs])),

@@ -100,3 +100,29 @@ def test_benchmark_calls_found():
                          [call[1:] for call in CALLS], ids=[call[0] for call in CALLS])
 def test_benchmark_call_fits_the_signature(target, positional, keywords):
     inspect.signature(target).bind(*[None] * positional, **dict.fromkeys(keywords))
+
+
+def test_traced_ablation_sees_each_run_as_a_train_span():
+    # the benchmark times ablation runs by their ``pipeline.train`` spans
+    from nlcdet import pipeline
+
+    config = pipeline.TrainConfig(epochs=1, train_scenes=2, val_scenes=1)
+    tracer = _tracing.Tracer()
+    with _tracing.instrument(tracer):
+        pipeline.ablation(config, seeds=(0, 1), rows=("none", "both"))
+    spans, ids = tracer.spans, _tracing.span_ids(tracer.spans)
+    runs = [i for i, span in enumerate(spans) if span[0] == "pipeline.train"]
+    assert [ids[i] for i in runs] == [f"setup/run-{r}" for r in range(4)]
+
+    def run_of(idx):
+        while idx >= 0 and spans[idx][0] != "pipeline.train":
+            idx = spans[idx][3]
+        return idx
+
+    forwards = [i for i, span in enumerate(spans) if span[0] == "pipeline.forward"]
+    # per run: two training steps, the image-objective step and one validation scene
+    assert len(forwards) == 4 * 4
+    for i in forwards:
+        assert run_of(i) in runs and ids[i].startswith(ids[run_of(i)] + "/")
+    steps = [ids[i] for i in forwards if spans[i][3] in runs]
+    assert steps == [f"setup/run-{r}/step-{k}" for r in range(4) for k in range(3)]

@@ -615,3 +615,16 @@ class TestRowWidth:
         assert lidar_to_nlc(empty, _ROW_BOX).shape == (0, 3)
         assert nlc_to_lidar(empty, _ROW_BOX).shape == (0, 3)
         assert len(points_in_box(empty, _ROW_BOX)) == 0
+
+    @pytest.mark.parametrize("make, values, what", [
+        (lambda a: Box3D(center=a, l=4.0, w=2.0, h=1.5, yaw=0.0), [1.0, 2.0], "box center"),
+        (lambda a: Box3D(center=a, l=4.0, w=2.0, h=1.5, yaw=0.0), np.ones((2, 3)), "box center"),
+        (lambda a: Calibration(K=a), np.eye(2), "K"),
+        (lambda a: Calibration(K=np.eye(3), R=a), np.eye(2), "R"),
+        (lambda a: Calibration(K=np.eye(3), T=a), [0.0, 0.0], "T"),
+        (lambda a: project_point(a, identity_calib()), np.ones((2, 3)), "point"),
+    ], ids=["center-2", "center-6", "K-2x2", "R-2x2", "T-2", "project_point-2x3"])
+    def test_wrong_value_count_rejected(self, make, values, what):
+        # a typed error, not NumPy's ValueError from a reshape
+        with pytest.raises(ShapeError, match=rf"^{what} must hold \d+ values, got shape"):
+            make(values)

@@ -9,6 +9,7 @@ from nlcdet import (
     EmptyForeground,
     LabelError,
     LossWeights,
+    ShapeError,
     center_loss,
     cross_entropy,
     huber,
@@ -137,6 +138,16 @@ class TestCrossEntropy:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             cross_entropy(np.zeros((2, 1)), np.array([0, 0]))
+
+    @pytest.mark.parametrize("logits, labels, message", [
+        (np.zeros(3), np.array([0, 1, 0]), r"logits must be \(M, K\), got shape \(3,\)"),
+        (np.zeros((2, 3, 2)), np.array([0, 1]), r"logits must be \(M, K\), got shape \(2, 3, 2\)"),
+        (np.zeros((3, 2)), np.array([0, 1]), "2 labels for 3 rows"),
+        (np.zeros((2, 2)), np.array([0, 1, 1]), "3 labels for 2 rows"),
+    ], ids=["1d", "3d", "too-few-labels", "too-many-labels"])
+    def test_mis_shaped_input_rejected(self, logits, labels, message):
+        with pytest.raises(ShapeError, match=message):
+            cross_entropy(logits, labels)
 
 
 def _terms(nlc, sem2d, sem3d, ctr):

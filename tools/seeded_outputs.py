@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import tempfile
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -38,7 +39,9 @@ def outputs():
     the benchmark's ``decode`` workload does it (see :func:`decode`), the
     ``plan`` output a plan's products at KITTI size (see :func:`plan`) and
     the ``zbuffer`` output the z-buffer of a cloud with equal-depth ties
-    (see :func:`zbuffer`).
+    (see :func:`zbuffer`).  The ``nlcmap`` and ``cli`` outputs are what
+    ``cli.main`` writes and prints for each command that reads or writes
+    files, with its exit code.
     """
     runs = {f"train/{row}": replace(SMALL, **flags) for row, flags in ABLATION_ROWS.items()}
     runs["train/no_nlc"] = replace(SMALL, epochs=4, weights=LossWeights(nlc=0.0))
@@ -77,6 +80,10 @@ def outputs():
     yield "plan/375x1242", plan()
     yield "zbuffer/ties", zbuffer()
     yield "nlcmap/375x1242", nlcmap()
+    yield "cli/train", cli_train()
+    yield "cli/ablation", cli_ablation()
+    yield "cli/solve", cli_solve()
+    yield "cli/eval", cli_eval()
 
 
 def leaves(value, path=""):
@@ -234,15 +241,94 @@ def nlcmap(height=375, width=1242, n=120_000):
         paths["calib"].write_text(emit_calib(calib))
         paths["label"].write_text(emit_labels(labels))
         paths["velodyne"].write_bytes(write_velodyne(points))
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = cli.main([
-                "nlcmap", "--calib", str(paths["calib"]), "--label", str(paths["label"]),
-                "--velodyne", str(paths["velodyne"]), "--out", str(paths["nlcm"]),
-                "--csv", str(paths["csv"]), "--height", str(height), "--width", str(width),
-            ])
+        code, printed = _main([
+            "nlcmap", "--calib", str(paths["calib"]), "--label", str(paths["label"]),
+            "--velodyne", str(paths["velodyne"]), "--out", str(paths["nlcm"]),
+            "--csv", str(paths["csv"]), "--height", str(height), "--width", str(width),
+        ])
         return [code, np.frombuffer(paths["nlcm"].read_bytes(), np.uint8),
-                paths["csv"].read_text(), stdout.getvalue()]
+                paths["csv"].read_text(), printed]
+
+
+# a small run that sets one config key of each kind: int, bool and loss weight
+CONFIG = "seed = 1\nepochs = 3\ntrain_scenes = 6\nval_scenes = 3\nenable_i2p = false\nlambda_sem2d = 0.5\n"
+
+
+def cli_train():
+    """The exit code, the ``--out`` JSON, the ``--curves`` CSV and the printed
+    lines of ``nlcdet train`` on :data:`CONFIG`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out, curves = (Path(tmp) / name for name in ("config", "report.json", "curves.csv"))
+        config.write_text(CONFIG)
+        code, printed = _main(["train", "--config", str(config), "--out", str(out), "--curves", str(curves)])
+        return [code, out.read_text(), curves.read_text(), printed]
+
+
+def cli_ablation():
+    """The exit code, the ``--out`` JSON and the printed lines of ``nlcdet
+    ablation --seeds 0,1`` on :data:`CONFIG`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "config", Path(tmp) / "ablation.json"
+        config.write_text(CONFIG)
+        code, printed = _main(["ablation", "--config", str(config), "--seeds", "0,1", "--out", str(out)])
+        return [code, out.read_text(), printed]
+
+
+def cli_solve():
+    """The exit code and printed JSON of ``nlcdet solve`` on 30 noisy
+    correspondences of one car box, then of the same with ``--init`` (the
+    box moved) and ``--noise-report``."""
+    rng = np.random.default_rng([0, 29])
+    box = _car_box(rng)
+    nlc = rng.uniform(0.05, 0.95, size=(30, 3))
+    pts = nlc_to_lidar(nlc, box) + rng.normal(0.0, 0.02, size=(30, 3))
+    init = {"center": (box.center + rng.normal(0.0, 0.2, size=3)).tolist(),
+            "l": box.l * 0.9, "w": box.w * 1.1, "h": box.h, "yaw": box.yaw + 0.1}
+    with tempfile.TemporaryDirectory() as tmp:
+        corrs, start = Path(tmp) / "corrs.csv", Path(tmp) / "init.json"
+        corrs.write_text(_csv("x,y,z,x_nlc,y_nlc,z_nlc", np.hstack([pts, nlc])))
+        start.write_text(json.dumps(init))
+        argv = ["solve", "--corrs", str(corrs)]
+        return [_main(argv), _main([*argv, "--init", str(start), "--noise-report"])]
+
+
+def cli_eval():
+    """The exit code and printed JSON of ``nlcdet eval``, then of the same
+    with ``--r11``, on detections of 16 ground-truth boxes in classes 0 and 1.
+
+    Each box has a detection moved by a normal draw of 0.15 m per axis; 6
+    false positives come on top, one of them in class 2, which has no ground
+    truth.  Every score is uniform in [0, 1).
+    """
+    rng = np.random.default_rng([1, 29])
+    gts = [(_car_box(rng), i % 2) for i in range(16)]
+    dets = [(Box3D(center=b.center + rng.normal(0.0, 0.15, size=3), l=b.l, w=b.w, h=b.h, yaw=b.yaw),
+             rng.uniform(), c) for b, c in gts]
+    dets += [(_car_box(rng), rng.uniform(), c) for c in (0, 0, 1, 1, 1, 2)]
+    with tempfile.TemporaryDirectory() as tmp:
+        det_path, gt_path = Path(tmp) / "dets.csv", Path(tmp) / "gts.csv"
+        det_path.write_text(_csv("x,y,z,l,w,h,yaw,score,class", [[*_box_row(b), s, c] for b, s, c in dets]))
+        gt_path.write_text(_csv("x,y,z,l,w,h,yaw,class", [[*_box_row(b), c] for b, c in gts]))
+        argv = ["eval", "--dets", str(det_path), "--gts", str(gt_path)]
+        return [_main(argv), _main([*argv, "--r11"])]
+
+
+def _main(argv) -> tuple[int, str]:
+    """The exit code and the printed lines of ``cli.main(argv)``."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    return code, stdout.getvalue()
+
+
+def _csv(header: str, rows) -> str:
+    """``header`` and one line of exact (``repr``) numbers per row."""
+    return "\n".join([header, *(",".join(repr(float(x)) for x in r) for r in rows)]) + "\n"
+
+
+def _box_row(box: Box3D) -> list:
+    """A box as the ``x,y,z,l,w,h,yaw`` columns of ``eval``'s CSV files."""
+    return [*box.center, box.l, box.w, box.h, box.yaw]
 
 
 def _car_box(rng) -> Box3D:
