@@ -8,6 +8,7 @@ x-axis, normalized to (-pi, pi].
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,6 +40,33 @@ def _require_bounded(values, what: str) -> None:
     +-``MAX_ABS_VALUE``; NaN and +-inf are not."""
     if not np.all(np.abs(values) <= MAX_ABS_VALUE):
         raise InvalidValue(f"{what} must be numbers within +-{MAX_ABS_VALUE:g}")
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer: a ``numbers.Integral``, NumPy's
+    integers included, that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require_integer(value, low: int, what: str) -> None:
+    """Raise InvalidValue naming ``what`` unless ``value`` is an integer of at least ``low``."""
+    if not (_is_integer(value) and value >= low):
+        raise InvalidValue(f"{what} must be an integer of at least {low}, got {value!r}")
+
+
+def _require_image_size(height, width) -> None:
+    """Raise InvalidValue unless ``height`` and ``width`` are integers of at least 1."""
+    if not all(_is_integer(size) and size >= 1 for size in (height, width)):
+        raise InvalidValue(f"map dimensions must be positive integers, got {height!r}x{width!r}")
+
+
+def _point_rows(points) -> np.ndarray:
+    """``points`` as an array of (N, >=3) rows, x, y and z first, or an empty
+    array; any other shape raises ShapeError.  The dtype is left as it is."""
+    pts = np.asarray(points)
+    if pts.size and (pts.ndim != 2 or pts.shape[1] < 3):
+        raise ShapeError(f"points must be (N, >=3), got shape {pts.shape}")
+    return pts
 
 
 def _float_rows(values, width: int, what: str) -> np.ndarray:

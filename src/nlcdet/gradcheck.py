@@ -10,7 +10,8 @@ import numpy as np
 
 from .losses import center_loss, cross_entropy, nlc_loss, total_loss
 from .pipeline import (
-    _HEADS, SceneParams, ToyModel, TrainConfig, _steps, compute_losses, forward, generate_scene,
+    _HEADS, SceneParams, ToyModel, TrainConfig, Workspace, _step, compute_losses, forward,
+    generate_scene,
 )
 from .propagation import (
     DenseLayer,
@@ -182,7 +183,7 @@ def _check_model_gradient(rng: np.random.Generator, config: TrainConfig, heads: 
         return total_loss({c: losses[c] for c in heads}, config.weights)
 
     base = model.params.copy()
-    grad_vec = next(_steps(model, [scene], config, heads))[1].params
+    grad_vec = _step(model, scene, config, heads, Workspace([scene]))[1].params
 
     worst = 0.0
     for _ in range(5):

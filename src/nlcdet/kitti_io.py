@@ -22,7 +22,10 @@ from .errors import (
     ParseError,
     TruncatedFile,
 )
-from .geometry import MAX_ABS_VALUE, Box3D, Calibration, _is_rotation, normalize_angle
+from .geometry import (
+    MAX_ABS_VALUE, Box3D, Calibration, _is_rotation, _point_rows, _require_bounded,
+    _require_integer, normalize_angle,
+)
 
 __all__ = [
     "KittiCalib",
@@ -302,8 +305,9 @@ def lidar_box_to_label(
 
 
 def filter_detection_range(points: np.ndarray) -> np.ndarray:
-    """Keep points inside the closed ``DETECTION_RANGE`` intervals, order preserved."""
-    pts = np.asarray(points)
+    """Keep points inside the closed ``DETECTION_RANGE`` intervals, order
+    preserved.  Points are (N, >=3) or empty, else ShapeError."""
+    pts = _point_rows(points)
     if pts.size == 0:
         return pts.reshape(0, pts.shape[-1] if pts.ndim > 1 else 4)
     keep = np.ones(len(pts), dtype=bool)
@@ -330,16 +334,22 @@ def downsample(
     """Reduce a cloud to at most ``budget`` points.
 
     ``strategy`` is "random" (seeded uniform choice without replacement) or
-    "fps" (farthest-point sampling from a seeded start).
+    "fps" (farthest-point sampling from a seeded start).  Points are
+    (N, >=3) or empty, else ShapeError; ``budget`` is an integer of at least
+    1 and ``seed`` one of at least 0, else InvalidValue.  "fps" measures
+    distances, so it also raises InvalidValue for a coordinate that is NaN,
+    infinite or beyond +-``MAX_ABS_VALUE``.
     """
-    pts = np.asarray(points)
-    if budget <= 0:
-        raise InvalidValue("budget must be positive")
+    pts = _point_rows(points)
+    _require_integer(budget, 1, "budget")
+    _require_integer(seed, 0, "seed")
     if len(pts) <= budget:
         return pts.copy()
     if strategy == "random":
         idx = np.random.default_rng(seed).choice(len(pts), size=budget, replace=False)
         return pts[np.sort(idx)]
     if strategy == "fps":
-        return pts[_farthest_point_indices(pts[:, :3].astype(float), budget, seed)]
+        xyz = pts[:, :3].astype(float)
+        _require_bounded(xyz, "point coordinates")
+        return pts[_farthest_point_indices(xyz, budget, seed)]
     raise InvalidValue(f"unknown strategy {strategy!r}")

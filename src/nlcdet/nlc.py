@@ -19,7 +19,6 @@ as float32; where the mask is 0 the values are 0 and the depth is +inf.
 from __future__ import annotations
 
 import io
-import numbers
 import struct
 from dataclasses import dataclass
 from itertools import accumulate
@@ -28,8 +27,8 @@ import numpy as np
 
 from .errors import InvalidValue, ParseError, ShapeError
 from .geometry import (
-    Box3D, Calibration, _from_box_frame, _nearest_per_pixel, _to_box_frame, points_in_box,
-    project_points,
+    Box3D, Calibration, _from_box_frame, _nearest_per_pixel, _point_rows, _require_image_size,
+    _to_box_frame, points_in_box, project_points,
 )
 
 __all__ = [
@@ -97,12 +96,8 @@ def _foreground(points, boxes: list[Box3D], calib: Calibration, height: int, wid
     to float64: x of every point, y of the points whose x passes the owner
     prefilter, then xyz of the points that pass it.
     """
-    for size in (height, width):
-        if not isinstance(size, numbers.Integral) or isinstance(size, bool) or size < 1:
-            raise InvalidValue(f"map dimensions must be positive integers, got {height!r}x{width!r}")
-    pts = np.asarray(points)
-    if pts.size and (pts.ndim != 2 or pts.shape[1] < 3):
-        raise ShapeError(f"points must be (N, >=3), got shape {pts.shape}")
+    _require_image_size(height, width)
+    pts = _point_rows(points)
     if pts.size == 0 or not boxes:
         return np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int)
 

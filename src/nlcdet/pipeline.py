@@ -17,7 +17,9 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import InvalidValue, ShapeError
-from .geometry import Box3D, Calibration, _nearest_per_pixel, _to_box_frame, project_points
+from .geometry import (
+    Box3D, Calibration, _nearest_per_pixel, _require_integer, _to_box_frame, project_points,
+)
 from .losses import LossWeights, center_loss, cross_entropy, nlc_loss, total_loss
 from .nlc import NlcMap, build_gt_nlc_map, lidar_to_nlc, mmae, nlc_to_lidar, object_pixel_sets
 from .propagation import (
@@ -59,10 +61,10 @@ _GROUND_Z = -1.7
 
 
 def _require_at_least(config, lows) -> None:
-    """Raise InvalidValue for the first ``(field, low)`` of ``lows`` that ``config`` falls below."""
+    """Raise InvalidValue naming the first ``(field, low)`` of ``lows`` whose
+    value in ``config`` is not an integer of at least ``low``."""
     for name, low in lows:
-        if getattr(config, name) < low:
-            raise InvalidValue(f"{name} must be at least {low}, got {getattr(config, name)}")
+        _require_integer(getattr(config, name), low, name)
 
 
 @dataclass(frozen=True)
@@ -561,22 +563,17 @@ def backward(
     return out
 
 
-def _steps(model: ToyModel, scenes, config: TrainConfig, heads=_HEADS,
-           workspace: Workspace | None = None):
-    """Yield, scene by scene, ``compute_losses`` and the ``backward`` of the
-    weighted sum of the ``heads`` losses alone; each forward reads the
-    parameters as the caller left them after the previous step.
+def _step(model: ToyModel, scene: SyntheticScene, config: TrainConfig, heads, workspace: Workspace):
+    """``compute_losses`` on ``scene`` and the ``backward`` of the weighted
+    sum of the ``heads`` losses alone, at the parameters as they are.
 
-    Every step writes into one workspace, ``workspace`` or a new one sized
-    to ``scenes``, so a step allocates only the sparse products' results and
-    the losses, and the gradient model it yields is overwritten by the next
-    step: read it before advancing.
+    The step writes into ``workspace``, so it allocates only the sparse
+    products' results and the losses, and the next step given it overwrites
+    the gradient model it returns.
     """
-    ws = Workspace(scenes) if workspace is None else workspace
-    for scene in scenes:
-        outputs, cache = forward(model, scene, config, ws)
-        losses, head_grads = compute_losses(outputs, scene, config)
-        yield losses, backward(model, scene, config, cache, {c: head_grads[c] for c in heads}, ws)
+    outputs, cache = forward(model, scene, config, workspace)
+    losses, head_grads = compute_losses(outputs, scene, config)
+    return losses, backward(model, scene, config, cache, {c: head_grads[c] for c in heads}, workspace)
 
 
 def _grad_norm(grads: ToyModel, names: tuple[str, ...]) -> float:
@@ -638,7 +635,8 @@ def _descend(model: ToyModel, train_scenes, config: TrainConfig,
     for epoch in range(config.epochs):
         total = 0.0
         pn = inorm = 0.0
-        for losses, grads in _steps(model, train_scenes, config, workspace=workspace):
+        for scene in train_scenes:
+            losses, grads = _step(model, scene, config, _HEADS, workspace)
             total += losses["total"]
             pn += _grad_norm(grads, POINT_BRANCH_LAYERS) ** 2
             inorm += _grad_norm(grads, IMAGE_BRANCH_LAYERS) ** 2
@@ -646,7 +644,7 @@ def _descend(model: ToyModel, train_scenes, config: TrainConfig,
                 return epochs_log, True
             model.params -= config.learning_rate * grads.params
         # image-objective gradient reaching the point branch (telemetry)
-        _, g_img = next(_steps(model, train_scenes[:1], config, IMAGE_HEADS, workspace))
+        _, g_img = _step(model, train_scenes[0], config, IMAGE_HEADS, workspace)
         epochs_log.append(
             {
                 "epoch": epoch,

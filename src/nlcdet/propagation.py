@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ShapeError
-from .geometry import _float_rows, _pixel_cells
+from .geometry import _float_rows, _pixel_cells, _require_image_size
 
 __all__ = [
     "DenseLayer",
@@ -238,11 +238,13 @@ class ProjectionPlan:
     direction is built on first use and then kept (a new transposed view per
     call costs more than the product on a training scene), so a plan that
     only scatters never builds the gather operator; the plan keeps its own
-    copy of the coordinates they are built from.  Point inputs must hold
+    copy of the coordinates they are built from.  ``height`` and ``width``
+    are integers of at least 1, else InvalidValue.  Point inputs must hold
     ``count`` rows and grids H*W pixels; any other size raises ShapeError.
     """
 
     def __init__(self, coords: np.ndarray, height: int, width: int):
+        _require_image_size(height, width)
         self.uv = _float_rows(coords, 2, "coordinates").copy()
         self.height, self.width, self.count = height, width, len(self.uv)
 

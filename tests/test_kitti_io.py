@@ -11,6 +11,7 @@ from nlcdet import (
     MalformedMatrix,
     MissingField,
     ParseError,
+    ShapeError,
     TruncatedFile,
     normalize_angle,
     project_points,
@@ -385,6 +386,40 @@ class TestRangeAndDownsample:
             downsample(pts, 0, seed=0)
         with pytest.raises(ValueError):
             downsample(pts, 5, seed=0, strategy="bogus")
+
+    @pytest.mark.parametrize("points", [np.ones(4), np.ones((5, 2)), np.ones((2, 3, 4))],
+                             ids=["1d", "2_columns", "3d"])
+    def test_points_of_another_shape_rejected(self, points):
+        with pytest.raises(ShapeError, match=r"points must be \(N, >=3\)"):
+            filter_detection_range(points)
+        for strategy in ("random", "fps"):
+            with pytest.raises(ShapeError, match=r"points must be \(N, >=3\)"):
+                downsample(np.repeat(points, 4, axis=0), 1, seed=0, strategy=strategy)
+
+    @pytest.mark.parametrize("budget, seed, field", [
+        (True, 0, "budget"), (2.5, 0, "budget"), (float("nan"), 0, "budget"), ("3", 0, "budget"),
+        (3, -1, "seed"), (3, 1.0, "seed"), (3, False, "seed"),
+    ])
+    def test_budget_and_seed_that_are_not_integers_rejected(self, rng, budget, seed, field):
+        with pytest.raises(InvalidValue, match=field):
+            downsample(rng.normal(size=(10, 4)), budget, seed)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1e300])
+    def test_fps_of_a_coordinate_it_cannot_measure_rejected(self, rng, value):
+        pts = rng.normal(size=(10, 4))
+        pts[3, 1] = value
+        with pytest.raises(InvalidValue, match="point coordinates"):
+            downsample(pts, 5, seed=0, strategy="fps")
+        pts[3, 3] = value  # reflectance is not measured
+        pts[3, 1] = 0.0
+        assert downsample(pts, 5, seed=0, strategy="fps").shape == (5, 4)
+
+    @pytest.mark.parametrize("points, shape", [
+        (np.zeros(0), (0, 4)), (np.zeros((0, 3)), (0, 3)), (np.zeros((0, 2)), (0, 2)),
+    ])
+    def test_empty_points_kept_as_before(self, points, shape):
+        assert filter_detection_range(points).shape == shape
+        assert downsample(points, 3, seed=0).shape == points.shape
 
 
 class TestTotality:

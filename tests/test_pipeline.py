@@ -23,7 +23,7 @@ from nlcdet.pipeline import (
     _HEADS,
     _grad_norm,
     _layer_shapes,
-    _steps,
+    _step,
     ablation,
     backward,
     compute_losses,
@@ -104,6 +104,10 @@ class TestSceneParamsValidation:
         ({"background_points": -1}, "background_points"),
         ({"image_height": 0}, "image_height"),
         ({"image_width": 0}, "image_width"),
+        ({"max_boxes": 1.5}, "max_boxes"),
+        ({"background_points": 10.5}, "background_points"),
+        ({"image_height": True}, "image_height"),
+        ({"min_points_per_box": float("nan")}, "min_points_per_box"),
     ])
     def test_bad_value_rejected(self, changes, field):
         with pytest.raises(InvalidValue, match=field):
@@ -183,6 +187,11 @@ class TestConfigValidation:
         ("lambda_sem2d", float("nan")),
         ("lambda_sem3d", float("inf")),
         ("lambda_ctr", float("-inf")),
+        ("epochs", 2.5),
+        ("epochs", True),
+        ("seed", 1.5),
+        ("train_scenes", 2.5),
+        ("point_channels", 4.0),
     ])
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -196,6 +205,9 @@ class TestConfigValidation:
     def test_edge_values_accepted(self):
         cfg = TrainConfig(epochs=0, train_scenes=1, val_scenes=1, learning_rate=0.0, huber_delta=1e-9)
         assert cfg.epochs == 0
+
+    def test_numpy_integers_accepted(self):
+        assert TrainConfig(epochs=np.int64(2), image_channels=np.int32(3)).epochs == 2
 
 
 class TestForwardBackward:
@@ -369,7 +381,8 @@ class TestWorkspace:
                 if (name.startswith("i2p") and not cfg.enable_i2p)
                 or (name.startswith("p2i") and not cfg.enable_p2i)
                 or (name.startswith("head_") and name[len("head_"):] not in heads)]
-        for scene, (losses, grads) in zip(scenes, _steps(model, scenes, cfg, heads, ws)):
+        for scene in scenes:
+            losses, grads = _step(model, scene, cfg, heads, ws)
             outputs, cache = forward(model, scene, cfg)
             fresh_losses, head_grads = compute_losses(outputs, scene, cfg)
             fresh = backward(model, scene, cfg, cache, {c: head_grads[c] for c in heads})
@@ -401,7 +414,7 @@ class TestWorkspace:
         cfg = TrainConfig(point_channels=widths[0], image_channels=widths[1])
         scene = generate_scene(0)
         ws = Workspace([scene])
-        next(_steps(ToyModel.init(0, *widths), [scene], cfg, workspace=ws))
+        _step(ToyModel.init(0, *widths), scene, cfg, _HEADS, ws)
         assert {key[2] for key in ws._arrays} >= {"hidden", "d_hidden", "d_main"}
         assert max(array.shape[1] for array in ws._arrays.values()) <= max(widths)
 
@@ -419,10 +432,10 @@ class TestWorkspace:
         scene = max(scenes, key=lambda s: len(s.points))
         model = ToyModel.init(0, cfg.point_channels, cfg.image_channels)
         ws = Workspace(scenes)
-        next(_steps(model, [scene], cfg, workspace=ws))
+        _step(model, scene, cfg, _HEADS, ws)
         tracemalloc.start()
         try:
-            next(_steps(model, [scene], cfg, workspace=ws))
+            _step(model, scene, cfg, _HEADS, ws)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -11,6 +11,7 @@ import pytest
 from nlcdet import (
     Calibration,
     DenseLayer,
+    InvalidValue,
     ShapeError,
     fuse_i2p,
     fuse_p2i,
@@ -286,6 +287,18 @@ class TestProjectionPlan:
                 plan.gather(grid)
             with pytest.raises(ShapeError):
                 plan.scatter_grad(grid)
+
+    @pytest.mark.parametrize("height", [-1, 0, 2.0, True, "3"],
+                             ids=["negative", "zero", "float", "bool", "str"])
+    def test_size_that_is_not_a_positive_integer_rejected(self, rng, height):
+        # the rule of build_gt_nlc_map, checked when the plan is made rather
+        # than left to NumPy at the plan's first product
+        with pytest.raises(InvalidValue, match="positive integers"):
+            ProjectionPlan(rng.uniform(0, 4, size=(6, 2)), height, 5)
+
+    def test_numpy_integer_size_accepted(self, rng):
+        plan = ProjectionPlan(rng.uniform(0, 2, size=(6, 2)), np.int64(3), np.int32(3))
+        assert plan.gather(np.ones((2, 3, 3))).shape == (6, 2)
 
 
 def _kept_sparse(plan):
