@@ -28,6 +28,7 @@ from .geometry import (
     project_points,
     rot_z,
 )
+from .layers import DenseLayer, fuse_i2p, fuse_p2i
 from .losses import LossWeights, center_loss, cross_entropy, huber, nlc_loss, total_loss
 from .metrics import Detection, average_precision, evaluate, match_detections
 from .nlc import (
@@ -41,13 +42,7 @@ from .nlc import (
     write_nlc_map,
 )
 from .propagation import (
-    DenseLayer,
-    fuse_i2p,
-    fuse_p2i,
-    pixel_to_point,
-    pixel_to_point_backward,
-    point_to_pixel,
-    point_to_pixel_backward,
+    pixel_to_point, pixel_to_point_backward, point_to_pixel, point_to_pixel_backward,
 )
 from .solver import SolveReport, dof_analysis, solve_box
 

@@ -48,6 +48,14 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_finite_real(value) -> bool:
+    """Whether ``value`` is a real number, NumPy's too, not a bool, and a finite float."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _require_integer(value, low: int, what: str) -> None:
     """Raise InvalidValue naming ``what`` unless ``value`` is an integer of at least ``low``."""
     if not (_is_integer(value) and value >= low):

@@ -8,19 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .layers import DenseLayer, fuse_i2p, fuse_i2p_backward, fuse_p2i, fuse_p2i_backward
 from .losses import center_loss, cross_entropy, nlc_loss, total_loss
 from .pipeline import (
     _HEADS, SceneParams, ToyModel, TrainConfig, Workspace, _step, compute_losses, forward,
     generate_scene,
 )
-from .propagation import (
-    DenseLayer,
-    ProjectionPlan,
-    fuse_i2p,
-    fuse_i2p_backward,
-    fuse_p2i,
-    fuse_p2i_backward,
-)
+from .propagation import ProjectionPlan
 
 __all__ = ["check_losses", "check_full_model", "run_all"]
 

@@ -322,9 +322,11 @@ def _farthest_point_indices(xyz: np.ndarray, budget: int, seed: int) -> np.ndarr
     chosen = np.empty(budget, dtype=int)
     chosen[0] = rng.integers(n)
     dist = np.linalg.norm(xyz - xyz[chosen[0]], axis=1)
+    dist[chosen[0]] = -1  # a chosen point, so that no later argmax picks it again
     for i in range(1, budget):
         chosen[i] = int(np.argmax(dist))
         dist = np.minimum(dist, np.linalg.norm(xyz - xyz[chosen[i]], axis=1))
+        dist[chosen[i]] = -1
     return chosen
 
 

@@ -11,6 +11,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import EmptyForeground, InvalidValue, LabelError, ShapeError
+from .geometry import _is_finite_real
 
 __all__ = [
     "LossWeights",
@@ -35,7 +36,7 @@ class LossWeights:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (np.isfinite(value) and value >= 0):
+            if not (_is_finite_real(value) and value >= 0):
                 raise InvalidValue(
                     f"loss weight {f.name} (lambda_{f.name}) must be a finite number >= 0, got {value}"
                 )

@@ -18,26 +18,16 @@ import numpy as np
 
 from .errors import InvalidValue, ShapeError
 from .geometry import (
-    Box3D, Calibration, _nearest_per_pixel, _require_integer, _to_box_frame, project_points,
+    Box3D, Calibration, _is_finite_real, _nearest_per_pixel, _require_integer, _to_box_frame,
+    project_points,
+)
+from .layers import (
+    DenseLayer, FusionCache, fuse_i2p, fuse_i2p_backward, fuse_p2i, fuse_p2i_backward, linear,
+    linear_backward, param_grad, relu, relu_backward,
 )
 from .losses import LossWeights, center_loss, cross_entropy, nlc_loss, total_loss
 from .nlc import NlcMap, build_gt_nlc_map, lidar_to_nlc, mmae, nlc_to_lidar, object_pixel_sets
-from .propagation import (
-    DenseLayer,
-    FusionCache,
-    ProjectionPlan,
-    _grid,
-    _linear,
-    _linear_backward,
-    _param_grad,
-    _relu,
-    _relu_backward,
-    _rows,
-    fuse_i2p,
-    fuse_i2p_backward,
-    fuse_p2i,
-    fuse_p2i_backward,
-)
+from .propagation import ProjectionPlan, to_grid, to_rows
 
 __all__ = [
     "SceneParams",
@@ -248,9 +238,9 @@ class TrainConfig:
     def __post_init__(self):
         _require_at_least(self, (("seed", 0), ("data_seed", 0), ("epochs", 0), ("train_scenes", 1),
                                  ("val_scenes", 1), ("point_channels", 1), ("image_channels", 1)))
-        if not (np.isfinite(self.huber_delta) and self.huber_delta > 0):
+        if not (_is_finite_real(self.huber_delta) and self.huber_delta > 0):
             raise InvalidValue(f"huber_delta must be a positive number, got {self.huber_delta}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+        if not (_is_finite_real(self.learning_rate) and self.learning_rate >= 0):
             raise InvalidValue(f"learning_rate must be a finite number >= 0, got {self.learning_rate}")
 
 
@@ -442,24 +432,24 @@ def forward(model: ToyModel, scene: SyntheticScene, config: TrainConfig,
     L = model.layers
 
     def dense(name, x, take):
-        return _linear(L[name], x, take(name, "out", L[name].out_channels))
+        return linear(L[name], x, take(name, "out", L[name].out_channels))
 
     h, w = scene.image.shape[1:]
     plan = scene.plan
     g = scene.point_inputs
-    f = _rows(scene.image)
+    f = to_rows(scene.image)
     stages = []
     for point, image, i2p, p2i in _STAGES:
         st = StageCache(points_in=g, pre_points=dense(point, g, at_points),
                         image_in=f, pre_image=dense(image, f, at_pixels))
-        g = _relu(st.pre_points, at_points(point, "relu", st.pre_points.shape[1]))
-        f = _relu(st.pre_image, at_pixels(image, "relu", st.pre_image.shape[1]))
+        g = relu(st.pre_points, at_points(point, "relu", st.pre_points.shape[1]))
+        f = relu(st.pre_image, at_pixels(image, "relu", st.pre_image.shape[1]))
         g_out = g
         if config.enable_i2p:
-            gathered = plan.gather(_grid(f, h, w))
+            gathered = plan.gather(to_grid(f, h, w))
             g_out, st.i2p = fuse_i2p(gathered, g, (L[i2p[0]], L[i2p[1]]), partial(at_points, i2p[0]))
         if config.enable_p2i:
-            scattered = _rows(plan.scatter(g))
+            scattered = to_rows(plan.scatter(g))
             f, st.p2i = fuse_p2i(scattered, f, (L[p2i[0]], L[p2i[1]]), partial(at_pixels, p2i[0]))
         g = g_out
         stages.append(st)
@@ -467,7 +457,7 @@ def forward(model: ToyModel, scene: SyntheticScene, config: TrainConfig,
     outputs = {
         "sem3d_logits": dense("head_sem3d", g, at_points),
         "ctr_pred": dense("head_ctr", g, at_points),
-        "nlc_map": _grid(dense("head_nlc", f, at_pixels), h, w),
+        "nlc_map": to_grid(dense("head_nlc", f, at_pixels), h, w),
         "sem2d_logits": dense("head_sem2d", f, at_pixels),
     }
     outputs["nlc_at_points"] = plan.gather(outputs["nlc_map"])
@@ -528,9 +518,9 @@ def backward(
         rows = take["point" if comp == "nlc" else branch]
         d_out = np.multiply(grad, weight, out=rows("head", grad.shape[1]))
         if comp == "nlc":
-            d_out = _rows(plan.gather_grad(d_out))
-        d[branch] += _linear_backward(L[head], cache[branch], d_out, grads[head],
-                                      take[branch]("sum", d[branch].shape[1]))
+            d_out = to_rows(plan.gather_grad(d_out))
+        d[branch] += linear_backward(L[head], cache[branch], d_out, grads[head],
+                                     take[branch]("sum", d[branch].shape[1]))
     d_g, d_f = d["point"], d["image"]
 
     for i, (point, image, i2p, p2i) in reversed(list(enumerate(_STAGES))):
@@ -544,22 +534,22 @@ def backward(
         if st.p2i is not None:
             d_scattered, d_f_layer = fuse_p2i_backward(d_f, st.p2i, (grads[p2i[0]], grads[p2i[1]]),
                                                        take["image"])
-            d_g_layer = np.add(d_g_layer, plan.scatter_grad(_grid(d_scattered, h, w)),
+            d_g_layer = np.add(d_g_layer, plan.scatter_grad(to_grid(d_scattered, h, w)),
                                out=take["point"]("sum", d_g_layer.shape[1]))
         if st.i2p is not None:
-            d_f_layer = np.add(d_f_layer, _rows(plan.gather_grad(d_gathered)),
+            d_f_layer = np.add(d_f_layer, to_rows(plan.gather_grad(d_gathered)),
                                out=take["image"]("sum", d_f_layer.shape[1]))
 
         # the stage's dense layers, back to the stage inputs; nothing reads
         # the gradient of the network's own inputs, so stage one skips it
-        d_pre_points = _relu_backward(d_g_layer, st.pre_points, take["point"])
-        d_pre_image = _relu_backward(d_f_layer, st.pre_image, take["image"])
+        d_pre_points = relu_backward(d_g_layer, st.pre_points, take["point"])
+        d_pre_image = relu_backward(d_f_layer, st.pre_image, take["image"])
         if i == 0:
-            _param_grad(st.points_in, d_pre_points, grads[point])
-            _param_grad(st.image_in, d_pre_image, grads[image])
+            param_grad(st.points_in, d_pre_points, grads[point])
+            param_grad(st.image_in, d_pre_image, grads[image])
         else:
-            d_g = _linear_backward(L[point], st.points_in, d_pre_points, grads[point], d_g)
-            d_f = _linear_backward(L[image], st.image_in, d_pre_image, grads[image], d_f)
+            d_g = linear_backward(L[point], st.points_in, d_pre_points, grads[point], d_g)
+            d_f = linear_backward(L[image], st.image_in, d_pre_image, grads[image], d_f)
     return out
 
 

@@ -1,16 +1,15 @@
 """Bidirectional point/pixel feature propagation with analytic backward passes.
 
-Grid features are (C, H, W) arrays; point features are (N, C); the fusion
-blocks take (M, C) rows on both sides, pixel rows (H*W, C) for
-point-to-pixel fusion and point rows for image-to-point fusion.  Projected
-coordinates are continuous (u, v) pixels: the scatter direction bins by
-floor(u), floor(v) with the pixel-binning rule of :mod:`nlcdet.geometry`
-(the same rule the ground-truth NLC map and the synthetic depth image use);
-the gather direction samples grid values located at integer (u, v) positions
-with bilinear weights and zero padding outside the image.  Points with NaN,
-infinite or huge coordinates fall outside in both directions; so do points
-behind the camera, which :func:`nlcdet.geometry.project_points` gives NaN
-coordinates.
+Grid features are (C, H, W) arrays and point features (N, C) rows;
+:func:`to_rows` and :func:`to_grid` turn a grid into its (H*W, C) pixel rows
+and back.  Projected coordinates are continuous (u, v) pixels: the scatter
+direction bins by floor(u), floor(v) with the pixel-binning rule of
+:mod:`nlcdet.geometry` (the same rule the ground-truth NLC map and the
+synthetic depth image use); the gather direction samples grid values
+located at integer (u, v) positions with bilinear weights and zero padding
+outside the image.  Points with NaN, infinite or huge coordinates fall
+outside in both directions; so do points behind the camera, which
+:func:`nlcdet.geometry.project_points` gives NaN coordinates.
 
 :class:`ProjectionPlan` is the one implementation of both directions: for a
 fixed set of coordinates it keeps, per direction, the pixels the points
@@ -23,22 +22,11 @@ other orientation apply its CSC transpose view.  Products
 that read a grid take just the touched rows of its (H*W, C) view, not a copy
 of the whole grid, and products that write one place their rows into zeros.
 Each one-shot function is one method of a plan built over its coordinates.
-
-The dense layer, the ReLU and the fusion blocks write into arrays the caller
-passes, so that a training run can reuse one workspace: ``out=`` for the
-first two, and for a fusion block ``buffers``, a callable
-``(name, cols[, dtype]) -> (M, cols) array`` that hands out the same array
-for the same name on every call.  Without buffers each call returns new
-arrays.  A fusion forward writes ``pre1``, ``hidden``, ``pre2`` and
-``out``, which hold its cache and output until the matching backward reads
-them; a backward writes ``mask``, ``masked``, ``d_hidden``, ``d_main`` and
-``d_aux``, the last two the gradients it returns.  No fusion array is wider
-than the widest layer.
+The fusion blocks that consume projected features are :mod:`nlcdet.layers`'s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -47,86 +35,15 @@ import numpy as np
 from .errors import ShapeError
 from .geometry import _float_rows, _pixel_cells, _require_image_size
 
+# the one re-export: ``perfbench/tracing.py``'s SPANS name the fusion blocks
+# ``propagation.fuse_*``, a need that ROADMAP item 1b's library follow-up removes
+from .layers import fuse_i2p, fuse_i2p_backward, fuse_p2i, fuse_p2i_backward
+
 __all__ = [
-    "DenseLayer",
-    "ProjectionPlan",
-    "FusionCache",
-    "point_to_pixel",
-    "point_to_pixel_backward",
-    "pixel_to_point",
-    "pixel_to_point_backward",
-    "fuse_p2i",
-    "fuse_p2i_backward",
-    "fuse_i2p",
-    "fuse_i2p_backward",
+    "ProjectionPlan", "to_rows", "to_grid", "point_to_pixel", "point_to_pixel_backward",
+    "pixel_to_point", "pixel_to_point_backward",
+    "fuse_p2i", "fuse_p2i_backward", "fuse_i2p", "fuse_i2p_backward",  # the re-export above
 ]
-
-
-@dataclass(frozen=True)
-class DenseLayer:
-    """Shared per-point linear map / 1x1 convolution: y = W x + b.  Frozen, so
-    arrays that view a larger parameter vector stay bound to it.  ``weights``
-    may be a transposed view: the toy network stores them (in, out), the
-    layout the forward product runs fastest on."""
-
-    weights: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
-
-    @property
-    def in_channels(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_channels(self) -> int:
-        return self.weights.shape[0]
-
-
-def _linear(layer: DenseLayer, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Apply the layer to (M, C_in) rows, into ``out`` when it is given."""
-    if x.shape[1] != layer.in_channels:
-        raise ShapeError(
-            f"layer expects {layer.in_channels} channels, got {x.shape[1]}"
-        )
-    y = np.matmul(x, layer.weights.T, out=out)
-    y += layer.bias
-    return y
-
-
-_ones = np.ones(0)
-_ones.flags.writeable = False
-
-
-def _bias_grad(d_out: np.ndarray, grad: DenseLayer) -> None:
-    """Write the column sums of ``d_out`` into ``grad.bias``: one product with
-    a ones vector, several times faster than ``d_out.sum(axis=0)``.  The
-    vector is the leading part of one read-only module vector that grows to
-    the longest ``d_out`` seen, so a call allocates nothing once it has."""
-    global _ones
-    ones = _ones  # this call's own reference, whatever another thread stores
-    if len(ones) < len(d_out):
-        ones = _ones = np.ones(len(d_out))
-        ones.flags.writeable = False
-    np.matmul(ones[: len(d_out)], d_out, out=grad.bias)
-
-
-def _param_grad(x: np.ndarray, d_out: np.ndarray, grad: DenseLayer) -> None:
-    """Write the parameter gradients of :func:`_linear` into ``grad``'s arrays."""
-    np.matmul(x.T, d_out, out=grad.weights.T)
-    _bias_grad(d_out, grad)
-
-
-def _linear_backward(layer: DenseLayer, x: np.ndarray, d_out: np.ndarray, grad: DenseLayer,
-                     out: np.ndarray | None = None):
-    """Gradient of :func:`_linear` w.r.t. its input rows, into ``out`` when it
-    is given; the parameter gradients are written into ``grad``, a layer
-    shaped like ``layer``.
-
-    The input gradient reads a C-contiguous (out, in) copy of the weights: on
-    these shapes BLAS runs that product about twice as fast as on the
-    transposed view of (in, out) storage, and the copy is a few hundred values.
-    """
-    _param_grad(x, d_out, grad)
-    return np.matmul(d_out, np.ascontiguousarray(layer.weights), out=out)
 
 
 def _bilinear_corners(uv: np.ndarray, height: int, width: int):
@@ -189,13 +106,13 @@ def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, columns: int
     return sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, columns))
 
 
-def _rows(grid: np.ndarray) -> np.ndarray:
+def to_rows(grid: np.ndarray) -> np.ndarray:
     """(C, H, W) grid as (H*W, C) rows, a view where the grid's layout allows."""
     return grid.reshape(grid.shape[0], -1).T
 
 
-def _grid(rows: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Inverse of :func:`_rows`: (H*W, C) rows as a (C, H, W) grid, a view."""
+def to_grid(rows: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Inverse of :func:`to_rows`: (H*W, C) rows as a (C, H, W) grid, a view."""
     return rows.T.reshape(-1, height, width)
 
 
@@ -284,7 +201,7 @@ class ProjectionPlan:
     def _read(self, grid: np.ndarray, pixels: np.ndarray) -> np.ndarray:
         """The (K, C) rows of a (C, H, W) grid at ``pixels``.  Indexing, not
         ``np.take``: take copies a strided input whole first."""
-        rows = _rows(grid)
+        rows = to_rows(grid)
         if len(rows) != self.height * self.width:
             raise ShapeError(
                 f"grid of {len(rows)} pixels for a {self.height}x{self.width} plan"
@@ -295,7 +212,7 @@ class ProjectionPlan:
         """(K, C) rows at ``pixels`` as a (C, H, W) view of zero (H*W, C) rows."""
         out = np.zeros((self.height * self.width,) + rows.shape[1:], dtype=rows.dtype)
         out[pixels] = rows
-        return _grid(out, self.height, self.width)
+        return to_grid(out, self.height, self.width)
 
     def _check_count(self, count: int) -> None:
         if count != self.count:
@@ -357,119 +274,3 @@ def pixel_to_point_backward(
 ) -> np.ndarray:
     """Backward of :func:`pixel_to_point` w.r.t. the grid features."""
     return ProjectionPlan(coords, height, width).gather_grad(np.asarray(grad_points, dtype=float))
-
-
-def _relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.maximum(x, 0.0, out=out)
-
-
-def _fresh(rows: int):
-    """Buffers for a call given none: a new (rows, cols) array per request."""
-    return lambda name, cols, dtype=float: np.empty((rows, cols), dtype)
-
-
-def _relu_backward(d_out: np.ndarray, pre: np.ndarray, take) -> np.ndarray:
-    """``d_out * (pre > 0)``, the gradient through ``relu(pre)``, written into
-    ``take``'s ``mask`` and ``masked`` buffers."""
-    mask = np.greater(pre, 0.0, out=take("mask", pre.shape[1], bool))
-    return np.multiply(d_out, mask, out=take("masked", pre.shape[1]))
-
-
-@dataclass(frozen=True)
-class FusionCache:
-    """What a fusion block's backward needs from its forward, as (M, C) rows.
-    The two inputs are held by reference, so the caller keeps them unchanged
-    until the backward has run."""
-
-    x_aux: np.ndarray
-    x_main: np.ndarray
-    pre1: np.ndarray  # pre-activation of the first layer
-    hidden: np.ndarray  # relu(pre1), the first part of the second layer's input
-    pre2: np.ndarray  # pre-activation of the second layer
-    layers: tuple[DenseLayer, DenseLayer]
-
-
-def _fuse_forward(x_aux: np.ndarray, x_main: np.ndarray, layers, buffers=None):
-    """Shared fusion core on (M, C) rows: relu(L2(cat(relu(L1(aux)), main))).
-
-    The concatenation is never built: the second layer is one product per
-    part of its input, ``hidden @ W2[:k] + main @ W2[k:] + b2`` over row
-    blocks of its (in, out) weights, where ``hidden = relu(pre1)`` has k
-    columns.  The second product lands in ``out`` before the ReLU does.
-    """
-    if x_aux.shape[0] != x_main.shape[0]:
-        raise ShapeError(f"{x_aux.shape[0]} auxiliary rows for {x_main.shape[0]} main rows")
-    take = buffers or _fresh(len(x_main))
-    l1, l2 = layers
-    k = l1.out_channels
-    if k + x_main.shape[1] != l2.in_channels:
-        raise ShapeError(
-            f"second layer expects {l2.in_channels} channels, got {k} + {x_main.shape[1]}"
-        )
-    pre1 = _linear(l1, x_aux, take("pre1", k))
-    hidden = _relu(pre1, take("hidden", k))
-    w2 = l2.weights.T  # (in, out)
-    out = take("out", l2.out_channels)
-    pre2 = np.matmul(hidden, w2[:k], out=take("pre2", l2.out_channels))
-    pre2 += np.matmul(x_main, w2[k:], out=out)
-    pre2 += l2.bias
-    _relu(pre2, out)
-    return out, FusionCache(x_aux, x_main, pre1, hidden, pre2, layers)
-
-
-def _fuse_backward(grad_out: np.ndarray, cache: FusionCache, grads, buffers=None):
-    """Gradients of :func:`_fuse_forward` w.r.t. (aux, main); each weight
-    gradient of the second layer is written into its own row block of
-    ``grads[1]``, and each input gradient of that layer is one product with
-    a C-contiguous copy of its column block of the weights."""
-    take = buffers or _fresh(len(grad_out))
-    l1, l2 = cache.layers
-    g1, g2 = grads
-    k = l1.out_channels
-    d_pre2 = _relu_backward(grad_out, cache.pre2, take)
-    g2_weights = g2.weights.T  # (in, out)
-    np.matmul(cache.hidden.T, d_pre2, out=g2_weights[:k])
-    np.matmul(cache.x_main.T, d_pre2, out=g2_weights[k:])
-    _bias_grad(d_pre2, g2)
-    w2 = l2.weights  # (out, in)
-    d_hidden = np.matmul(d_pre2, np.ascontiguousarray(w2[:, :k]), out=take("d_hidden", k))
-    d_main = np.matmul(d_pre2, np.ascontiguousarray(w2[:, k:]),
-                       out=take("d_main", cache.x_main.shape[1]))
-    d_aux = _linear_backward(l1, cache.x_aux, _relu_backward(d_hidden, cache.pre1, take), g1,
-                             take("d_aux", l1.in_channels))
-    return d_aux, d_main
-
-
-def fuse_p2i(
-    scattered: np.ndarray, image: np.ndarray, layers: tuple[DenseLayer, DenseLayer], buffers=None
-):
-    """Refine scattered point features and merge them with image features.
-
-    Both inputs are (H*W, C) pixel rows; the merge is pixel-wise:
-    relu(L2(cat(relu(L1(scattered)), image))).  Returns (output, cache) for
-    the matching backward, both written into ``buffers`` when given.
-    """
-    return _fuse_forward(scattered, image, layers, buffers)
-
-
-def fuse_p2i_backward(grad_out: np.ndarray, cache: FusionCache, grads, buffers=None):
-    """Gradients of fuse_p2i w.r.t. (scattered, image), written into
-    ``buffers`` when given.
-
-    The layer parameter gradients are written into ``grads``, a pair of
-    layers shaped like the block's.
-    """
-    return _fuse_backward(grad_out, cache, grads, buffers)
-
-
-def fuse_i2p(
-    gathered: np.ndarray, points: np.ndarray, layers: tuple[DenseLayer, DenseLayer], buffers=None
-):
-    """Point-wise analogue of :func:`fuse_p2i` on (N, C) features."""
-    return _fuse_forward(gathered, points, layers, buffers)
-
-
-def fuse_i2p_backward(grad_out: np.ndarray, cache: FusionCache, grads, buffers=None):
-    """Gradients of fuse_i2p w.r.t. (gathered, points); the layer parameter
-    gradients are written into ``grads`` as in :func:`fuse_p2i_backward`."""
-    return _fuse_backward(grad_out, cache, grads, buffers)

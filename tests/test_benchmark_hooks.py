@@ -126,3 +126,17 @@ def test_traced_ablation_sees_each_run_as_a_train_span():
         assert run_of(i) in runs and ids[i].startswith(ids[run_of(i)] + "/")
     steps = [ids[i] for i in forwards if spans[i][3] in runs]
     assert steps == [f"setup/run-{r}/step-{k}" for r in range(4) for k in range(3)]
+
+
+def test_traced_train_sees_the_fusion_blocks_under_their_propagation_names():
+    # the fusion blocks live in ``layers``; ``propagation`` re-exports them
+    # because the benchmark's spans name them ``propagation.fuse_*``
+    from nlcdet import pipeline
+
+    config = pipeline.TrainConfig(epochs=1, train_scenes=2, val_scenes=1)
+    tracer = _tracing.Tracer()
+    with _tracing.instrument(tracer):
+        pipeline.train(config)
+    names = {span[0] for span in tracer.spans}
+    assert {f"propagation.fuse_{block}" for block in
+            ("p2i", "p2i_backward", "i2p", "i2p_backward")} <= names

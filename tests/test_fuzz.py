@@ -2,9 +2,12 @@
 ``NlcdetError``, and never warns.
 
 The covered entry points are ``ProjectionPlan`` and its four products,
-``kitti_io.downsample`` and ``filter_detection_range``, and the integer fields
-of ``TrainConfig`` and ``SceneParams``.  Image sizes stay at 64 or below, so
-no example allocates a large grid; sizes too large for memory are not tried.
+``kitti_io.downsample`` and ``filter_detection_range``, the integer fields
+of ``TrainConfig`` and ``SceneParams``, and the float fields of ``TrainConfig``
+and ``LossWeights``.  Farthest-point sampling is also checked to pick each
+row at most once on clouds of coincident points.  Image sizes stay at 64 or
+below, so no example allocates a large grid; sizes too large for memory are
+not tried.
 """
 
 import warnings
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from nlcdet.errors import NlcdetError
 from nlcdet.kitti_io import DETECTION_RANGE, downsample, filter_detection_range
+from nlcdet.losses import LossWeights
 from nlcdet.pipeline import SceneParams, TrainConfig
 from nlcdet.propagation import ProjectionPlan
 
@@ -29,6 +33,8 @@ _COORDS = st.one_of(st.floats(-80.0, 80.0), _ODD.filter(lambda v: isinstance(v, 
 _INTEGER_FIELDS = {
     cls: [f.name for f in fields(cls) if f.type == "int"] for cls in (TrainConfig, SceneParams)
 }
+_FLOAT_FIELDS = {cls: [f.name for f in fields(cls) if f.type == "float"]
+                 for cls in (TrainConfig, LossWeights)}
 
 
 def _array(draw, shape):
@@ -90,6 +96,16 @@ class TestLibraryFuzz:
         if out is not None:
             assert len(out) <= budget and out.shape[1:] == points.shape[1:]
 
+    @given(n=st.integers(1, 8), copies=st.integers(1, 3), budget=st.integers(1, 24),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_fps_picks_each_row_once(self, n, copies, budget, seed):
+        # coincident copies of each point; the fourth column numbers the rows
+        points = np.repeat(np.random.default_rng(seed).uniform(-5, 5, size=(n, 4)), copies, axis=0)
+        points[:, 3] = np.arange(len(points))
+        out = downsample(points, budget, seed, "fps")
+        assert len(out) == min(budget, len(points)) and len(np.unique(out[:, 3])) == len(out)
+
     @given(points=_points())
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_filter_detection_range(self, points):
@@ -105,3 +121,13 @@ class TestLibraryFuzz:
         made = _returns_or_rejects(lambda: cls(**{name: value}))
         if made is not None:
             assert type(value) is int
+
+    @given(data=st.data(), cls=st.sampled_from([TrainConfig, LossWeights]),
+           value=st.one_of(st.floats(-2.0, 2.0), st.integers(-3, 3),
+                           st.sampled_from([np.float32(0.5), 10**400]), _ODD))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_float_fields(self, data, cls, value):
+        name = data.draw(st.sampled_from(_FLOAT_FIELDS[cls]))
+        made = _returns_or_rejects(lambda: cls(**{name: value}))
+        if made is not None:
+            assert not isinstance(value, bool) and np.isfinite(value) and value >= 0

@@ -1,7 +1,8 @@
 """Every module-level import in the library is used or re-exported, every
 module-level private definition is read somewhere in the library, every
-public name is read outside the package's re-exports, and no library check
-raises a bare ValueError."""
+public name is read outside the package's re-exports, no library module
+imports a private name of ``propagation`` or ``layers``, and no library
+check raises a bare ValueError."""
 
 import ast
 from pathlib import Path
@@ -132,6 +133,32 @@ def test_no_public_name_that_only_unit_tests_read():
     for directory in ("demos", "perfbench"):
         callers += [p.read_text() for p in sorted((ROOT / directory).rglob("*.py"))]
     assert unread_public_names(modules, callers) == []
+
+
+def private_imports(source: str, modules=("propagation", "layers")) -> list[str]:
+    """``module.name`` for each underscore name that ``source`` imports from
+    one of ``modules``, relatively or by package path."""
+    return [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in modules
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_checker_flags_a_private_import():
+    source = (
+        "from .propagation import ProjectionPlan, _grid\nfrom nlcdet.layers import _ones\n"
+        "from .geometry import _pixel_cells\nfrom .layers import linear\n"
+    )
+    assert private_imports(source) == ["propagation._grid", "nlcdet.layers._ones"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_import_from_propagation_or_layers(path):
+    # pipeline and gradcheck read the layers and the plan by their public names
+    assert private_imports(path.read_text()) == []
 
 
 def bare_value_errors(source: str) -> list[int]:

@@ -380,6 +380,13 @@ class TestRangeAndDownsample:
         out = downsample(pts, 3, seed=0, strategy="fps")
         assert {100.0, -100.0} <= set(np.round(out[:, 0], 6))
 
+    def test_fps_picks_each_row_at_most_once(self):
+        # three coincident points: once the far point and one of them are
+        # taken, every remaining distance is 0, and argmax must not re-pick
+        pts = np.array([[0.0, 0, 0, 1], [0, 0, 0, 2], [0, 0, 0, 3], [1, 0, 0, 4]])
+        out = downsample(pts, 3, seed=0, strategy="fps")
+        assert sorted(out[:, 3]) == [1, 2, 4]
+
     def test_bad_budget_and_strategy(self, rng):
         pts = rng.normal(size=(10, 4))
         with pytest.raises(ValueError):
