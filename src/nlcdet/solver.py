@@ -12,8 +12,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import Underdetermined
-from .geometry import Box3D, _float_rows, _require_bounded, rot_z
+from .errors import InvalidValue, Underdetermined
+from .geometry import Box3D, _float_rows, _require_bounded, normalize_angle
 
 __all__ = ["SolveReport", "solve_box", "dof_analysis"]
 
@@ -70,9 +70,7 @@ def _observability(jac: np.ndarray) -> tuple[float, int]:
 
 
 def _params_from_box(b: Box3D) -> np.ndarray:
-    return np.concatenate(
-        [b.center, np.log([b.l, b.w, b.h]), [b.yaw]]
-    )
+    return np.concatenate([b.center, np.log([b.l, b.w, b.h]), [b.yaw]])
 
 
 def _box_from_params(q: np.ndarray) -> Box3D:
@@ -89,55 +87,77 @@ def _clip_log_dims(q: np.ndarray) -> None:
         np.minimum(log_dims, _MAX_LOG_DIM, out=log_dims)
 
 
-def _residuals(q: np.ndarray, pts: np.ndarray, nlcs: np.ndarray, out=None):
-    """Stacked residuals r = nlc(p; box) - n, and the intermediate values
-    :func:`_jacobian` needs.
+class _Fit:
+    """One solve's arrays, made once: ``residuals(q)`` writes r = nlc(p; box) - n
+    at q = (cx, cy, cz, log l, log w, log h, yaw), with the offsets ``d`` and
+    box-frame ``n`` that ``jacobian()`` reads to write the analytic (3N, 7)
+    Jacobian into one (N, 3, 7) array, zero where the Jacobian always is."""
 
-    Parameters are (cx, cy, cz, log l, log w, log h, yaw).  ``out``, when
-    given, is a (3N,) residual array and two (N, 3) arrays for the offsets
-    ``d`` and the box-frame coordinates ``n``; the values are written there.
-    """
-    if out is None:
-        out = np.empty(3 * len(pts)), np.empty(pts.shape), np.empty(pts.shape)
-    res, d, n = out
-    dims = np.exp(q[3:6])
-    rot = rot_z(q[6])
-    np.subtract(pts, q[:3], out=d)
-    np.matmul(d, rot, out=n)  # R^T d
-    n /= dims
-    n += 0.5
-    np.subtract(n, nlcs, out=res.reshape(n.shape))
-    return res, (rot, dims, d, n)
+    def __init__(self, pts: np.ndarray, nlcs: np.ndarray):
+        npts = len(pts)
+        self.pts, self.nlcs, self.res = pts, nlcs, np.empty(3 * npts)
+        self.d, self.n, self.dn = np.empty((npts, 3)), np.empty((npts, 3)), np.empty((npts, 3))
+        self.res_rows, self.d_x, self.d_y = self.res.reshape(npts, 3), self.d[:, 0], self.d[:, 1]
+        self.dims, self.rot, self.block = np.empty(3), np.zeros((3, 3)), np.empty((3, 3))
+        self.rot[2, 2] = 1.0
+        self.rot_t, self.dims_col, self.dims_xy = self.rot.T, self.dims[:, None], self.dims[:2, None]
+        # (dR/dtheta)^T d by rows, turn_x * d_x + turn_y * d_y: a + (-b) is a - b, bit for bit
+        self.turn, self.yaw, self.yaw_y = np.empty(4), np.empty((2, npts)), np.empty((2, npts))
+        self.turn_x, self.turn_y = self.turn[:2, None], self.turn[2:, None]
+        jac = np.zeros((npts, 3, 7))
+        self.jac = jac.reshape(3 * npts, 7)
+        self.jac_t = self.jac.T
+        # the written parts: centre block, log-size diagonal and yaw columns
+        self.j_center, self.j_log_dims = jac[:, :, :3], jac.reshape(npts, 21)[:, 3::8]
+        self.j_yaw = jac[:, :2, 6].T
+        self.jtj, self.damped = np.empty((7, 7)), np.empty((7, 7))
+        self.jtj_diag, self.damped_diag = self.jtj.diagonal(), self.damped.reshape(49)[::8]
+        self.neg_jtr, self.scale, self.damping = np.empty(7), np.empty(7), np.empty(7)
+
+    def residuals(self, q: np.ndarray) -> np.ndarray:
+        rot, d, n = self.rot, self.d, self.n
+        np.exp(q[3:6], out=self.dims)
+        c, s = np.cos(q[6]), np.sin(q[6])
+        rot[0, 0], rot[0, 1], rot[1, 0], rot[1, 1] = c, -s, s, c  # rot_z(q[6])
+        np.subtract(self.pts, q[:3], out=d)
+        np.matmul(d, rot, out=n)  # R^T d
+        n /= self.dims
+        n += 0.5
+        np.subtract(n, self.nlcs, out=self.res_rows)
+        return self.res
+
+    def jacobian(self) -> np.ndarray:
+        block, dn, yaw, rot = self.block, self.dn, self.yaw, self.rot
+        # d n / d c = -(1/dims) * R^T
+        self.j_center[...] = np.negative(np.divide(self.rot_t, self.dims_col, out=block), out=block)
+        # d n_k / d log(dim_k) = -(n_k - 0.5)
+        self.j_log_dims[...] = np.negative(np.subtract(self.n, 0.5, out=dn), out=dn)
+        # d local / d theta = (dR/dtheta)^T d = (-s d_x + c d_y, -c d_x - s d_y)
+        c, s = rot[0, 0], rot[1, 0]
+        self.turn[0], self.turn[1], self.turn[2], self.turn[3] = -s, -c, c, -s
+        np.multiply(self.turn_x, self.d_x, out=yaw)
+        np.add(yaw, np.multiply(self.turn_y, self.d_y, out=self.yaw_y), out=yaw)
+        np.divide(yaw, self.dims_xy, out=self.j_yaw)
+        return self.jac
+
+    def normal_equations(self) -> None:
+        """The undamped J^T J and -J^T r, and the Marquardt scale of the damping:
+        J^T J's diagonal, floored so unobservable parameters stay damped."""
+        np.matmul(self.jac_t, self.jac, out=self.jtj)
+        np.negative(np.matmul(self.jac_t, self.res, out=self.neg_jtr), out=self.neg_jtr)
+        diag = self.jtj_diag
+        np.add(diag, 1e-12 * np.maximum.reduce(diag, initial=1.0), out=self.scale)
+
+    def step(self, lam: float) -> np.ndarray:
+        """The step with ``lam * scale`` added to a copy's diagonal (LinAlgError if singular)."""
+        np.copyto(self.damped, self.jtj)
+        self.damped_diag += np.multiply(lam, self.scale, out=self.damping)
+        return np.linalg.solve(self.damped, self.neg_jtr)
 
 
-def _jacobian(parts, out=None) -> np.ndarray:
-    """The analytic (3N, 7) Jacobian of :func:`_residuals` at the same q,
-    written into ``out`` when given: an (N, 3, 7) array that is zero where
-    the Jacobian always is."""
-    rot, dims, d, n = parts
-    npts = len(d)
-    jac = np.zeros((npts, 3, 7)) if out is None else out
-    # d n / d c = -(1/dims) * R^T
-    jac[:, :, :3] = -(rot.T / dims[:, None])
-    # d n_k / d log(dim_k) = -(n_k - 0.5)
-    jac.reshape(npts, 21)[:, 3::8] = -(n - 0.5)
-    # d local / d theta = (dR/dtheta)^T d
-    ct, st = rot[0, 0], rot[1, 0]
-    jac[:, 0, 6] = (-st * d[:, 0] + ct * d[:, 1]) / dims[0]
-    jac[:, 1, 6] = (-ct * d[:, 0] - st * d[:, 1]) / dims[1]
-    return jac.reshape(3 * npts, 7)
-
-
-def _normal_equations(jac: np.ndarray, res: np.ndarray):
-    """The undamped J^T J and -J^T r, and the Marquardt scale of the damping:
-    J^T J's diagonal, floored so unobservable parameters stay damped."""
-    jtj = jac.T @ jac
-    diag = jtj.diagonal()
-    return jtj, -(jac.T @ res), diag + 1e-12 * max(diag.max(), 1.0)
-
-
-def _default_init(pts: np.ndarray, nlcs: np.ndarray) -> Box3D:
-    """Closed-form least-squares fit of ``p = c + R(yaw) diag(l, w, h) (n - 0.5)``.
+def _start(pts: np.ndarray, nlcs: np.ndarray) -> np.ndarray:
+    """Closed-form least-squares fit of ``p = c + R(yaw) diag(l, w, h) (n - 0.5)``,
+    as the parameter vector ``(cx, cy, cz, log l, log w, log h, yaw)``.
 
     With points and NLCs centred, the bird's-eye part is linear:
     ``M = R(yaw) diag(l, w)`` solves the 2x2 normal equations of ``(p_x, p_y)``
@@ -147,7 +167,8 @@ def _default_init(pts: np.ndarray, nlcs: np.ndarray) -> Box3D:
     noise-free input with non-collinear ``(n_x, n_y)`` and two distinct
     ``n_z``.  A ridge of 1e-15 of the moments' trace keeps singular input
     (collinear or constant NLCs, all points at one place) finite, with the
-    unobservable part of ``M`` or ``h`` near 0; dimensions are floored at 0.1.
+    unobservable part of ``M`` or ``h`` near 0; dimensions are floored at 0.1,
+    and a start that is not finite raises InvalidValue, as a Box3D would.
     """
     # the column means as np.mean computes them: the column sums over the count
     p_mean, n_mean = np.add.reduce(pts) / len(pts), np.add.reduce(nlcs) / len(nlcs)
@@ -168,11 +189,13 @@ def _default_init(pts: np.ndarray, nlcs: np.ndarray) -> Box3D:
     l, w = math.hypot(m00, m10), math.hypot(m01, m11)
     ul, uw = max(l, _TINY), max(w, _TINY)
     theta = math.atan2(m10 / ul - m01 / uw, m00 / ul + m11 / uw)
-    offset = n_mean - 0.5
-    center = p_mean - [
-        m00 * offset[0] + m01 * offset[1], m10 * offset[0] + m11 * offset[1], h * offset[2],
-    ]
-    return Box3D(center=center, l=max(l, 0.1), w=max(w, 0.1), h=max(abs(h), 0.1), yaw=theta)
+    (ox, oy, oz), (px, py, pz) = (n_mean - 0.5).tolist(), p_mean.tolist()
+    center = [px - (m00 * ox + m01 * oy), py - (m10 * ox + m11 * oy), pz - h * oz]
+    log_dims = np.log([max(l, 0.1), max(w, 0.1), max(abs(h), 0.1)]).tolist()
+    q = [*center, *log_dims, normalize_angle(theta)]
+    if not all(map(math.isfinite, q)):
+        raise InvalidValue("the closed-form start must be finite")
+    return np.array(q)
 
 
 def solve_box(correspondences: np.ndarray, init: Box3D | None = None) -> SolveReport:
@@ -181,7 +204,7 @@ def solve_box(correspondences: np.ndarray, init: Box3D | None = None) -> SolveRe
     ``correspondences`` is (N, 6): LiDAR xyz followed by the NLC triple.
     Minimizes the summed squared NLC residual by Levenberg-Marquardt with an
     analytic Jacobian, starting from ``init`` or, without it, from the
-    closed-form least-squares fit of the box model (``_default_init``);
+    closed-form least-squares fit of the box model (``_start``);
     dimensions stay positive through a log parameterization.  Accepted steps
     never increase the residual.  The fit stops after 100 iterations, or as
     converged once an accepted step lowers the RMS residual by less than 1e-10.
@@ -190,51 +213,47 @@ def solve_box(correspondences: np.ndarray, init: Box3D | None = None) -> SolveRe
     """
     corrs = _correspondences(correspondences, 3)
     # canonical input order: the result is invariant to relabeling
-    order = np.lexsort(tuple(corrs[:, k] for k in range(5, -1, -1)))
+    order = np.lexsort(corrs.T[::-1])  # column 0 first, column 5 last
     pts, nlcs = corrs[order, :3], corrs[order, 3:]
 
-    q = _params_from_box(init if init is not None else _default_init(pts, nlcs))
+    q = _params_from_box(init) if init is not None else _start(pts, nlcs)
     _clip_log_dims(q)
-    # every trial writes its residuals and box-frame values into these
-    # buffers, and every accepted step its Jacobian
-    npts = len(pts)
-    buffers = (np.empty(3 * npts), np.empty((npts, 3)), np.empty((npts, 3)))
-    jac_buffer = np.zeros((npts, 3, 7))
-    res, parts = _residuals(q, pts, nlcs, out=buffers)
-    jac = _jacobian(parts, out=jac_buffer)
+    # every trial writes its parameters into q_new and its residuals into the
+    # fit's arrays; every accepted step writes its Jacobian there and swaps q
+    fit, q_new = _Fit(pts, nlcs), np.empty(7)
+    res = fit.residuals(q)
+    fit.jacobian()
     cost = float(res @ res)
     # the normal equations of the last accepted step: a rejected step damps a copy
-    jtj, neg_jtr, scale = _normal_equations(jac, res)
+    fit.normal_equations()
     lam = _LM_DAMPING_INIT
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        damped = jtj.copy()
-        damped.ravel()[::8] += lam * scale  # damp the diagonal
         try:
-            step = np.linalg.solve(damped, neg_jtr)
+            step = fit.step(lam)
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
-        q_new = q + step
-        _clip_log_dims(q_new)
-        res, parts = _residuals(q_new, pts, nlcs, out=buffers)
+        _clip_log_dims(np.add(q, step, out=q_new))
+        res = fit.residuals(q_new)
         cost_new = float(res @ res)
         if cost_new <= cost:
             rms_old = math.sqrt(cost / len(res))
             rms_new = math.sqrt(cost_new / len(res))
-            q, jac, cost = q_new, _jacobian(parts, out=jac_buffer), cost_new
+            q, q_new, cost = q_new, q, cost_new
+            fit.jacobian()
             lam *= 0.5
             if rms_old - rms_new < _TOL:
                 converged = True
                 break
-            jtj, neg_jtr, scale = _normal_equations(jac, res)
+            fit.normal_equations()
         else:
             lam *= 10.0
             if lam > 1e12:
                 break
 
-    condition, rank = _observability(jac)
+    condition, rank = _observability(fit.jac)
     return SolveReport(
         box=_box_from_params(q),
         rms_residual=math.sqrt(cost / len(res)),
@@ -251,6 +270,7 @@ def dof_analysis(correspondences: np.ndarray, at: Box3D) -> dict:
     rule by which :func:`solve_box` calls a fit degenerate).  At least one
     correspondence is needed; values are checked as in :func:`solve_box`."""
     corrs = _correspondences(correspondences, 1)
-    _, parts = _residuals(_params_from_box(at), corrs[:, :3], corrs[:, 3:])
-    _, rank = _observability(_jacobian(parts))
+    fit = _Fit(corrs[:, :3], corrs[:, 3:])
+    fit.residuals(_params_from_box(at))
+    _, rank = _observability(fit.jacobian())
     return {"equations": 3 * len(corrs), "unknowns": 7, "jacobian_rank": rank}

@@ -5,9 +5,10 @@ The covered entry points are ``ProjectionPlan`` and its four products,
 ``kitti_io.downsample`` and ``filter_detection_range``, the integer fields
 of ``TrainConfig`` and ``SceneParams``, and the float fields of ``TrainConfig``
 and ``LossWeights``.  Farthest-point sampling is also checked to pick each
-row at most once on clouds of coincident points.  Image sizes stay at 64 or
-below, so no example allocates a large grid; sizes too large for memory are
-not tried.
+row at most once on clouds of coincident points, and to pick distinct input
+rows, the same on rerun, on finite clouds at scales from 1e-3 up to the 1e100
+bound.  Image sizes stay at 64 or below, so no example allocates a large
+grid; sizes too large for memory are not tried.
 """
 
 import warnings
@@ -105,6 +106,22 @@ class TestLibraryFuzz:
         points[:, 3] = np.arange(len(points))
         out = downsample(points, budget, seed, "fps")
         assert len(out) == min(budget, len(points)) and len(np.unique(out[:, 3])) == len(out)
+
+    @given(n=st.integers(2, 64), scale=st.sampled_from([1e-3, 1.0, 80.0, 1e6, 1e50, 1e100]),
+           data=st.data(), seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_fps_on_finite_clouds(self, n, scale, data, seed):
+        # distinct finite rows up to the coordinate bound; the fourth column
+        # numbers the rows, so each pick names the input row it came from
+        budget = data.draw(st.integers(1, n - 1))
+        points = np.random.default_rng(seed).uniform(-scale, scale, size=(n, 4))
+        points[:, 3] = np.arange(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, again = (downsample(points, budget, seed, "fps") for _ in range(2))
+        rows = out[:, 3].astype(int)
+        assert len(out) == budget and len(np.unique(rows)) == budget
+        assert np.array_equal(out, points[rows]) and np.array_equal(out, again)
 
     @given(points=_points())
     @settings(max_examples=200, deadline=None, derandomize=True)

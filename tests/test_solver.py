@@ -18,7 +18,7 @@ from nlcdet import (
     solve_box,
 )
 from nlcdet.solver import (
-    _LM_DAMPING_INIT, _MAX_ITERATIONS, _TOL, _box_from_params, _default_init, _params_from_box,
+    _LM_DAMPING_INIT, _MAX_ITERATIONS, _TOL, _box_from_params, _Fit, _params_from_box, _start,
 )
 
 from conftest import random_box
@@ -71,7 +71,7 @@ class TestExactRecovery:
         for _ in range(20):
             box = random_box(rng, dim_lo=1.0)
             corrs = make_instance(rng, box, 3)
-            assert param_error(_default_init(corrs[:, :3], corrs[:, 3:]), box) < 1e-9
+            assert param_error(_box_from_params(_start(corrs[:, :3], corrs[:, 3:])), box) < 1e-9
 
     def test_default_initializer(self, rng):
         # elongated and near-square footprints; the closed-form start has no
@@ -299,7 +299,7 @@ def reference_solve_box(correspondences, init=None, counts=None):
     order = np.lexsort(tuple(corrs[:, k] for k in range(5, -1, -1)))
     corrs = corrs[order]
     pts, nlcs = corrs[:, :3], corrs[:, 3:]
-    q = _params_from_box(init if init is not None else _default_init(pts, nlcs))
+    q = _params_from_box(init) if init is not None else _start(pts, nlcs)
     q[3:6] = np.clip(q[3:6], -30.0, 30.0)
     res, jac = _reference_residuals_and_jacobian(q, pts, nlcs)
     cost = float(res @ res)
@@ -419,3 +419,34 @@ class TestReferenceLoop:
         reference = reference_solve_box(corrs, counts=counts)
         assert counts["rejected"] > 0 and reference.converged
         self._assert_matches(solve_box(corrs), reference, seed)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestFitState:
+    def test_one_state_matches_the_reference_at_every_q(self):
+        # one state through a sequence of q, each call compared with a fresh
+        # reference evaluation: sizes at the clip, yaws beyond +-pi, and
+        # offsets of +0 and -0, so no value of an earlier call survives
+        rng = np.random.default_rng([4, 32])
+        box = random_box(rng, dim_lo=1.0)
+        corrs = make_instance(rng, box, 12)
+        corrs[0, :3], corrs[1, :3], corrs[2, :3] = box.center, 0.0, -0.0
+        pts, nlcs = corrs[:, :3].copy(), corrs[:, 3:].copy()
+        base = _params_from_box(box)
+        qs = [base, np.r_[base[:3], 30.0, 30.0, 30.0, 4.0], np.r_[base[:3], -30.0, -30.0, -30.0, -7.5],
+              np.r_[0.0, 0.0, 0.0, base[3:6], 0.0], np.r_[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.0],
+              np.r_[box.center, 30.0, -30.0, 0.0, 1e3], np.r_[base[:6], -np.pi - 1e-9], base]
+        fit = _Fit(pts, nlcs)
+        for i, q in enumerate(qs):
+            res, jac = fit.residuals(q), fit.jacobian()
+            ref_res, ref_jac = _reference_residuals_and_jacobian(q, pts, nlcs)
+            assert _same_bits(res, ref_res) and _same_bits(jac, ref_jac), i
+
+    def test_non_finite_start_rejected(self):
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, np.inf], [3.0, 1.0, 2.0]])
+        nlcs = np.array([[0.1, 0.2, 0.3], [0.9, 0.4, 0.5], [0.3, 0.8, 0.7]])
+        with np.errstate(all="ignore"), pytest.raises(InvalidValue):
+            _start(pts, nlcs)
