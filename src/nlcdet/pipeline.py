@@ -25,7 +25,7 @@ from .layers import (
     DenseLayer, FusionCache, fuse_i2p, fuse_i2p_backward, fuse_p2i, fuse_p2i_backward, linear,
     linear_backward, param_grad, relu, relu_backward,
 )
-from .losses import LossWeights, center_loss, cross_entropy, nlc_loss, total_loss
+from .losses import LossWeights, _cross_entropy, _masked_huber, total_loss
 from .nlc import NlcMap, build_gt_nlc_map, lidar_to_nlc, mmae, nlc_to_lidar, object_pixel_sets
 from .propagation import ProjectionPlan, to_grid, to_rows
 
@@ -108,6 +108,17 @@ class SyntheticScene:
     def plan(self) -> ProjectionPlan:
         """Scatter/gather operators over ``coords`` and the image grid."""
         return ProjectionPlan(self.coords, *self.image.shape[1:])
+
+    @cached_property
+    def fg_elements(self) -> np.ndarray:
+        """``fg_mask`` for each element of (N, 3) point rows, flat (3N,) bool,
+        computed at the first loss."""
+        return np.repeat(self.fg_mask, 3)
+
+    @cached_property
+    def fg_count(self) -> int:
+        """The number of foreground points."""
+        return int(np.count_nonzero(self.fg_mask))
 
 
 def _sample_boxes(rng: np.random.Generator, params: SceneParams) -> list[Box3D]:
@@ -352,7 +363,8 @@ _STAGES = (
 class Workspace:
     """Every array a training step writes, made once per run and reused by
     each step: the stage activations, the fusion caches, the ReLU masks, the
-    head and backward gradients, and the gradient :class:`ToyModel`.
+    losses' temporaries, the head and backward gradients, and the gradient
+    :class:`ToyModel`.
 
     Each array lives on one side: point-side arrays have a row per point of
     the largest of ``scenes``, image-side arrays a row per pixel of the largest
@@ -464,15 +476,28 @@ def forward(model: ToyModel, scene: SyntheticScene, config: TrainConfig,
     return outputs, {"stages": stages, "point": g, "image": f}
 
 
-def compute_losses(outputs: dict, scene: SyntheticScene, config: TrainConfig):
+def compute_losses(outputs: dict, scene: SyntheticScene, config: TrainConfig,
+                   workspace: Workspace | None = None):
     """Each head's loss in ``LossWeights`` field order, then their weighted
-    ``total``; and each head's gradient at its output."""
-    fg, delta = scene.fg_mask, config.huber_delta
+    ``total``; and each head's gradient at its output.
+
+    The losses are those of ``nlc_loss``, ``cross_entropy`` and
+    ``center_loss``, from the same kernels.  The gradients and every
+    row-sized temporary are written into ``workspace``, and the next call
+    given it overwrites them; without one they are a fresh workspace's, so
+    the caller owns them.
+    """
+    ws = Workspace([scene]) if workspace is None else workspace
+    at_points, at_pixels = ws.sides(scene)
+    fg, count, delta = scene.fg_elements, scene.fg_count, config.huber_delta
     terms = {
-        "nlc": nlc_loss(outputs["nlc_at_points"], scene.gt_nlc_points, fg, delta),
-        "sem2d": cross_entropy(outputs["sem2d_logits"], scene.gt_nlc_map.mask.ravel()),
-        "sem3d": cross_entropy(outputs["sem3d_logits"], fg),
-        "ctr": center_loss(outputs["ctr_pred"], scene.gt_centers, fg, delta),
+        "nlc": _masked_huber(outputs["nlc_at_points"], scene.gt_nlc_points, fg, count, delta,
+                             partial(at_points, "loss_nlc")),
+        "sem2d": _cross_entropy(outputs["sem2d_logits"], scene.gt_nlc_map.mask.ravel(),
+                                partial(at_pixels, "loss_sem2d")),
+        "sem3d": _cross_entropy(outputs["sem3d_logits"], scene.fg_mask, partial(at_points, "loss_sem3d")),
+        "ctr": _masked_huber(outputs["ctr_pred"], scene.gt_centers, fg, count, delta,
+                             partial(at_points, "loss_ctr")),
     }
     losses = {c: loss for c, (loss, _) in terms.items()}
     losses["total"] = total_loss(losses, config.weights)
@@ -558,11 +583,12 @@ def _step(model: ToyModel, scene: SyntheticScene, config: TrainConfig, heads, wo
     sum of the ``heads`` losses alone, at the parameters as they are.
 
     The step writes into ``workspace``, so it allocates only the sparse
-    products' results and the losses, and the next step given it overwrites
-    the gradient model it returns.
+    products' results and, in the losses, each foreground run with its Huber
+    terms and each label index with the logits it picks; the next step given
+    it overwrites the gradient model it returns.
     """
     outputs, cache = forward(model, scene, config, workspace)
-    losses, head_grads = compute_losses(outputs, scene, config)
+    losses, head_grads = compute_losses(outputs, scene, config, workspace)
     return losses, backward(model, scene, config, cache, {c: head_grads[c] for c in heads}, workspace)
 
 
@@ -604,7 +630,7 @@ def evaluate_model(model: ToyModel, scenes, config: TrainConfig,
     per_scene, mmae_vals, skipped = [], [], 0
     for scene in scenes:
         outputs, _ = forward(model, scene, config, ws)
-        per_scene.append(compute_losses(outputs, scene, config)[0])
+        per_scene.append(compute_losses(outputs, scene, config, ws)[0])
         pix = object_pixel_sets(scene.object_ids, len(scene.boxes))
         pred = np.moveaxis(outputs["nlc_map"], 0, -1)
         (vals, skip) = mmae(scene.gt_nlc_map, pred, pix)

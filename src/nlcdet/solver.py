@@ -74,7 +74,7 @@ def _params_from_box(b: Box3D) -> np.ndarray:
 
 
 def _box_from_params(q: np.ndarray) -> Box3D:
-    l, w, h = (float(np.exp(v)) for v in q[3:6])
+    l, w, h = np.exp(q[3:6]).tolist()
     return Box3D(center=q[:3], l=l, w=w, h=h, yaw=float(q[6]))
 
 

@@ -3,14 +3,16 @@
 
 The covered entry points are ``ProjectionPlan`` and its four products,
 ``kitti_io.downsample`` and ``filter_detection_range``, the integer fields
-of ``TrainConfig`` and ``SceneParams``, and the float fields of ``TrainConfig``
-and ``LossWeights``.  Farthest-point sampling is also checked to pick each
+of ``TrainConfig`` and ``SceneParams``, the float fields of ``TrainConfig``
+and ``LossWeights``, and the labels, masks and Huber ``delta`` of the
+losses.  Farthest-point sampling is also checked to pick each
 row at most once on clouds of coincident points, and to pick distinct input
 rows, the same on rerun, on finite clouds at scales from 1e-3 up to the 1e100
 bound.  Image sizes stay at 64 or below, so no example allocates a large
 grid; sizes too large for memory are not tried.
 """
 
+import math
 import warnings
 from dataclasses import fields
 
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from nlcdet.errors import NlcdetError
 from nlcdet.kitti_io import DETECTION_RANGE, downsample, filter_detection_range
-from nlcdet.losses import LossWeights
+from nlcdet.losses import LossWeights, center_loss, cross_entropy, nlc_loss
 from nlcdet.pipeline import SceneParams, TrainConfig
 from nlcdet.propagation import ProjectionPlan
 
@@ -31,6 +33,8 @@ _ODD = st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 1e100, -1e100, 0
 _COUNTS = st.one_of(st.integers(-3, 64), st.integers(-2**70, 2**70), _ODD)
 _SIZES = st.one_of(st.integers(-2, 64), _ODD)  # no integer above 64
 _COORDS = st.one_of(st.floats(-80.0, 80.0), _ODD.filter(lambda v: isinstance(v, float)))
+_ENTRIES = st.lists(st.one_of(st.integers(-1, 3), st.sampled_from([0.0, 1.0, 0.5]), _ODD),
+                    min_size=1, max_size=6)
 _INTEGER_FIELDS = {
     cls: [f.name for f in fields(cls) if f.type == "int"] for cls in (TrainConfig, SceneParams)
 }
@@ -148,3 +152,23 @@ class TestLibraryFuzz:
         made = _returns_or_rejects(lambda: cls(**{name: value}))
         if made is not None:
             assert not isinstance(value, bool) and np.isfinite(value) and value >= 0
+
+    @given(labels=_ENTRIES, mask=_ENTRIES, delta=st.one_of(st.floats(0.1, 4.0), _ODD),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_loss_labels_masks_and_delta(self, labels, mask, delta, seed):
+        def number(v):
+            return isinstance(v, (int, float)) and math.isfinite(v)
+
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(size=(len(labels), 3))
+        out = _returns_or_rejects(lambda: cross_entropy(logits, labels))
+        assert (out is not None) == all(number(v) and float(v).is_integer() and 0 <= v < 3 for v in labels)
+        pred, target = rng.uniform(-2.0, 2.0, size=(2, len(mask), 3))
+        valid_mask = all(number(v) and v in (0, 1) for v in mask) and any(mask)
+        valid_delta = number(delta) and not isinstance(delta, bool) and delta > 0
+        for loss in (nlc_loss, center_loss):
+            out = _returns_or_rejects(lambda: loss(pred, target, mask, delta))
+            assert (out is not None) == (valid_mask and valid_delta)
+            if out is not None:
+                assert np.isfinite(out[0]) and np.all(out[1][np.array(mask) == 0] == 0.0)

@@ -1,5 +1,7 @@
 """Huber-based coordinate losses, cross-entropy, and the weighted total."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from nlcdet import (
     EmptyForeground,
+    InvalidValue,
     LabelError,
     LossWeights,
     ShapeError,
@@ -48,11 +51,29 @@ class TestHuber:
         assert np.all(second >= -1e-12)
 
     def test_bad_delta(self):
-        for delta in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError, match="delta must be positive"):
+        for delta in (0.0, -1.0, float("nan"), float("inf"), True, "3", None):
+            with pytest.raises(InvalidValue, match="delta must be positive"):
                 huber(1.0, delta)
-            with pytest.raises(ValueError, match="delta must be positive"):
+            with pytest.raises(InvalidValue, match="delta must be positive"):
                 nlc_loss(np.ones((2, 3)), np.zeros((2, 3)), np.ones(2, dtype=bool), delta)
+
+    def test_bits_of_the_two_branch_formula(self, rng):
+        r = np.concatenate([rng.normal(size=2000) * scale for scale in (1e-310, 1e-160, 1e-3, 1.0, 3.0, 1e150)]
+                           + [np.array([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 1.0, -1.0])])
+        for delta in (1e-300, 0.5, 1.0, 2.5, 1e100):
+            a = np.abs(r)
+            expected = np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert huber(r, delta).tobytes() == expected.tobytes(), delta
+                assert np.isnan(huber(np.nan, delta))
+
+    def test_large_delta_does_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert huber(3.0, 1e300) == 4.5
+            loss, grad = nlc_loss(np.full((1, 3), 3.0), np.zeros((1, 3)), [True], 1e300)
+        assert loss == 13.5 and np.array_equal(grad, [[3.0, 3.0, 3.0]])
 
 
 class TestMaskedLosses:
@@ -98,6 +119,33 @@ class TestMaskedLosses:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
             nlc_loss(np.zeros((3, 3)), np.zeros((4, 3)), np.ones(3, dtype=bool), 1.0)
+        with pytest.raises(InvalidValue, match="shapes are inconsistent"):
+            nlc_loss(np.float64(1.0), np.float64(0.0), [True], 1.0)
+
+    def test_rows_of_any_width(self):
+        loss, grad = nlc_loss(np.array([0.5, 2.0]), np.zeros(2), [True, True], 1.0)
+        assert loss == (0.125 + 1.5) / 2 and np.array_equal(grad, [0.25, 0.5])
+        loss, grad = center_loss(np.zeros((2, 0)), np.zeros((2, 0)), [True, False], 1.0)
+        assert loss == 0.0 and grad.shape == (2, 0)
+
+    @pytest.mark.parametrize("mask", [[1, 0, 1], [1.0, 0.0, 1.0], np.array([1, 0, 1], dtype=np.uint8)],
+                             ids=["int", "float", "uint8"])
+    def test_numeric_mask_of_zeros_and_ones_accepted(self, rng, mask):
+        pred, gt = rng.normal(size=(2, 3, 3))
+        for fn in (nlc_loss, center_loss):
+            loss, grad = fn(pred, gt, mask, 1.0)
+            want_loss, want_grad = fn(pred, gt, np.array([True, False, True]), 1.0)
+            assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("mask", [[0.5, 2.0], [1.0, np.nan], [1, -1], [1, 2], ["1", "0"], [1, None],
+                                      np.array([1 + 0j, 0j])],
+                             ids=["fractions", "nan", "negative", "two", "strings", "none", "complex"])
+    def test_mask_entries_other_than_bool_0_or_1_rejected(self, mask):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (nlc_loss, center_loss):
+                with pytest.raises(InvalidValue, match="foreground mask entries"):
+                    fn(np.ones((2, 3)), np.zeros((2, 3)), mask, 1.0)
 
 
 class TestCrossEntropy:
@@ -134,6 +182,28 @@ class TestCrossEntropy:
             cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
         with pytest.raises(LabelError):
             cross_entropy(np.zeros((2, 3)), np.array([-1, 0]))
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.9], [0.0, np.nan], [np.inf, 0.0], [1.0, -np.inf],
+                                        ["0", "1"], [0, None], np.array([0j, 1 + 0j])],
+                             ids=["fractions", "nan", "inf", "minus-inf", "strings", "none", "complex"])
+    def test_labels_that_are_not_integers_rejected(self, labels):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LabelError, match="labels must be integers"):
+                cross_entropy(np.zeros((2, 2)), labels)
+
+    def test_integral_float_and_bool_labels_accepted(self, rng):
+        logits = rng.normal(size=(4, 2))
+        loss, grad = cross_entropy(logits, np.array([0, 1, 1, 0]))
+        for labels in ([0.0, 1.0, 1.0, -0.0], np.array([False, True, True, False]), np.array([0, 1, 1, 0], np.uint8)):
+            got_loss, got_grad = cross_entropy(logits, labels)
+            assert got_loss == loss and got_grad.tobytes() == grad.tobytes()
+        with pytest.raises(LabelError, match=r"lie in \[0, 2\)"):
+            cross_entropy(logits, [0.0, 1.0, 2.0, 1e300])
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ShapeError, match="at least one row"):
+            cross_entropy(np.zeros((0, 2)), [])
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):

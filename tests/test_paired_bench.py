@@ -49,10 +49,31 @@ def test_bench_files_with_pairs_are_found():
     assert {p.name for p in PAIRED_FILES} >= {f"BENCH_{n}.json" for n in range(27, 32)}
 
 
+# the first file whose per_pair values tools/paired_bench.py wrote unrounded
+FIRST_UNROUNDED = 33
+
+
+def _number(path: Path) -> int:
+    return int(path.stem.split("_")[1])
+
+
+def test_bench_files_with_unrounded_pairs_are_found():
+    assert any(_number(p) >= FIRST_UNROUNDED for p in PAIRED_FILES)
+
+
+@pytest.mark.parametrize("path", [p for p in PAIRED_FILES if _number(p) >= FIRST_UNROUNDED],
+                         ids=lambda p: p.name)
+def test_committed_statistics_recomputed_exactly_from_unrounded_pairs(path):
+    for name, block in json.loads(path.read_text())["workloads"].items():
+        for metric, pairs in block["per_pair"].items():
+            assert compare(metric, pairs) == block["metrics"][metric], (name, metric)
+
+
 @pytest.mark.parametrize("path", PAIRED_FILES, ids=lambda p: p.name)
 def test_committed_statistics_recomputed_from_their_pairs(path):
-    # per_pair holds values rounded to 4 decimals, and the file's statistics
-    # were taken before rounding: each agrees to 1e-4, its printed precision
+    # before BENCH_33.json, per_pair holds values rounded to 4 decimals, and
+    # the file's statistics were taken before rounding: each agrees to 1e-4,
+    # its printed precision
     for name, block in json.loads(path.read_text())["workloads"].items():
         for metric, pairs in block["per_pair"].items():
             want, got = block["metrics"][metric], compare(metric, pairs)

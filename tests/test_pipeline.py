@@ -6,9 +6,9 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from nlcdet.errors import InvalidValue, ShapeError
+from nlcdet.errors import EmptyForeground, InvalidValue, ShapeError
 from nlcdet.geometry import project_points
-from nlcdet.losses import LossWeights
+from nlcdet.losses import LossWeights, center_loss, cross_entropy, nlc_loss
 from nlcdet.nlc import build_gt_nlc_map
 from nlcdet.pipeline import (
     ABLATION_ROWS,
@@ -271,6 +271,46 @@ class TestObjective:
         assert losses["total"].hex() == expected.hex()
         assert list(losses) == ["nlc", "sem2d", "sem3d", "ctr", "total"]
         assert list(grads) == ["nlc", "sem2d", "sem3d", "ctr"]
+
+    @pytest.mark.parametrize("row", ["none", "both"])
+    def test_workspace_losses_are_the_public_losses_on_the_default_scenes(self, row):
+        cfg = replace(TrainConfig(), **ABLATION_ROWS[row])
+        scenes = [scene for part in make_scenes(cfg) for scene in part]
+        assert len(scenes) == 70
+        model, ws = ToyModel.init(0, cfg.point_channels, cfg.image_channels), Workspace(scenes)
+        for scene in scenes:
+            outputs, _ = forward(model, scene, cfg, ws)
+            losses, grads = compute_losses(outputs, scene, cfg, ws)
+            fg, delta = scene.fg_mask, cfg.huber_delta
+            public = {
+                "nlc": nlc_loss(outputs["nlc_at_points"], scene.gt_nlc_points, fg, delta),
+                "sem2d": cross_entropy(outputs["sem2d_logits"], scene.gt_nlc_map.mask.ravel()),
+                "sem3d": cross_entropy(outputs["sem3d_logits"], fg),
+                "ctr": center_loss(outputs["ctr_pred"], scene.gt_centers, fg, delta),
+            }
+            for c, (loss, grad) in public.items():
+                assert losses[c] == loss, c
+                assert grads[c].tobytes() == grad.tobytes(), c
+
+    def test_workspace_gradients_are_reused_and_fresh_ones_owned(self):
+        scene, other = generate_scene(5), generate_scene(6)
+        model, ws = ToyModel.init(0, 6, 6), Workspace([scene, other])
+        first = compute_losses(forward(model, scene, TINY)[0], scene, TINY, ws)[1]
+        second = compute_losses(forward(model, other, TINY)[0], other, TINY, ws)[1]
+        outputs = forward(model, scene, TINY)[0]
+        owned, again = (compute_losses(outputs, scene, TINY)[1] for _ in range(2))
+        for c in first:
+            assert np.shares_memory(first[c], second[c]), c
+            assert not np.shares_memory(owned[c], again[c]), c
+            assert not any(np.shares_memory(owned[c], array) for array in ws._arrays.values()), c
+
+    def test_scene_without_foreground_raises(self):
+        scene = generate_scene(3, SceneParams(min_points_per_box=0, max_points_per_box=0))
+        assert not scene.fg_mask.any() and scene.fg_count == 0
+        outputs, _ = forward(ToyModel.init(0, 6, 6), scene, TINY)
+        for workspace in (None, Workspace([scene])):
+            with pytest.raises(EmptyForeground):
+                compute_losses(outputs, scene, TINY, workspace)
 
     def test_validation_report_keys_in_order(self):
         val = evaluate_model(ToyModel.init(0, 6, 6), [generate_scene(5), generate_scene(6)], TINY)

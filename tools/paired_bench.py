@@ -15,8 +15,9 @@ quartiles (linear, inclusive), the pairs in which the change is better
 ties count for neither side), the change of the median in percent, and the
 parent's interquartile range.  Statistics are taken on the unrounded run
 values and then rounded, to 4 decimals (percentages to 2); ``per_pair``
-lists each pair's values rounded to 4 decimals.  The tool writes no prose:
-the claim and the notes of a BENCH file are written by hand.
+lists each pair's values unrounded, so the statistics can be recomputed from
+it exactly.  The tool writes no prose: the claim and the notes of a BENCH
+file are written by hand.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def workload_block(seeds, runs, faults) -> dict:
         "first_in_pair": [first_in_pair(s) for s in seeds],
         "operations": {key: {s: sum(r[key] for r in runs[s]) for s in SIDES} for key in ("attempted", "failed")},
         "metrics": {m: compare(m, values[m]) for m in METRICS},
-        "per_pair": {m: [[round(v, 4) for v in pair] for pair in values[m]] for m in METRICS},
+        "per_pair": {m: [list(pair) for pair in values[m]] for m in METRICS},
         "minor_faults_per_run": {s: list(faults[s]) for s in SIDES},
     }
 
